@@ -42,8 +42,7 @@ using proto::proto_error;
 struct challenge_grant {
   proto_error error = proto_error::none;  ///< unknown_device
   /// challenge_superseded when issuing this grant evicted the device's
-  /// oldest outstanding challenge (the explicit signal the v1 session
-  /// swallowed); the grant itself is still valid.
+  /// oldest outstanding challenge; the grant itself is still valid.
   proto_error note = proto_error::none;
   device_id device = 0;
   std::uint32_t seq = 0;

@@ -8,8 +8,7 @@
 // so the verifier stores ONE secret for the whole fleet, the factory can
 // derive any device's key at provisioning time, and compromising one
 // device never reveals another's key (cross-device isolation). Devices
-// enrolled with a factory pre-shared key (the v1 single-device protocol)
-// bypass the KDF via `enroll`.
+// that already own a factory pre-shared key bypass the KDF via `enroll`.
 //
 // Firmware sharing: every provisioned program is interned into a
 // fleet::firmware_catalog (owned by default, injectable so several
@@ -103,8 +102,8 @@ class device_registry {
   /// registry_error(duplicate_id) when the id is already provisioned.
   device_id provision(device_id id, instr::linked_program prog);
 
-  /// Enroll a device that already owns a key (no KDF) — the migration path
-  /// for v1 single-device deployments. Auto-assigns the id. Throws
+  /// Enroll a device that already owns a key (no KDF), e.g. a factory
+  /// pre-shared key. Auto-assigns the id. Throws
   /// registry_error(empty_key) on an empty device key.
   device_id enroll(instr::linked_program prog, byte_vec device_key);
 

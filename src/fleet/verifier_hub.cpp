@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/error.h"
 #include "obs/event_log.h"
 #include "verifier/replay_cache.h"
 
@@ -192,29 +191,6 @@ challenge_grant verifier_hub::challenge(device_id id) {
   return grant;
 }
 
-verifier::op_verifier* verifier_hub::core_locked(shard& sh, device_id id) {
-  const device_record* rec = registry_.find(id);
-  if (rec == nullptr) return nullptr;
-  device_state& st = sh.states[id];
-  if (!st.ctx) {
-    // Cheap: the firmware artifact is shared, the context adds only the
-    // device key (and, later, attached policies).
-    st.ctx =
-        std::make_unique<verifier::op_verifier>(rec->firmware, rec->key);
-  }
-  return st.ctx.get();
-}
-
-verifier::op_verifier& verifier_hub::core(device_id id) {
-  shard& sh = shard_for(id);
-  std::lock_guard<std::mutex> lk(sh.mu);
-  verifier::op_verifier* core = core_locked(sh, id);
-  if (core == nullptr) {
-    throw error("fleet: unknown device " + std::to_string(id));
-  }
-  return *core;
-}
-
 attest_result verifier_hub::observed(const obs::span_recorder& sp,
                                      attest_result r) {
   obs_.record(sp, r.device, r.seq, static_cast<std::uint8_t>(r.error),
@@ -236,30 +212,23 @@ attest_result verifier_hub::verify_report(
     device_id id, std::uint32_t seq,
     const verifier::attestation_report& report) {
   obs::span_recorder sp(obs_.enabled());
-  return observed(sp, verify_impl(id, seq, /*check_seq=*/true, report, sp));
+  return observed(sp, verify_impl(id, seq, report, sp));
 }
 
-attest_result verifier_hub::verify_report(
-    device_id id, const verifier::attestation_report& report) {
-  obs::span_recorder sp(obs_.enabled());
-  return observed(sp, verify_impl(id, 0, /*check_seq=*/false, report, sp));
-}
-
-attest_result verifier_hub::verify_impl(
-    device_id id, std::uint32_t seq, bool check_seq,
-    const verifier::report_view& report, obs::span_recorder& sp) {
+attest_result verifier_hub::verify_impl(device_id id, std::uint32_t seq,
+                                        const verifier::report_view& report,
+                                        obs::span_recorder& sp) {
   attest_result r;
   r.device = id;
   r.seq = seq;
 
   // Phase 1 (under the shard lock): nonce bookkeeping. Match the
   // challenge, classify misses, check the sequence number and CONSUME the
-  // nonce, capturing the registry record (and the optional per-device
-  // policy context) for phase 2. The consumption is journaled under the
-  // same lock — a crash after this point replays the nonce as consumed,
-  // so the report cannot be re-submitted against the restarted hub.
+  // nonce, capturing the registry record for phase 2. The consumption is
+  // journaled under the same lock — a crash after this point replays the
+  // nonce as consumed, so the report cannot be re-submitted against the
+  // restarted hub.
   const device_record* rec = nullptr;
-  verifier::op_verifier* ctx = nullptr;
   device_state* stp = nullptr;
   std::array<std::uint8_t, 16> nonce{};
   {
@@ -302,7 +271,7 @@ attest_result verifier_hub::verify_impl(
       sp.mark(obs::stage::journal);
       return rejected(r, &st);
     }
-    if (check_seq && seq != match->seq) {
+    if (seq != match->seq) {
       r.error = proto_error::sequence_mismatch;
       sp.mark(obs::stage::journal);
       return rejected(r, &st);
@@ -317,7 +286,6 @@ attest_result verifier_hub::verify_impl(
     retire(id, st,
            static_cast<std::size_t>(match - st.outstanding.begin()),
            nonce_fate::consumed);
-    ctx = st.ctx.get();  // only if core(id) attached policies earlier
     stp = &st;  // map nodes are address-stable; see threading note below
   }
 
@@ -334,24 +302,17 @@ attest_result verifier_hub::verify_impl(
 
   // Phase 2 (no locks held): the expensive MAC + abstract-execution
   // verification, straight off the record's shared per-firmware artifact
-  // (immutable, reentrant) — or through the device's policy context when
-  // one was materialized. The record pointer is stable and its key/
+  // (immutable, reentrant). The record pointer is stable and its key/
   // firmware/mac_state immutable, so reading them unlocked is safe. The
   // record's precomputed HMAC key schedule skips the per-report ipad/opad
-  // rehash of K_dev.
+  // rehash of K_dev. memo_ (when configured) serves repeated-input
+  // replays from the LRU; the MAC always runs per report, so a cache hit
+  // is only ever reachable for a freshly authenticated input vector.
   verifier::verify_timings vt;
   verifier::verify_timings* const vtp = sp.enabled() ? &vt : nullptr;
-  if (ctx != nullptr) {
-    r.verdict = ctx->verify(report, nonce, vtp);
-  } else {
-    static const std::vector<std::shared_ptr<verifier::policy>>
-        no_policies;
-    // memo_ (when configured) serves repeated-input replays from the
-    // LRU; the MAC above always runs per report, so a cache hit is only
-    // ever reachable for a freshly authenticated input vector.
-    r.verdict = rec->firmware->verify(report, rec->mac_state, no_policies,
-                                      nonce, vtp, memo_.get());
-  }
+  static const std::vector<std::shared_ptr<verifier::policy>> no_policies;
+  r.verdict = rec->firmware->verify(report, rec->mac_state, no_policies,
+                                    nonce, vtp, memo_.get());
   sp.credit(obs::stage::mac, vt.mac_ns);
   sp.credit(obs::stage::replay, vt.replay_ns);
   // stp stays valid unlocked: std::map nodes are address-stable and
@@ -456,14 +417,6 @@ attest_result verifier_hub::submit(std::span<const std::uint8_t> frame) {
     sp.mark(obs::stage::decode);
     return observed(sp, rejected(r, nullptr));
   }
-  if (scratch.info.version != proto::wire_v2 &&
-      scratch.info.version != proto::wire_v21) {
-    // A v1 frame names no device; the hub cannot route it.
-    attest_result r;
-    r.error = proto_error::unknown_device;
-    sp.mark(obs::stage::decode);
-    return observed(sp, rejected(r, nullptr));
-  }
   verifier::report_view view(scratch.report);
   if (scratch.delta.present) {
     // v2.1: rebuild the full OR before anything downstream sees the
@@ -483,7 +436,7 @@ attest_result verifier_hub::submit(std::span<const std::uint8_t> frame) {
   // Decode covers the frame parse plus any v2.1 delta reconstruction.
   sp.mark(obs::stage::decode);
   return observed(sp, verify_impl(scratch.info.device_id, scratch.info.seq,
-                                  /*check_seq=*/true, view, sp));
+                                  view, sp));
 }
 
 std::vector<attest_result> verifier_hub::verify_batch(

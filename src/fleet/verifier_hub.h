@@ -4,7 +4,7 @@
 // challenges), expiry on a monotonic tick clock, and per-device
 // anti-replay bookkeeping.
 //
-// Protocol (wire v2; v1 layout documented beside it in src/proto/wire.h):
+// Protocol (wire v2, layout in src/proto/wire.h):
 //
 //      Vrf hub                                       Prv (device d)
 //        |                                                |
@@ -56,14 +56,13 @@
 // verify runs straight off that artifact with the record's device key.
 // Verifier memory is O(firmwares), not O(devices), and the §III replay
 // executes on a per-thread recycled emu::machine instead of constructing
-// one per report. Only core(id) — the policy-attachment surface —
-// materializes a cheap per-device op_verifier context (shared artifact
-// pointer + key + policies).
+// one per report. The hub attaches no app policies; callers that want
+// them wrap the record's artifact in a verifier::op_verifier.
 //
 // Threading model
 // ---------------
 // The hub is internally sharded: per-device state (challenge table,
-// retired-nonce history, optional policy context) lives in one of
+// retired-nonce history, delta baseline) lives in one of
 // `hub_config::shards` shards selected by a hash of the device id, each
 // with its own mutex and its own challenge-nonce RNG stream. All public
 // entry points are safe to call concurrently from any number of threads:
@@ -81,15 +80,6 @@
 //     (`hub_config::workers` threads; the caller participates too) and
 //     returns results in input order.
 //   - `tick`/`now`/`stats` use atomics and may race freely.
-//   - `core(id)` construction is serialized by the shard lock; the
-//     returned op_verifier is verify-const and safe for concurrent
-//     `verify` calls — with one caveat: attached policies' hooks
-//     (on_write/on_finish) run during replay on whichever thread is
-//     verifying, and two reports for the SAME device may verify
-//     concurrently, so a policy that keeps internal mutable state must
-//     synchronize it itself (the built-in policies are stateless).
-//     Mutating the core (add_policy) while traffic is in flight is NOT
-//     synchronized either — attach policies before serving.
 //
 // The one external requirement: the device_registry must outlive the hub,
 // and concurrent `provision`/`enroll` calls are the registry's own
@@ -117,7 +107,7 @@ using proto::proto_error;
 
 struct hub_config {
   /// Outstanding challenges a device may hold at once; issuing beyond this
-  /// evicts (supersedes) the oldest. 1 reproduces the v1 session behavior.
+  /// evicts (supersedes) the oldest.
   std::uint32_t max_outstanding = 8;
   /// Challenge TTL in hub ticks; 0 = challenges never expire.
   std::uint64_t challenge_ttl = 0;
@@ -136,7 +126,7 @@ struct hub_config {
   /// `sequential_batch = true` for a strictly single-threaded hub.
   std::uint32_t workers = 0;
   /// Forces verify_batch to run inline on the calling thread (no pool is
-  /// created). The single-device v1 adapter sets this.
+  /// created).
   bool sequential_batch = false;
   /// Track per-device wire v2.1 delta baselines (the OR of the last
   /// accepted report, O(or_bytes) memory per device). Off, every v2.1
@@ -155,8 +145,7 @@ struct hub_config {
   obs::pipeline_config obs{};
   /// Replay-memoization capacity (results, LRU-bounded): repeated rounds
   /// with byte-identical attested inputs skip the §III replay entirely —
-  /// the MAC is still verified per report, and devices with policies
-  /// attached bypass the memo. 0 disables memoization.
+  /// the MAC is still verified per report. 0 disables memoization.
   std::size_t replay_memo_entries = 1024;
 };
 
@@ -173,9 +162,8 @@ class verifier_hub : public hub_like {
   /// outstanding per device (up to cfg.max_outstanding). Thread-safe.
   challenge_grant challenge(device_id id) override;
 
-  /// Decode a wire frame (any supported version) and verify it. v1 frames
-  /// carry no device id and are rejected with unknown_device — route them
-  /// through a proto::verifier_session instead. v2.1 delta frames are
+  /// Decode a wire frame (v2 or v2.1) and verify it; any other version is
+  /// the typed bad_version and touches no challenge. v2.1 delta frames are
   /// reconstructed against the device's or_baseline first (see the file
   /// comment); a mismatch is the typed baseline_mismatch and leaves the
   /// challenge outstanding. Thread-safe, reentrant: decoding uses a
@@ -190,12 +178,6 @@ class verifier_hub : public hub_like {
   /// Verify an already-decoded report for a device, requiring the frame's
   /// sequence number to match the one its challenge was issued with.
   attest_result verify_report(device_id id, std::uint32_t seq,
-                              const verifier::attestation_report& report);
-
-  /// Sequence-unchecked variant for v1 adapters that predate sequence
-  /// numbers. Deliberately NOT reachable from `submit`: skipping the seq
-  /// check must be a caller decision, never an in-band wire value.
-  attest_result verify_report(device_id id,
                               const verifier::attestation_report& report);
 
   /// Verify a batch of independent frames in parallel on the hub's worker
@@ -216,14 +198,6 @@ class verifier_hub : public hub_like {
   std::uint64_t now() const override {
     return now_.load(std::memory_order_relaxed);
   }
-
-  /// Per-device verifier context, e.g. to attach app policies. Devices
-  /// without one verify straight off the shared per-firmware artifact;
-  /// calling core() materializes the (cheap: artifact pointer + key)
-  /// per-device context, which verification then uses instead. Throws
-  /// dialed::error for an unknown device. Construction is thread-safe;
-  /// mutating the returned context concurrently with verification is not.
-  verifier::op_verifier& core(device_id id);
 
   /// Outstanding challenges for a device, EXCLUDING entries already past
   /// cfg.challenge_ttl (they are dead — merely not yet swept into the
@@ -316,12 +290,6 @@ class verifier_hub : public hub_like {
     std::deque<retired_nonce> retired;        ///< bounded history
     or_baseline baseline;
     atomic_device_counters counters;
-    /// Per-device POLICY context, materialized only by core(id) — the
-    /// plain hot path verifies straight off the registry record's shared
-    /// firmware artifact and never allocates here. Built under the shard
-    /// lock, verified outside it; the pointee's address is stable (map
-    /// node + unique_ptr).
-    std::unique_ptr<verifier::op_verifier> ctx;
     std::uint32_t next_seq = 1;
   };
 
@@ -359,15 +327,11 @@ class verifier_hub : public hub_like {
   /// when `st` is known), then journal the verdict. Returns `r` so reject
   /// paths read `return rejected(...)`.
   attest_result rejected(attest_result r, device_state* st);
-  /// Looks up (or lazily builds) the device's policy context. Caller must
-  /// hold the shard lock. Returns nullptr for an unknown device.
-  verifier::op_verifier* core_locked(shard& sh, device_id id);
   /// The common verification core. Takes a report VIEW: `report.or_bytes`
   /// may borrow the caller's frame buffer (submit's zero-copy path) and is
   /// only read for the duration of the call — adopt_baseline copies the
   /// bytes it keeps.
   attest_result verify_impl(device_id id, std::uint32_t seq,
-                            bool check_seq,
                             const verifier::report_view& report,
                             obs::span_recorder& sp);
   /// Fold the finished span into the hub's histograms/flight recorder and

@@ -9,7 +9,6 @@ namespace dialed::proto {
 
 namespace {
 
-constexpr std::size_t v1_header_size = 66;
 constexpr std::size_t v2_header_size = 74;
 /// v2.1: the v2 fields through the MAC (72 bytes) + baseline_seq (4) +
 /// baseline_hash (8) + or_full_len (2) + segment count (2).
@@ -17,10 +16,6 @@ constexpr std::size_t v21_header_size = 88;
 /// Per-segment framing overhead: offset u16 + length u16. Changed ranges
 /// closer than this are cheaper to coalesce than to split.
 constexpr std::size_t segment_overhead = 4;
-
-constexpr std::size_t header_size(std::uint8_t version) {
-  return version == wire_v1 ? v1_header_size : v2_header_size;
-}
 
 /// The 72 bytes v2 and v2.1 share: magic/version/flags/identity/bounds/
 /// claims/challenge/MAC. `out` must already be sized >= 72.
@@ -40,6 +35,25 @@ void write_v2_prefix(std::span<std::uint8_t> out, std::uint8_t version,
   store_le16(out, 22, rep.halt_code);
   for (std::size_t i = 0; i < 16; ++i) out[24 + i] = rep.challenge[i];
   for (std::size_t i = 0; i < 32; ++i) out[40 + i] = rep.mac[i];
+}
+
+/// Inverse of write_v2_prefix: the shared 72-byte header into `out`. The
+/// caller has already checked magic, version, length and CRC.
+void read_v2_prefix(std::span<const std::uint8_t> frame,
+                    decoded_frame& out) {
+  out.info.version = frame[2];
+  out.info.device_id = load_le32(frame, 4);
+  out.info.seq = load_le32(frame, 8);
+  auto& rep = out.report;
+  rep.exec = (frame[3] & 1) != 0;
+  rep.er_min = load_le16(frame, 12);
+  rep.er_max = load_le16(frame, 14);
+  rep.or_min = load_le16(frame, 16);
+  rep.or_max = load_le16(frame, 18);
+  rep.claimed_result = load_le16(frame, 20);
+  rep.halt_code = load_le16(frame, 22);
+  for (std::size_t i = 0; i < 16; ++i) rep.challenge[i] = frame[24 + i];
+  for (std::size_t i = 0; i < 32; ++i) rep.mac[i] = frame[40 + i];
 }
 
 void append_crc(byte_vec& out) {
@@ -97,41 +111,17 @@ proto_error encode_frame_into(const frame_info& info,
                               const verifier::attestation_report& rep,
                               byte_vec& out) {
   out.clear();
-  if (info.version != wire_v1 && info.version != wire_v2) {
-    return proto_error::bad_version;
-  }
+  if (info.version != wire_v2) return proto_error::bad_version;
   if (rep.or_bytes.size() > max_or_bytes) {
     // The length field is 16 bits; a larger OR used to be silently
     // truncated here, emitting a frame whose length/CRC never validate.
     return proto_error::bad_length;
   }
-  const std::size_t hdr = header_size(info.version);
-  out.resize(hdr);
-  store_le16(out, 0, wire_magic);
-  out[2] = info.version;
-  out[3] = rep.exec ? 1 : 0;
-  // Bounds and claims land at version-dependent offsets: v2 inserts the
-  // 8-byte (device_id, seq) pair after the flags byte.
-  std::size_t off = 4;
-  if (info.version == wire_v2) {
-    store_le32(out, 4, info.device_id);
-    store_le32(out, 8, info.seq);
-    off = 12;
-  }
-  store_le16(out, off + 0, rep.er_min);
-  store_le16(out, off + 2, rep.er_max);
-  store_le16(out, off + 4, rep.or_min);
-  store_le16(out, off + 6, rep.or_max);
-  store_le16(out, off + 8, rep.claimed_result);
-  store_le16(out, off + 10, rep.halt_code);
-  for (std::size_t i = 0; i < 16; ++i) out[off + 12 + i] = rep.challenge[i];
-  for (std::size_t i = 0; i < 32; ++i) out[off + 28 + i] = rep.mac[i];
-  store_le16(out, off + 60,
-             static_cast<std::uint16_t>(rep.or_bytes.size()));
+  out.resize(v2_header_size);
+  write_v2_prefix(out, wire_v2, info, rep);
+  store_le16(out, 72, static_cast<std::uint16_t>(rep.or_bytes.size()));
   out.insert(out.end(), rep.or_bytes.begin(), rep.or_bytes.end());
-  const std::uint16_t crc = crc16_ccitt(out);
-  out.push_back(static_cast<std::uint8_t>(crc & 0xff));
-  out.push_back(static_cast<std::uint8_t>(crc >> 8));
+  append_crc(out);
   return proto_error::none;
 }
 
@@ -164,7 +154,7 @@ proto_error decode_v21_into(std::span<const std::uint8_t> frame,
                             decoded_frame& out) {
   // Walk the declared segments to find where the CRC should sit. A length
   // field lying about a segment (running past the frame, or leaving
-  // trailing slack) is a typed bad_length, same as v1/v2's or_len check.
+  // trailing slack) is a typed bad_length, same as v2's or_len check.
   const std::size_t seg_count = load_le16(frame, 86);
   std::size_t pos = v21_header_size;
   for (std::size_t s = 0; s < seg_count; ++s) {
@@ -178,21 +168,9 @@ proto_error decode_v21_into(std::span<const std::uint8_t> frame,
   const std::uint16_t crc = crc16_ccitt(frame.subspan(0, pos));
   if (crc != load_le16(frame, pos)) return proto_error::bad_crc;
 
-  out.info.version = wire_v21;
-  out.info.device_id = load_le32(frame, 4);
-  out.info.seq = load_le32(frame, 8);
-  auto& rep = out.report;
-  rep.exec = (frame[3] & 1) != 0;
-  rep.er_min = load_le16(frame, 12);
-  rep.er_max = load_le16(frame, 14);
-  rep.or_min = load_le16(frame, 16);
-  rep.or_max = load_le16(frame, 18);
-  rep.claimed_result = load_le16(frame, 20);
-  rep.halt_code = load_le16(frame, 22);
-  for (std::size_t i = 0; i < 16; ++i) rep.challenge[i] = frame[24 + i];
-  for (std::size_t i = 0; i < 32; ++i) rep.mac[i] = frame[40 + i];
+  read_v2_prefix(frame, out);
   // The frame carries no full OR; the verifier reconstructs it.
-  rep.or_bytes.clear();
+  out.report.or_bytes.clear();
   out.or_view = {};
 
   auto& d = out.delta;
@@ -232,7 +210,7 @@ proto_error decode_frame_into(std::span<const std::uint8_t> frame,
   if (frame.size() < 3) return proto_error::truncated;
   if (load_le16(frame, 0) != wire_magic) return proto_error::bad_magic;
   const std::uint8_t version = frame[2];
-  if (version != wire_v1 && version != wire_v2 && version != wire_v21) {
+  if (version != wire_v2 && version != wire_v21) {
     return proto_error::bad_version;
   }
   if (version == wire_v21) {
@@ -245,33 +223,15 @@ proto_error decode_frame_into(std::span<const std::uint8_t> frame,
   out.delta.present = false;
   out.delta.segments.clear();
   out.delta.data.clear();
-  const std::size_t hdr = header_size(version);
+  constexpr std::size_t hdr = v2_header_size;
   if (frame.size() < hdr + 2) return proto_error::truncated;
-  const std::size_t len_off = hdr - 2;
-  const std::size_t or_len = load_le16(frame, len_off);
+  const std::size_t or_len = load_le16(frame, hdr - 2);
   if (frame.size() != hdr + or_len + 2) return proto_error::bad_length;
   const std::uint16_t crc = crc16_ccitt(frame.subspan(0, hdr + or_len));
   if (crc != load_le16(frame, hdr + or_len)) return proto_error::bad_crc;
 
-  out.info.version = version;
-  out.info.device_id = 0;
-  out.info.seq = 0;
-  std::size_t off = 4;
-  if (version == wire_v2) {
-    out.info.device_id = load_le32(frame, 4);
-    out.info.seq = load_le32(frame, 8);
-    off = 12;
-  }
+  read_v2_prefix(frame, out);
   auto& rep = out.report;
-  rep.exec = (frame[3] & 1) != 0;
-  rep.er_min = load_le16(frame, off + 0);
-  rep.er_max = load_le16(frame, off + 2);
-  rep.or_min = load_le16(frame, off + 4);
-  rep.or_max = load_le16(frame, off + 6);
-  rep.claimed_result = load_le16(frame, off + 8);
-  rep.halt_code = load_le16(frame, off + 10);
-  for (std::size_t i = 0; i < 16; ++i) rep.challenge[i] = frame[off + 12 + i];
-  for (std::size_t i = 0; i < 32; ++i) rep.mac[i] = frame[off + 28 + i];
   if (mode == decode_mode::borrow) {
     // Zero-copy: the OR stays in the caller's frame buffer (see the
     // decode_mode lifetime contract in wire.h).
@@ -436,19 +396,6 @@ stream_peek peek_stream_frame(std::span<const std::uint8_t> buf) {
   p.need = stream_header_bytes + p.frame_len;
   p.complete = buf.size() >= p.need;
   return p;
-}
-
-byte_vec encode_report(const verifier::attestation_report& rep) {
-  frame_info info;
-  info.version = wire_v1;
-  return encode_frame(info, rep);
-}
-
-std::optional<verifier::attestation_report> decode_report(
-    std::span<const std::uint8_t> frame) {
-  auto r = decode_frame(frame);
-  if (!r.ok()) return std::nullopt;
-  return std::move(r.frame.report);
 }
 
 }  // namespace dialed::proto

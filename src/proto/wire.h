@@ -4,25 +4,12 @@
 // distinguished from security failures (a corrupted frame is re-requested;
 // a bad MAC is an attack signal).
 //
-// v1 — the original single-device format (no device identity):
+// Version byte 1 (the seed-era format without device identity) is retired
+// and decodes as bad_version.
 //
-//   offset  size  field
-//   0       2     magic 0xD1A7
-//   2       1     version (1)
-//   3       1     flags: bit0 = EXEC claim
-//   4       2     er_min        6   2  er_max
-//   8       2     or_min        10  2  or_max
-//   12      2     claimed_result
-//   14      2     halt_code
-//   16      16    challenge
-//   32      32    MAC
-//   64      2     or_bytes length
-//   66      n     or_bytes
-//   66+n    2     CRC-16/CCITT over bytes [0, 66+n)
-//
-// v2 — the fleet format: identical trailer, but the header additionally
-// carries the 32-bit device id (hub routing + per-device key selection)
-// and the 32-bit challenge sequence number (anti-replay bookkeeping):
+// v2 — the fleet format: the header carries the 32-bit device id (hub
+// routing + per-device key selection) and the 32-bit challenge sequence
+// number (anti-replay bookkeeping):
 //
 //   offset  size  field
 //   0       2     magic 0xD1A7
@@ -74,9 +61,8 @@
 // fails MAC verification exactly like a forged full frame.
 //
 // The codec API is versioned: `encode_frame` emits whichever version the
-// frame_info names, `decode_frame` dispatches on the version byte, and the
-// v1 helpers `encode_report`/`decode_report` are kept for single-device
-// callers and old captured frames. Delta frames are emitted by
+// frame_info names and `decode_frame` dispatches on the version byte.
+// Delta frames are emitted by
 // `encode_delta_frame_into` and reconstructed by `apply_or_delta` (the
 // hub resolves the baseline; the codec never holds per-device state).
 //
@@ -111,7 +97,6 @@
 
 namespace dialed::proto {
 
-constexpr std::uint8_t wire_v1 = 1;
 constexpr std::uint8_t wire_v2 = 2;
 constexpr std::uint8_t wire_v21 = 3;  ///< v2.1: delta-compressed OR
 
@@ -121,8 +106,7 @@ constexpr std::uint16_t wire_magic = 0xd1a7;
 
 /// Sniff the device id out of a frame header without decoding it: v2 and
 /// v2.1 carry it LE32 at offset 4, right after magic/version/flags.
-/// nullopt for anything else (short, wrong magic, v1 — which has no id on
-/// the wire). This is a ROUTING hint only: the full decode downstream
+/// nullopt for anything else (short, wrong magic, unsupported version). This is a ROUTING hint only: the full decode downstream
 /// still authenticates the frame, so a lying header merely routes the
 /// frame to a partition that rejects it with the same typed error the
 /// sender would get anywhere.
@@ -141,8 +125,7 @@ constexpr std::size_t v2_frame_size(std::size_t or_len) {
   return 74 + or_len + 2;
 }
 
-/// Per-frame routing metadata. `device_id` and `seq` are carried only by
-/// v2/v2.1 frames; a v1 decode leaves them zero.
+/// Per-frame routing metadata, carried by every v2/v2.1 frame header.
 struct frame_info {
   std::uint8_t version = wire_v2;
   std::uint32_t device_id = 0;
@@ -331,14 +314,6 @@ struct stream_peek {
 /// length-prefixed frame. Never consumes; the caller slices
 /// [stream_header_bytes, need) out as the frame when `complete`.
 stream_peek peek_stream_frame(std::span<const std::uint8_t> buf);
-
-/// v1 compatibility: serialize with no device identity.
-byte_vec encode_report(const verifier::attestation_report& rep);
-
-/// v1-era convenience: nullopt on ANY framing problem (the typed error is
-/// available from decode_frame). Accepts v1 and v2 frames.
-std::optional<verifier::attestation_report> decode_report(
-    std::span<const std::uint8_t> frame);
 
 /// CRC-16/CCITT-FALSE (poly 0x1021, init 0xffff) used by the framing.
 std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data);

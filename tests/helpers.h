@@ -2,14 +2,16 @@
 #ifndef DIALED_TESTS_HELPERS_H
 #define DIALED_TESTS_HELPERS_H
 
+#include <functional>
 #include <string>
 
 #include "apps/apps.h"
 #include "emu/machine.h"
+#include "fleet/verifier_hub.h"
 #include "instr/oplink.h"
 #include "masm/masm.h"
 #include "proto/prover.h"
-#include "proto/session.h"
+#include "proto/wire.h"
 
 namespace dialed::test {
 
@@ -62,6 +64,49 @@ inline std::uint16_t eval_op(const std::string& source,
   inv.args = {a0, a1, a2, a3, 0, 0, 0, 0};
   return run_op(prog, inv);
 }
+
+/// One device behind the hub's front door: `prog` provisioned on a fresh
+/// registry, a prover_device keyed with the registry's derived K_dev, and
+/// rounds run as challenge -> invoke -> v2 frame -> submit. The default
+/// hub is single-threaded (one shard, no batch pool) with a fixed seed.
+struct hub_device {
+  static fleet::hub_config default_config() {
+    fleet::hub_config cfg;
+    cfg.shards = 1;
+    cfg.sequential_batch = true;
+    return cfg;
+  }
+
+  explicit hub_device(const instr::linked_program& prog,
+                      const fleet::hub_config& cfg = default_config())
+      : registry(test_key()),
+        id(registry.provision(prog)),
+        hub(registry, cfg),
+        dev(prog, registry.derive_key(id)) {}
+
+  /// Frame `rep` as the v2 answer to `grant` and submit it.
+  fleet::attest_result submit(const fleet::challenge_grant& grant,
+                              const verifier::attestation_report& rep) {
+    return hub.submit(proto::encode_frame(
+        proto::frame_info{.device_id = id, .seq = grant.seq}, rep));
+  }
+
+  /// One full round; `tamper` edits the report in transit.
+  fleet::attest_result round(
+      const proto::invocation& inv,
+      const std::function<void(verifier::attestation_report&)>& tamper =
+          {}) {
+    const auto grant = hub.challenge(id);
+    auto rep = dev.invoke(grant.nonce, inv);
+    if (tamper) tamper(rep);
+    return submit(grant, rep);
+  }
+
+  fleet::device_registry registry;
+  fleet::device_id id;
+  fleet::verifier_hub hub;
+  proto::prover_device dev;
+};
 
 }  // namespace dialed::test
 

@@ -20,7 +20,6 @@
 
 #include "apps/apps.h"
 #include "helpers.h"
-#include "proto/session.h"
 
 namespace dialed {
 namespace {
@@ -160,17 +159,17 @@ TEST_P(differential, device_matches_host_and_report_verifies) {
 
   const auto prog =
       build_op(prog_src.source, "op", instr::instrumentation::dialed);
-  proto::prover_device dev(prog, test_key());
-  proto::verifier_session vrf(prog, test_key());
+  test::hub_device dut(prog);
   proto::invocation inv;
   inv.args = {a, b, c, d, 0, 0, 0, 0};
-  const auto rep = dev.invoke(vrf.new_challenge(), inv);
+  const auto grant = dut.hub.challenge(dut.id);
+  const auto rep = dut.dev.invoke(grant.nonce, inv);
   ASSERT_EQ(rep.halt_code, emu::HALT_CLEAN) << prog_src.source;
   EXPECT_EQ(rep.claimed_result, prog_src.expected) << prog_src.source;
 
-  const auto v = vrf.check(rep);
-  EXPECT_TRUE(v.accepted) << prog_src.source;
-  EXPECT_EQ(v.replayed_result, prog_src.expected) << prog_src.source;
+  const auto r = dut.submit(grant, rep);
+  EXPECT_TRUE(r.accepted()) << prog_src.source;
+  EXPECT_EQ(r.verdict.replayed_result, prog_src.expected) << prog_src.source;
 }
 
 INSTANTIATE_TEST_SUITE_P(seeds, differential, ::testing::Range(0, 48));

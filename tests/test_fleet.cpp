@@ -138,7 +138,8 @@ TEST(hub, unknown_device_is_a_typed_error) {
   verifier_hub hub(reg);
   EXPECT_EQ(hub.challenge(5).error, proto_error::unknown_device);
   verifier::attestation_report rep;
-  EXPECT_EQ(hub.verify_report(5, rep).error, proto_error::unknown_device);
+  EXPECT_EQ(hub.verify_report(5, 1, rep).error,
+            proto_error::unknown_device);
 }
 
 TEST(hub, accepts_fresh_report_and_rejects_replay) {
@@ -249,8 +250,8 @@ TEST(hub, sequence_mismatch_is_detected) {
   // A wire seq of 0 is NOT a skip token: it must mismatch too.
   EXPECT_EQ(hub.verify_report(id, 0, rep).error,
             proto_error::sequence_mismatch);
-  // Only the explicit sequence-unchecked overload (v1 adapters) skips.
-  EXPECT_TRUE(hub.verify_report(id, rep).accepted());
+  // A mismatch burns nothing: the consistent (nonce, seq) still verifies.
+  EXPECT_TRUE(hub.verify_report(id, g1.seq, rep).accepted());
 }
 
 TEST(hub, never_issued_nonce_is_stale) {
@@ -262,7 +263,7 @@ TEST(hub, never_issued_nonce_is_stale) {
   std::array<std::uint8_t, 16> bogus{};
   bogus.fill(0xee);
   const auto rep = dev.invoke(bogus, args(1));
-  EXPECT_EQ(hub.verify_report(id, rep).error, proto_error::stale_nonce);
+  EXPECT_EQ(hub.verify_report(id, 1, rep).error, proto_error::stale_nonce);
 }
 
 // ---------------------------------------------------------------------------
@@ -990,26 +991,25 @@ TEST(hub, stats_break_down_per_device) {
 }
 
 // ---------------------------------------------------------------------------
-// Adapter (v1 session) over the hub
+// Single-outstanding devices through the wire front door
 // ---------------------------------------------------------------------------
 
-TEST(adapter, session_reports_superseded_via_hub_but_stale_via_v1_api) {
+TEST(front_door, single_outstanding_device_reports_superseded) {
   const auto prog = adder_prog();
-  proto::prover_device dev(prog, test::test_key());
-  proto::verifier_session vrf(prog, test::test_key());
-  const auto c1 = vrf.new_challenge();
-  const auto rep1 = dev.invoke(c1, args(1, 2));
-  (void)vrf.new_challenge();  // supersedes c1 (v1 semantics)
-  // The v1 API folds it into a stale_challenge finding...
-  const auto v = vrf.check(rep1);
-  EXPECT_FALSE(v.accepted);
-  EXPECT_TRUE(v.has(verifier::attack_kind::stale_challenge));
-  // ...but the underlying hub reports the precise typed error.
-  const auto c3 = vrf.new_challenge();
-  const auto rep3 = dev.invoke(c3, args(1, 2));
-  (void)vrf.new_challenge();
-  const auto r = vrf.hub().verify_report(vrf.id(), rep3);
+  auto cfg = test::hub_device::default_config();
+  cfg.max_outstanding = 1;
+  test::hub_device d(prog, cfg);
+  const auto g1 = d.hub.challenge(d.id);
+  const auto rep1 = d.dev.invoke(g1.nonce, args(1, 2));
+  // A new challenge supersedes g1, and the grant says so.
+  const auto g2 = d.hub.challenge(d.id);
+  EXPECT_EQ(g2.note, proto_error::challenge_superseded);
+  // The late report gets the precise typed error, not a verdict.
+  const auto r = d.submit(g1, rep1);
+  EXPECT_FALSE(r.accepted());
   EXPECT_EQ(r.error, proto_error::challenge_superseded);
+  // The superseding challenge is still good.
+  EXPECT_TRUE(d.submit(g2, d.dev.invoke(g2.nonce, args(1, 2))).accepted());
 }
 
 // ---------------------------------------------------------------------------

@@ -211,6 +211,56 @@ TEST(partition_router, undecodable_frames_match_a_bare_hub) {
   }
 }
 
+/// The same answer in the retired version-1 layout: the v2 header minus
+/// its (device_id, seq) pair, version byte 1, CRC recomputed.
+byte_vec as_v1_frame(byte_vec v2) {
+  v2.erase(v2.begin() + 4, v2.begin() + 12);
+  v2[2] = 1;
+  v2.resize(v2.size() - 2);
+  const std::uint16_t crc = proto::crc16_ccitt(v2);
+  v2.push_back(static_cast<std::uint8_t>(crc & 0xff));
+  v2.push_back(static_cast<std::uint8_t>(crc >> 8));
+  return v2;
+}
+
+TEST(partition_router, retired_v1_frames_are_bad_version_and_burn_nothing) {
+  // A genuine v1-encoded answer to an outstanding challenge, through both
+  // front doors: a typed bad_version, counted, with the challenge left
+  // outstanding so the same report still verifies as a v2 frame.
+  auto fleet = partitioned_fleet::create(4, master_key());
+  auto bare = partitioned_fleet::create(1, master_key());
+  const auto prog = prog_for(adder);
+  const device_id id = 7;
+  fleet.provision(id, prog);
+  bare.provision(id, prog);
+  constexpr auto bad_version =
+      static_cast<std::size_t>(proto::proto_error::bad_version);
+
+  hub_like* doors[] = {&bare.hub_of(0), &fleet.router()};
+  device_registry* regs[] = {&bare.registry_of(0),
+                             &fleet.registry_of(fleet.router().index_of(id))};
+  for (std::size_t k = 0; k < 2; ++k) {
+    hub_like& hub = *doors[k];
+    const auto* rec = regs[k]->find(id);
+    proto::prover_device dev(*rec->program, rec->key);
+    const auto g = hub.challenge(id);
+    ASSERT_TRUE(g.ok());
+    const auto v2 = frame_for(id, g, dev.invoke(g.nonce, args(2, 3)));
+    const auto v1 = as_v1_frame(v2);
+    EXPECT_EQ(proto::decode_frame(v1).error, proto::proto_error::bad_version);
+
+    const auto r = hub.submit(v1);
+    EXPECT_EQ(r.error, proto::proto_error::bad_version) << "door " << k;
+    EXPECT_FALSE(r.accepted());
+    EXPECT_EQ(hub.outstanding(id), 1u) << "door " << k;
+    EXPECT_EQ(hub.stats().rejected_by_error[bad_version], 1u) << "door " << k;
+
+    const auto ok = hub.submit(v2);
+    EXPECT_TRUE(ok.accepted()) << "door " << k;
+    EXPECT_EQ(ok.verdict.replayed_result, 5);
+  }
+}
+
 TEST(partition_router, batch_scatter_preserves_input_order) {
   auto fleet = partitioned_fleet::create(4, master_key());
   const auto ids = one_id_per_partition(fleet.router());

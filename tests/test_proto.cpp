@@ -3,7 +3,6 @@
 
 #include "common/error.h"
 #include "helpers.h"
-#include "proto/session.h"
 
 namespace dialed::proto {
 namespace {
@@ -20,102 +19,99 @@ invocation args(std::uint16_t a0, std::uint16_t a1 = 0) {
   return inv;
 }
 
-TEST(session, round_trip_accepts_fresh_report) {
+TEST(round, accepts_fresh_report) {
   const auto prog = build_op(adder, "op", instr::instrumentation::dialed);
-  prover_device dev(prog, test_key());
-  verifier_session vrf(prog, test_key());
-  const auto chal = vrf.new_challenge();
-  const auto rep = dev.invoke(chal, args(20, 22));
-  const auto v = vrf.check(rep);
-  EXPECT_TRUE(v.accepted);
-  EXPECT_EQ(v.replayed_result, 42);
+  test::hub_device d(prog);
+  const auto r = d.round(args(20, 22));
+  ASSERT_TRUE(r.accepted());
+  EXPECT_EQ(r.verdict.replayed_result, 42);
 }
 
-TEST(session, replayed_report_rejected) {
+TEST(round, replayed_report_rejected) {
   const auto prog = build_op(adder, "op", instr::instrumentation::dialed);
-  prover_device dev(prog, test_key());
-  verifier_session vrf(prog, test_key());
-  const auto chal = vrf.new_challenge();
-  const auto rep = dev.invoke(chal, args(1, 2));
-  EXPECT_TRUE(vrf.check(rep).accepted);
+  test::hub_device d(prog);
+  const auto grant = d.hub.challenge(d.id);
+  const auto rep = d.dev.invoke(grant.nonce, args(1, 2));
+  EXPECT_TRUE(d.submit(grant, rep).accepted());
   // Same report again: the nonce was consumed.
-  const auto v = vrf.check(rep);
-  EXPECT_FALSE(v.accepted);
-  EXPECT_TRUE(v.has(verifier::attack_kind::stale_challenge));
+  const auto r = d.submit(grant, rep);
+  EXPECT_FALSE(r.accepted());
+  EXPECT_EQ(r.error, proto_error::replayed_report);
 }
 
-TEST(session, old_report_for_new_challenge_rejected) {
+TEST(round, old_report_for_new_challenge_rejected) {
   const auto prog = build_op(adder, "op", instr::instrumentation::dialed);
-  prover_device dev(prog, test_key());
-  verifier_session vrf(prog, test_key());
-  const auto chal1 = vrf.new_challenge();
-  const auto rep1 = dev.invoke(chal1, args(1, 2));
-  (void)vrf.new_challenge();  // Vrf moved on; rep1 is now stale
-  const auto v = vrf.check(rep1);
-  EXPECT_FALSE(v.accepted);
-  EXPECT_TRUE(v.has(verifier::attack_kind::stale_challenge));
+  auto cfg = test::hub_device::default_config();
+  cfg.max_outstanding = 1;
+  test::hub_device d(prog, cfg);
+  const auto g1 = d.hub.challenge(d.id);
+  const auto rep1 = d.dev.invoke(g1.nonce, args(1, 2));
+  // Vrf moved on; rep1's challenge is now superseded.
+  EXPECT_EQ(d.hub.challenge(d.id).note, proto_error::challenge_superseded);
+  const auto r = d.submit(g1, rep1);
+  EXPECT_FALSE(r.accepted());
+  EXPECT_EQ(r.error, proto_error::challenge_superseded);
 }
 
-TEST(session, challenges_are_distinct) {
+TEST(round, challenges_are_distinct) {
   const auto prog = build_op(adder, "op", instr::instrumentation::dialed);
-  verifier_session vrf(prog, test_key());
-  const auto c1 = vrf.new_challenge();
-  const auto c2 = vrf.new_challenge();
-  EXPECT_NE(c1, c2);
+  test::hub_device d(prog);
+  const auto c1 = d.hub.challenge(d.id);
+  const auto c2 = d.hub.challenge(d.id);
+  EXPECT_NE(c1.nonce, c2.nonce);
 }
 
-TEST(session, deterministic_under_seed) {
+TEST(round, deterministic_under_seed) {
   const auto prog = build_op(adder, "op", instr::instrumentation::dialed);
-  verifier_session a(prog, test_key(), 42);
-  verifier_session b(prog, test_key(), 42);
-  EXPECT_EQ(a.new_challenge(), b.new_challenge());
+  auto cfg = test::hub_device::default_config();
+  cfg.seed = 42;
+  test::hub_device a(prog, cfg);
+  test::hub_device b(prog, cfg);
+  EXPECT_EQ(a.hub.challenge(a.id).nonce, b.hub.challenge(b.id).nonce);
 }
 
-TEST(session, submit_frame_speaks_every_wire_version) {
-  // The v1 adapter's typed frame surface: v1 frames route to the session
-  // device seq-unchecked, v2.1 delta frames verify against the hub's
-  // baseline, and the rich result drives the fallback negotiation.
+TEST(round, delta_frame_and_full_frame_fallback) {
+  // v2.1 delta frames verify against the hub's baseline, and a desynced
+  // delta is the typed baseline_mismatch that drives the fallback.
   const auto prog = build_op(adder, "op", instr::instrumentation::dialed);
-  prover_device dev(prog, test_key());
-  verifier_session vrf(prog, test_key());
+  test::hub_device d(prog);
 
-  // v1 frame (no identity, no seq) — accepted for the session device.
-  const auto c1 = vrf.new_challenge();
-  const auto rep1 = dev.invoke(c1, args(20, 22));
-  const auto r1 = vrf.submit_frame(encode_report(rep1));
+  // Full v2 frame: accepted, and its OR becomes the delta baseline.
+  const auto g1 = d.hub.challenge(d.id);
+  const auto rep1 = d.dev.invoke(g1.nonce, args(20, 22));
+  const auto r1 = d.submit(g1, rep1);
   ASSERT_TRUE(r1.accepted());
   EXPECT_EQ(r1.verdict.replayed_result, 42);
 
   // v2.1 delta frame against the just-accepted baseline.
-  const auto c2 = vrf.new_challenge();
-  const auto rep2 = dev.invoke(c2, args(7, 8));
+  const auto g2 = d.hub.challenge(d.id);
+  const auto rep2 = d.dev.invoke(g2.nonce, args(7, 8));
   delta_emitter emitter;
-  emitter.note_result(vrf.id(), r1.seq, rep1, proto_error::none, true);
-  const auto frame2 = emitter.encode(vrf.id(), r1.seq + 1, rep2);
+  emitter.note_result(d.id, r1.seq, rep1, proto_error::none, true);
+  const auto frame2 = emitter.encode(d.id, g2.seq, rep2);
   ASSERT_EQ(frame2[2], wire_v21);
-  const auto r2 = vrf.submit_frame(frame2);
+  const auto r2 = d.hub.submit(frame2);
   ASSERT_TRUE(r2.accepted());
   EXPECT_EQ(r2.verdict.replayed_result, 15);
 
-  // A desynced delta is the typed error, not a swallowed v1 finding —
-  // and the challenge survives for the full-frame retry.
-  const auto c3 = vrf.new_challenge();
-  const auto rep3 = dev.invoke(c3, args(1, 1));
+  // A desynced delta is the typed error, and the challenge survives for
+  // the full-frame retry.
+  const auto g3 = d.hub.challenge(d.id);
+  const auto rep3 = d.dev.invoke(g3.nonce, args(1, 1));
   const auto bogus = encode_delta_frame(
-      frame_info{.version = wire_v21, .device_id = vrf.id(),
-                 .seq = r2.seq + 1},
+      frame_info{.version = wire_v21, .device_id = d.id, .seq = g3.seq},
       rep3, 424242, byte_vec(32, 0x9e));
-  const auto r3 = vrf.submit_frame(bogus);
-  EXPECT_EQ(r3.error, proto_error::baseline_mismatch);
-  const auto r4 = vrf.submit_frame(encode_frame(
-      frame_info{.device_id = vrf.id(), .seq = r2.seq + 1}, rep3));
+  EXPECT_EQ(d.hub.submit(bogus).error, proto_error::baseline_mismatch);
+  EXPECT_EQ(d.hub.outstanding(d.id), 1u);
+  const auto r4 = d.submit(g3, rep3);
   ASSERT_TRUE(r4.accepted());
   EXPECT_EQ(r4.verdict.replayed_result, 2);
 
   // Damaged frames come back as typed transport errors.
-  auto torn = encode_report(rep3);
+  auto torn = encode_frame(frame_info{.device_id = d.id, .seq = g3.seq},
+                           rep3);
   torn.resize(torn.size() / 2);
-  EXPECT_EQ(vrf.submit_frame(torn).error, proto_error::bad_length);
+  EXPECT_EQ(d.hub.submit(torn).error, proto_error::bad_length);
 }
 
 TEST(metering, op_cycles_exclude_startup_and_swatt) {
@@ -170,15 +166,12 @@ TEST(device, consecutive_invocations_are_independent) {
       "int acc = 0;"
       "int op(int a) { acc = acc + a; return acc; }",
       "op", instr::instrumentation::dialed);
-  prover_device dev(prog, test_key());
-  verifier_session vrf(prog, test_key());
+  test::hub_device d(prog);
   // Globals are re-initialized by crt0 on every boot: acc restarts at 0.
   for (int round = 0; round < 3; ++round) {
-    const auto chal = vrf.new_challenge();
-    const auto rep = dev.invoke(chal, args(10));
-    const auto v = vrf.check(rep);
-    EXPECT_TRUE(v.accepted) << "round " << round;
-    EXPECT_EQ(v.replayed_result, 10);
+    const auto r = d.round(args(10));
+    EXPECT_TRUE(r.accepted()) << "round " << round;
+    EXPECT_EQ(r.verdict.replayed_result, 10);
   }
 }
 

@@ -5,7 +5,6 @@
 #include "emu/trace.h"
 #include "rot/rot.h"
 #include "helpers.h"
-#include "proto/session.h"
 
 namespace dialed {
 namespace {
@@ -150,18 +149,15 @@ TEST(door_lock, overflow_attack_opens_with_attacker_pin) {
 TEST(door_lock, attack_detected_as_data_only) {
   const auto prog =
       apps::build_app(apps::door_lock_app(), instr::instrumentation::dialed);
-  proto::prover_device dev(prog, test_key());
-  proto::verifier_session vrf(prog, test_key());
+  test::hub_device d(prog);
 
-  auto v = vrf.check(dev.invoke(vrf.new_challenge(),
-                                apps::door_lock_try({3, 1, 4, 1, 5, 9})));
-  EXPECT_TRUE(v.accepted);
+  EXPECT_TRUE(d.round(apps::door_lock_try({3, 1, 4, 1, 5, 9})).accepted());
 
-  v = vrf.check(dev.invoke(vrf.new_challenge(),
-                           apps::door_lock_attack({7, 7, 7, 7, 7, 7})));
-  EXPECT_FALSE(v.accepted);
-  EXPECT_TRUE(v.has(verifier::attack_kind::data_only_attack));
-  EXPECT_FALSE(v.has(verifier::attack_kind::control_flow_attack));
+  const auto r = d.round(apps::door_lock_attack({7, 7, 7, 7, 7, 7}));
+  ASSERT_EQ(r.error, proto::proto_error::none);
+  EXPECT_FALSE(r.accepted());
+  EXPECT_TRUE(r.verdict.has(verifier::attack_kind::data_only_attack));
+  EXPECT_FALSE(r.verdict.has(verifier::attack_kind::control_flow_attack));
 }
 
 TEST(door_lock, master_code_adjacent_to_buffer) {

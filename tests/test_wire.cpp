@@ -5,7 +5,6 @@
 
 #include "common/error.h"
 #include "helpers.h"
-#include "proto/session.h"
 #include "proto/wire.h"
 
 namespace dialed::proto {
@@ -27,56 +26,51 @@ verifier::attestation_report sample_report() {
 
 TEST(wire, encode_decode_round_trip) {
   const auto rep = sample_report();
-  const auto frame = encode_report(rep);
-  const auto back = decode_report(frame);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->er_min, rep.er_min);
-  EXPECT_EQ(back->er_max, rep.er_max);
-  EXPECT_EQ(back->or_min, rep.or_min);
-  EXPECT_EQ(back->or_max, rep.or_max);
-  EXPECT_EQ(back->exec, rep.exec);
-  EXPECT_EQ(back->challenge, rep.challenge);
-  EXPECT_EQ(back->mac, rep.mac);
-  EXPECT_EQ(back->or_bytes, rep.or_bytes);
-  EXPECT_EQ(back->claimed_result, rep.claimed_result);
-  EXPECT_EQ(back->halt_code, rep.halt_code);
+  const auto r = decode_frame(encode_frame(frame_info{}, rep));
+  ASSERT_TRUE(r.ok());
+  const auto& back = r.frame.report;
+  EXPECT_EQ(back.er_min, rep.er_min);
+  EXPECT_EQ(back.er_max, rep.er_max);
+  EXPECT_EQ(back.or_min, rep.or_min);
+  EXPECT_EQ(back.or_max, rep.or_max);
+  EXPECT_EQ(back.exec, rep.exec);
+  EXPECT_EQ(back.challenge, rep.challenge);
+  EXPECT_EQ(back.mac, rep.mac);
+  EXPECT_EQ(back.or_bytes, rep.or_bytes);
+  EXPECT_EQ(back.claimed_result, rep.claimed_result);
+  EXPECT_EQ(back.halt_code, rep.halt_code);
 }
 
 TEST(wire, decoded_report_still_verifies) {
+  // The hub decodes the frame it is handed; the decoded report verifies.
   const auto prog = build_op("int op(int a, int b) { return a * b; }", "op",
                              instr::instrumentation::dialed);
-  prover_device dev(prog, test_key());
-  verifier_session vrf(prog, test_key());
-  const auto rep = dev.invoke(vrf.new_challenge(), [] {
-    invocation i;
-    i.args = {6, 7, 0, 0, 0, 0, 0, 0};
-    return i;
-  }());
-  const auto back = decode_report(encode_report(rep));
-  ASSERT_TRUE(back.has_value());
-  const auto v = vrf.check(*back);
-  EXPECT_TRUE(v.accepted);
-  EXPECT_EQ(v.replayed_result, 42);
+  test::hub_device d(prog);
+  invocation inv;
+  inv.args = {6, 7, 0, 0, 0, 0, 0, 0};
+  const auto r = d.round(inv);
+  ASSERT_TRUE(r.accepted());
+  EXPECT_EQ(r.verdict.replayed_result, 42);
 }
 
 TEST(wire, rejects_bad_magic_version_and_length) {
-  const auto frame = encode_report(sample_report());
+  const auto frame = encode_frame(frame_info{}, sample_report());
   auto bad = frame;
   bad[0] ^= 0xff;
-  EXPECT_FALSE(decode_report(bad).has_value());
+  EXPECT_FALSE(decode_frame(bad).ok());
   bad = frame;
   bad[2] = 9;
-  EXPECT_FALSE(decode_report(bad).has_value());
+  EXPECT_FALSE(decode_frame(bad).ok());
   bad = frame;
   bad.pop_back();
-  EXPECT_FALSE(decode_report(bad).has_value());
-  EXPECT_FALSE(decode_report(byte_vec(10, 0)).has_value());
+  EXPECT_FALSE(decode_frame(bad).ok());
+  EXPECT_FALSE(decode_frame(byte_vec(10, 0)).ok());
 }
 
 TEST(wire, crc_catches_payload_corruption) {
-  auto frame = encode_report(sample_report());
+  auto frame = encode_frame(frame_info{}, sample_report());
   frame[100] ^= 0x01;  // flip a bit inside the OR payload
-  EXPECT_FALSE(decode_report(frame).has_value());
+  EXPECT_EQ(decode_frame(frame).error, proto_error::bad_crc);
 }
 
 TEST(wire, crc16_known_answer) {
@@ -86,7 +80,7 @@ TEST(wire, crc16_known_answer) {
 }
 
 // ---------------------------------------------------------------------------
-// Versioned codec: wire v2, typed errors, v1<->v2 interplay
+// Versioned codec: wire v2, typed errors, version confusion
 // ---------------------------------------------------------------------------
 
 TEST(wire_v2, round_trip_carries_device_id_and_seq) {
@@ -144,38 +138,25 @@ TEST(wire_v2, typed_magic_version_and_crc_errors) {
                error);
 }
 
-TEST(wire_v2, cross_decode_v1_and_v2) {
-  const auto rep = sample_report();
-  // A v1 frame decodes through the versioned codec with no identity.
-  const auto v1_frame = encode_report(rep);
-  const auto r1 = decode_frame(v1_frame);
-  ASSERT_TRUE(r1.ok());
-  EXPECT_EQ(r1.frame.info.version, wire_v1);
-  EXPECT_EQ(r1.frame.info.device_id, 0u);
-  EXPECT_EQ(r1.frame.info.seq, 0u);
-  EXPECT_EQ(r1.frame.report.or_bytes, rep.or_bytes);
-  // A v2 frame decodes through the v1-era convenience helper.
-  frame_info info;
-  info.device_id = 3;
-  info.seq = 5;
-  const auto v2_frame = encode_frame(info, rep);
-  const auto back = decode_report(v2_frame);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->mac, rep.mac);
-}
-
 TEST(wire_v2, version_confusion_is_a_typed_error_not_a_crash) {
   const auto rep = sample_report();
-  // A v2 frame relabeled v1: offsets shift, the CRC (or length) must trip.
-  auto v2_as_v1 = encode_frame(frame_info{.device_id = 9}, rep);
-  v2_as_v1[2] = wire_v1;
-  const auto r1 = decode_frame(v2_as_v1);
+  const auto v2 = encode_frame(frame_info{.device_id = 9}, rep);
+  // Version byte 1 is retired: a v2 frame relabeled 1 is bad_version.
+  auto as_v1 = v2;
+  as_v1[2] = 1;
+  EXPECT_EQ(decode_frame(as_v1).error, proto_error::bad_version);
+  // A v2 frame relabeled v2.1: the delta section is garbage, so the
+  // segment walk, length or CRC must trip.
+  auto v2_as_v21 = v2;
+  v2_as_v21[2] = wire_v21;
+  const auto r1 = decode_frame(v2_as_v21);
   EXPECT_FALSE(r1.ok());
   EXPECT_TRUE(is_transport_error(r1.error));
-  // A v1 frame relabeled v2 likewise.
-  auto v1_as_v2 = encode_report(rep);
-  v1_as_v2[2] = wire_v2;
-  const auto r2 = decode_frame(v1_as_v2);
+  // A v2.1 frame relabeled v2 likewise.
+  auto v21_as_v2 =
+      encode_delta_frame(frame_info{.device_id = 9}, rep, 1, rep.or_bytes);
+  v21_as_v2[2] = wire_v2;
+  const auto r2 = decode_frame(v21_as_v2);
   EXPECT_FALSE(r2.ok());
   EXPECT_TRUE(is_transport_error(r2.error));
 }
@@ -246,13 +227,9 @@ TEST(wire_v2, oversize_or_is_rejected_not_truncated) {
   EXPECT_EQ(encode_frame_into(info, rep, out), proto_error::bad_length);
   EXPECT_TRUE(out.empty());
   EXPECT_THROW(encode_frame(info, rep), error);
-  // v1 has the same length field; same rejection.
-  info.version = wire_v1;
-  EXPECT_EQ(encode_frame_into(info, rep, out), proto_error::bad_length);
 
   // The boundary case still encodes and round-trips: exactly max_or_bytes.
   rep.or_bytes.resize(max_or_bytes);
-  info.version = wire_v2;
   ASSERT_EQ(encode_frame_into(info, rep, out), proto_error::none);
   const auto back = decode_frame(out);
   ASSERT_TRUE(back.ok());
@@ -511,38 +488,35 @@ TEST(wire_v21, baseline_hash_is_sequence_stamped) {
 TEST(taint, argument_derived_result_is_tainted) {
   const auto prog = build_op("int op(int a, int b) { return a + b; }", "op",
                              instr::instrumentation::dialed);
-  prover_device dev(prog, test_key());
-  verifier_session vrf(prog, test_key());
+  test::hub_device d(prog);
   invocation inv;
   inv.args = {1, 2, 0, 0, 0, 0, 0, 0};
-  const auto v = vrf.check(dev.invoke(vrf.new_challenge(), inv));
-  ASSERT_TRUE(v.accepted);
-  EXPECT_TRUE(v.result_tainted);
+  const auto r = d.round(inv);
+  ASSERT_TRUE(r.accepted());
+  EXPECT_TRUE(r.verdict.result_tainted);
 }
 
 TEST(taint, constant_result_is_untainted) {
   const auto prog = build_op("int op(int a) { return 1234; }", "op",
                              instr::instrumentation::dialed);
-  prover_device dev(prog, test_key());
-  verifier_session vrf(prog, test_key());
-  const auto v = vrf.check(dev.invoke(vrf.new_challenge(), {}));
-  ASSERT_TRUE(v.accepted);
-  EXPECT_FALSE(v.result_tainted);
+  test::hub_device d(prog);
+  const auto r = d.round({});
+  ASSERT_TRUE(r.accepted());
+  EXPECT_FALSE(r.verdict.result_tainted);
 }
 
 TEST(taint, mmio_write_of_constant_untainted_of_input_tainted) {
   const auto prog = build_op(
       "int op(int v) { __mmio_w8(25, 1); __mmio_w8(25, v); return 0; }",
       "op", instr::instrumentation::dialed);
-  prover_device dev(prog, test_key());
-  verifier_session vrf(prog, test_key());
+  test::hub_device d(prog);
   invocation inv;
   inv.args = {0, 0, 0, 0, 0, 0, 0, 0};
-  const auto v = vrf.check(dev.invoke(vrf.new_challenge(), inv));
-  ASSERT_TRUE(v.accepted);
+  const auto r = d.round(inv);
+  ASSERT_TRUE(r.accepted());
   // Collect the P3OUT writes from the io trace.
   std::vector<verifier::io_event> p3;
-  for (const auto& e : v.io_trace) {
+  for (const auto& e : r.verdict.io_trace) {
     if (e.addr == 0x0019) p3.push_back(e);
   }
   ASSERT_EQ(p3.size(), 2u);
@@ -556,19 +530,18 @@ TEST(taint, flows_through_globals_and_arithmetic) {
       "int op(int v) { g = v * 3; int x = g + 1; __mmio_w8(25, x);"
       "  return 7; }",
       "op", instr::instrumentation::dialed);
-  prover_device dev(prog, test_key());
-  verifier_session vrf(prog, test_key());
+  test::hub_device d(prog);
   invocation inv;
   inv.args = {2, 0, 0, 0, 0, 0, 0, 0};
-  const auto v = vrf.check(dev.invoke(vrf.new_challenge(), inv));
-  ASSERT_TRUE(v.accepted);
-  ASSERT_FALSE(v.io_trace.empty());
+  const auto r = d.round(inv);
+  ASSERT_TRUE(r.accepted());
+  ASSERT_FALSE(r.verdict.io_trace.empty());
   bool any_tainted_p3 = false;
-  for (const auto& e : v.io_trace) {
+  for (const auto& e : r.verdict.io_trace) {
     if (e.addr == 0x0019 && e.tainted) any_tainted_p3 = true;
   }
   EXPECT_TRUE(any_tainted_p3);
-  EXPECT_FALSE(v.result_tainted);  // returns the constant 7
+  EXPECT_FALSE(r.verdict.result_tainted);  // returns the constant 7
 }
 
 TEST(taint, fig2_attack_actuation_is_input_tainted) {
@@ -576,12 +549,12 @@ TEST(taint, fig2_attack_actuation_is_input_tainted) {
   // attacker-influenced (the clobbered `set` was selected by the index).
   const auto prog =
       apps::build_app(apps::fig2_app(), instr::instrumentation::dialed);
-  prover_device dev(prog, test_key());
-  verifier_session vrf(prog, test_key());
-  const auto v = vrf.check(dev.invoke(vrf.new_challenge(), apps::fig2_attack()));
-  EXPECT_FALSE(v.accepted);
+  test::hub_device d(prog);
+  const auto r = d.round(apps::fig2_attack());
+  ASSERT_EQ(r.error, proto_error::none);
+  EXPECT_FALSE(r.accepted());
   bool tainted_actuation = false;
-  for (const auto& e : v.io_trace) {
+  for (const auto& e : r.verdict.io_trace) {
     if (e.addr == 0x0019 && e.tainted) tainted_actuation = true;
   }
   EXPECT_TRUE(tainted_actuation);

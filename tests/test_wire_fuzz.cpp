@@ -4,7 +4,7 @@
 // streams, no wall-clock anywhere, so every failure replays bit-exactly —
 // hammering the attacker-reachable parsers:
 //
-//   * proto::decode_frame / decode_frame_into  (v1, v2, v2.1 frames)
+//   * proto::decode_frame / decode_frame_into  (v2, v2.1 frames)
 //   * proto::apply_or_delta                    (delta reconstruction)
 //   * store::read_wal + fleet_store::open      (WAL / snapshot parsing)
 //
@@ -24,7 +24,9 @@
 // across the battery. Checked-in seed frames live in tests/fuzz_corpus/
 // (path baked in via DIALED_FUZZ_CORPUS_DIR) so any regression replays
 // from a file, not from a transcript; setting DIALED_FUZZ_WRITE_CORPUS=1
-// regenerates them canonically.
+// regenerates them canonically. One file has no generator on purpose:
+// v1_retired__bad_version.bin is a captured frame of the retired version
+// 1 format, kept so that version stays rejected.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -47,7 +49,6 @@ namespace fs = std::filesystem;
 using proto::decode_frame;
 using proto::frame_info;
 using proto::proto_error;
-using proto::wire_v1;
 using proto::wire_v2;
 using proto::wire_v21;
 using test::build_op;
@@ -185,8 +186,7 @@ void mutate(std::mt19937_64& rng, byte_vec& f) {
 /// known version, and a delta section that is internally consistent
 /// (non-empty ascending segments inside full_len, data exactly packed).
 void check_decoded_invariants(const proto::decoded_frame& f) {
-  ASSERT_TRUE(f.info.version == wire_v1 || f.info.version == wire_v2 ||
-              f.info.version == wire_v21);
+  ASSERT_TRUE(f.info.version == wire_v2 || f.info.version == wire_v21);
   if (f.delta.present) {
     ASSERT_EQ(f.info.version, wire_v21);
     ASSERT_TRUE(f.report.or_bytes.empty());
@@ -220,8 +220,6 @@ std::vector<seed_frame> make_seed_frames() {
   const auto rep_small = synthetic_report(96, 1);
   const auto rep_big = synthetic_report(2048, 2);
 
-  seeds.push_back({"v1__none", proto::encode_report(rep_small), {},
-                   rep_small.or_bytes});
   frame_info v2i;
   v2i.device_id = 7;
   v2i.seq = 3;
@@ -259,8 +257,8 @@ std::vector<seed_frame> make_seed_frames() {
 std::vector<seed_frame> make_corrupt_frames() {
   std::vector<seed_frame> out;
   const auto seeds = make_seed_frames();
-  const auto& v2 = seeds[1].bytes;
-  const auto& v21 = seeds[2].bytes;
+  const auto& v2 = seeds[0].bytes;
+  const auto& v21 = seeds[1].bytes;
 
   const auto with = [](byte_vec f, auto&& fn) {
     fn(f);
