@@ -75,12 +75,13 @@ struct hub_stats {
   std::uint64_t verify_batch_frames = 0;  ///< frames fanned out, total
   std::uint64_t last_batch_frames = 0;    ///< size of the newest batch
   std::uint64_t inflight_batches = 0;     ///< gauge: calls running NOW
-  /// Replay memoization (hub_config::replay_memo_entries). Process-local
-  /// like the batch gauges: restore() leaves them at zero, and a hub with
-  /// the memo disabled reports all-zero.
+  /// Replay outcomes of DIALED-mode verdicts that passed the MAC: hits
+  /// reused the device's last accepted round (byte-identical OR), misses
+  /// ran the replay. The names predate the per-device reuse and are kept
+  /// for the dashboards and the perf ledger. Process-local like the batch
+  /// gauges: restore() leaves them at zero.
   std::uint64_t replay_memo_hits = 0;
   std::uint64_t replay_memo_misses = 0;
-  std::uint64_t replay_memo_entries = 0;  ///< gauge: cached results NOW
   /// Per-device accept/reject/replay breakdown. Only devices that have
   /// hub state appear; submissions for unknown device ids are deliberately
   /// NOT attributed (an attacker spraying bogus ids must not grow this

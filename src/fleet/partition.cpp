@@ -169,7 +169,6 @@ hub_stats partition_router::stats(bool include_per_device) const {
     total.inflight_batches += s.inflight_batches;
     total.replay_memo_hits += s.replay_memo_hits;
     total.replay_memo_misses += s.replay_memo_misses;
-    total.replay_memo_entries += s.replay_memo_entries;
     // Disjoint by routing, so merge is insertion.
     for (const auto& [id, c] : s.per_device) {
       total.per_device.emplace(id, c);

@@ -70,7 +70,6 @@ std::string render_stats_json(const hub_stats& s) {
   out << "  \"inflight_batches\": " << s.inflight_batches << ",\n";
   out << "  \"replay_memo_hits\": " << s.replay_memo_hits << ",\n";
   out << "  \"replay_memo_misses\": " << s.replay_memo_misses << ",\n";
-  out << "  \"replay_memo_entries\": " << s.replay_memo_entries << ",\n";
   out << "  \"rejected_by_error\": {";
   for (std::size_t i = 1; i < s.rejected_by_error.size(); ++i) {
     const auto e = static_cast<proto::proto_error>(i);
@@ -133,14 +132,11 @@ void render_stats_prometheus(const hub_stats& s, std::string& out) {
          "verify_batch calls running right now.");
   sample(out, "dialed_hub_inflight_batches", s.inflight_batches);
   family(out, "dialed_replay_memo_hits_total", "counter",
-         "Replays served from the memoization cache.");
+         "Verdicts reused from the device's last accepted round.");
   sample(out, "dialed_replay_memo_hits_total", s.replay_memo_hits);
   family(out, "dialed_replay_memo_misses_total", "counter",
-         "Replays executed because no cached result matched.");
+         "Replays executed: no reusable accepted round matched the OR.");
   sample(out, "dialed_replay_memo_misses_total", s.replay_memo_misses);
-  family(out, "dialed_replay_memo_entries", "gauge",
-         "Replay results currently held in the memoization cache.");
-  sample(out, "dialed_replay_memo_entries", s.replay_memo_entries);
   if (!s.per_device.empty()) {
     family(out, "dialed_hub_device_reports_total", "counter",
            "Per-device submissions by outcome.");

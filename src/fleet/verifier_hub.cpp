@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/event_log.h"
-#include "verifier/replay_cache.h"
 
 namespace dialed::fleet {
 
@@ -38,10 +37,6 @@ verifier_hub::verifier_hub(const device_registry& registry, hub_config cfg)
                                     : thread_pool::hardware_workers();
     pool_ = std::make_unique<thread_pool>(workers);
   }
-  if (cfg_.replay_memo_entries > 0) {
-    memo_ =
-        std::make_unique<verifier::replay_memo>(cfg_.replay_memo_entries);
-  }
 }
 
 verifier_hub::~verifier_hub() = default;
@@ -73,6 +68,15 @@ void verifier_hub::retire(device_id id, device_state& st,
 }
 
 attest_result verifier_hub::rejected(attest_result r, device_state* st) {
+  // Journal only rejections attributable to a provisioned device: a
+  // garbage frame (bad magic, unknown id) must cost the attacker a
+  // decode, not a serialized disk append — unauthenticated traffic gets
+  // no write amplification. The in-memory histogram still counts these;
+  // they persist at snapshot time rather than per event. Journal BEFORE
+  // counting (see verify_impl).
+  if (cfg_.sink != nullptr && st != nullptr) {
+    cfg_.sink->on_verdict(r.device, r.error, false);
+  }
   stats_.rejected_by_error[static_cast<std::size_t>(r.error)].fetch_add(
       1, std::memory_order_relaxed);
   if (st != nullptr) {
@@ -82,14 +86,6 @@ attest_result verifier_hub::rejected(attest_result r, device_state* st) {
     } else {
       c.rejected_protocol.fetch_add(1, std::memory_order_relaxed);
     }
-  }
-  // Journal only rejections attributable to a provisioned device: a
-  // garbage frame (bad magic, unknown id) must cost the attacker a
-  // decode, not a serialized disk append — unauthenticated traffic gets
-  // no write amplification. The in-memory histogram still counts these;
-  // they persist at snapshot time rather than per event.
-  if (cfg_.sink != nullptr && st != nullptr) {
-    cfg_.sink->on_verdict(r.device, r.error, false);
   }
   return r;
 }
@@ -117,11 +113,8 @@ hub_stats verifier_hub::stats(bool include_per_device) const {
       stats_.last_batch_frames.load(std::memory_order_relaxed);
   s.inflight_batches =
       stats_.inflight_batches.load(std::memory_order_relaxed);
-  if (memo_ != nullptr) {
-    s.replay_memo_hits = memo_->hits();
-    s.replay_memo_misses = memo_->misses();
-    s.replay_memo_entries = memo_->entries();
-  }
+  s.replay_memo_hits = stats_.replays_reused.load(std::memory_order_relaxed);
+  s.replay_memo_misses = stats_.replays_run.load(std::memory_order_relaxed);
   if (include_per_device) {
     for (const auto& shp : shards_) {
       std::lock_guard<std::mutex> lk(shp->mu);
@@ -208,13 +201,6 @@ attest_result verifier_hub::observed(const obs::span_recorder& sp,
   return r;
 }
 
-attest_result verifier_hub::verify_report(
-    device_id id, std::uint32_t seq,
-    const verifier::attestation_report& report) {
-  obs::span_recorder sp(obs_.enabled());
-  return observed(sp, verify_impl(id, seq, report, sp));
-}
-
 attest_result verifier_hub::verify_impl(device_id id, std::uint32_t seq,
                                         const verifier::report_view& report,
                                         obs::span_recorder& sp) {
@@ -231,6 +217,7 @@ attest_result verifier_hub::verify_impl(device_id id, std::uint32_t seq,
   const device_record* rec = nullptr;
   device_state* stp = nullptr;
   std::array<std::uint8_t, 16> nonce{};
+  std::shared_ptr<const verifier::accepted_round> prior;
   {
     shard& sh = shard_for(id);
     std::lock_guard<std::mutex> lk(sh.mu);
@@ -287,6 +274,7 @@ attest_result verifier_hub::verify_impl(device_id id, std::uint32_t seq,
            static_cast<std::size_t>(match - st.outstanding.begin()),
            nonce_fate::consumed);
     stp = &st;  // map nodes are address-stable; see threading note below
+    prior = st.baseline.round;
   }
 
   // Durability barrier between the phases: the consumption journaled
@@ -305,24 +293,44 @@ attest_result verifier_hub::verify_impl(device_id id, std::uint32_t seq,
   // (immutable, reentrant). The record pointer is stable and its key/
   // firmware/mac_state immutable, so reading them unlocked is safe. The
   // record's precomputed HMAC key schedule skips the per-report ipad/opad
-  // rehash of K_dev. memo_ (when configured) serves repeated-input
-  // replays from the LRU; the MAC always runs per report, so a cache hit
-  // is only ever reachable for a freshly authenticated input vector.
+  // rehash of K_dev. `prior` is the device's last accepted round: a
+  // byte-identical OR reuses its verdict instead of replaying, after the
+  // MAC verified this report.
   verifier::verify_timings vt;
   verifier::verify_timings* const vtp = sp.enabled() ? &vt : nullptr;
   static const std::vector<std::shared_ptr<verifier::policy>> no_policies;
   r.verdict = rec->firmware->verify(report, rec->mac_state, no_policies,
-                                    nonce, vtp, memo_.get());
+                                    nonce, vtp, prior.get());
   sp.credit(obs::stage::mac, vt.mac_ns);
   sp.credit(obs::stage::replay, vt.replay_ns);
-  // stp stays valid unlocked: std::map nodes are address-stable and
-  // device states are never erased; the counters are atomics.
-  if (r.verdict.accepted) {
-    // This OR is now the proven device state: adopt it as the wire v2.1
-    // delta baseline (accepted verdicts ONLY — a rejected report must
-    // never steer future reconstructions). Re-takes the shard lock and
-    // journals before the verdict record below.
-    if (cfg_.or_baselines) adopt_baseline(id, r.seq, report.or_bytes);
+  const bool accepted = r.verdict.accepted;
+  if (accepted) {
+    // This round is now the proven device state: the delta baseline and
+    // the reuse source (accepted verdicts ONLY). A reused verdict matched
+    // `prior` byte for byte, so that round stays; otherwise the OR is
+    // copied out of the (possibly borrowed) frame. Re-takes the shard
+    // lock and journals before the verdict record below.
+    auto round =
+        r.verdict.replay == verifier::replay_path::reused
+            ? std::move(prior)
+            : std::make_shared<const verifier::accepted_round>(
+                  verifier::accepted_round{
+                      rec->firmware->id(),
+                      byte_vec(report.or_bytes.begin(),
+                               report.or_bytes.end()),
+                      r.verdict});
+    adopt_round(id, r.seq, std::move(round));
+  }
+  if (cfg_.sink != nullptr) {
+    cfg_.sink->on_verdict(id, proto_error::none, accepted);
+  }
+  // Count only after the verdict is journaled. A compaction landing
+  // between a count and its append would fold the verdict into the
+  // snapshot (merge_live_stats) AND leave its record for the next WAL
+  // generation — counted twice on recovery. stp stays valid unlocked:
+  // std::map nodes are address-stable and device states are never
+  // erased; the counters are atomics.
+  if (accepted) {
     stats_.reports_accepted.fetch_add(1, std::memory_order_relaxed);
     stp->counters.accepted.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -331,11 +339,13 @@ attest_result verifier_hub::verify_impl(device_id id, std::uint32_t seq,
     stp->counters.rejected_verdict.fetch_add(1,
                                              std::memory_order_relaxed);
   }
-  if (cfg_.sink != nullptr) {
-    cfg_.sink->on_verdict(id, proto_error::none, r.verdict.accepted);
+  if (r.verdict.replay == verifier::replay_path::reused) {
+    stats_.replays_reused.fetch_add(1, std::memory_order_relaxed);
+  } else if (r.verdict.replay == verifier::replay_path::replayed) {
+    stats_.replays_run.fetch_add(1, std::memory_order_relaxed);
   }
   // Everything since the journal mark that was not MAC or replay work:
-  // baseline adoption, counters, the verdict journal entry.
+  // baseline adoption, the verdict journal entry, counters.
   sp.mark_excluding(obs::stage::verdict, vt.mac_ns + vt.replay_ns);
   return r;
 }
@@ -346,11 +356,10 @@ std::optional<attest_result> verifier_hub::reconstruct_delta(
   attest_result r;
   r.device = id;
   r.seq = seq;
-  // Reconstruction scratch: per thread, like the decode frame — the
-  // baseline bytes are copied out under the shard lock (another thread's
-  // accepted verdict may swap them the instant it is dropped), the splat
-  // happens unlocked.
-  static thread_local byte_vec baseline_copy;
+  // The round is referenced under the shard lock (another thread's
+  // accepted verdict may swap the baseline the instant it is dropped);
+  // it is immutable, so the splat happens unlocked.
+  std::shared_ptr<const verifier::accepted_round> base;
   {
     shard& sh = shard_for(id);
     std::lock_guard<std::mutex> lk(sh.mu);
@@ -360,7 +369,7 @@ std::optional<attest_result> verifier_hub::reconstruct_delta(
     }
     device_state& st = sh.states[id];
     const or_baseline& b = st.baseline;
-    if (!cfg_.or_baselines || !b.valid || b.seq != delta.baseline_seq ||
+    if (b.round == nullptr || b.seq != delta.baseline_seq ||
         b.hash != delta.baseline_hash) {
       // Fresh device, desynced prover, or a restart that lost the
       // baseline: the typed signal to resend THIS report as a full
@@ -369,9 +378,9 @@ std::optional<attest_result> verifier_hub::reconstruct_delta(
       r.error = proto_error::baseline_mismatch;
       return rejected(r, &st);
     }
-    baseline_copy = b.bytes;
+    base = b.round;
   }
-  if (proto::apply_or_delta(delta, baseline_copy, report.or_bytes) !=
+  if (proto::apply_or_delta(delta, base->or_bytes, report.or_bytes) !=
       proto_error::none) {
     // Unreachable off the decode path (decode_frame validates segment
     // structure), but hand-built deltas fail closed as transport damage.
@@ -381,21 +390,22 @@ std::optional<attest_result> verifier_hub::reconstruct_delta(
   return std::nullopt;
 }
 
-void verifier_hub::adopt_baseline(device_id id, std::uint32_t seq,
-                                  std::span<const std::uint8_t> or_bytes) {
+void verifier_hub::adopt_round(
+    device_id id, std::uint32_t seq,
+    std::shared_ptr<const verifier::accepted_round> round) {
   shard& sh = shard_for(id);
   std::lock_guard<std::mutex> lk(sh.mu);
   device_state& st = sh.states[id];
   // Newest accepted round wins; with concurrent accepts for one device
   // the table converges on the max seq no matter the interleaving.
-  if (st.baseline.valid && seq <= st.baseline.seq) return;
+  if (st.baseline.round != nullptr && seq <= st.baseline.seq) return;
   // Journal BEFORE mutating (like retire): a throwing sink leaves the
   // in-memory baseline consistent with what the log can replay.
-  if (cfg_.sink != nullptr) cfg_.sink->on_baseline(id, seq, or_bytes);
-  st.baseline.valid = true;
+  if (cfg_.sink != nullptr) cfg_.sink->on_baseline(id, seq, round->or_bytes);
   st.baseline.seq = seq;
-  st.baseline.bytes.assign(or_bytes.begin(), or_bytes.end());
-  st.baseline.hash = proto::or_baseline_hash(seq, st.baseline.bytes);
+  st.baseline.hash = proto::or_baseline_hash(seq, round->or_bytes);
+  // Swap, so the displaced round is freed after the lock is released.
+  st.baseline.round.swap(round);
 }
 
 attest_result verifier_hub::submit(std::span<const std::uint8_t> frame) {
@@ -405,10 +415,11 @@ attest_result verifier_hub::submit(std::span<const std::uint8_t> frame) {
   // reuse or_bytes capacity across frames.
   static thread_local proto::decoded_frame scratch;
   // Borrow mode: a full frame's OR stays in `frame` (scratch.or_view
-  // points into it) and is verified in place; only an ACCEPTED verdict
-  // copies it (adopt_baseline). Delta frames reconstruct into the
-  // thread-local scratch arena below. submit never reads `frame` after
-  // returning, honoring the decode_mode::borrow lifetime contract.
+  // points into it) and is verified in place; only an ACCEPTED replayed
+  // verdict copies it (into a new accepted_round). Delta frames
+  // reconstruct into the thread-local scratch arena below. submit never
+  // reads `frame` after returning, honoring the decode_mode::borrow
+  // lifetime contract.
   const proto_error err =
       proto::decode_frame_into(frame, scratch, proto::decode_mode::borrow);
   if (err != proto_error::none) {
@@ -509,15 +520,18 @@ void verifier_hub::restore(std::uint64_t now,
       st.retired.push_back({d.retired[i].nonce, d.retired[i].fate});
     }
     st.next_seq = d.next_seq;
-    st.baseline.valid = d.baseline.valid;
-    st.baseline.seq = d.baseline.seq;
-    st.baseline.bytes = d.baseline.bytes;
-    // The hash is derived state: recompute instead of persisting, so the
-    // on-disk format stays independent of the hash construction.
-    st.baseline.hash = d.baseline.valid
-                           ? proto::or_baseline_hash(d.baseline.seq,
-                                                     d.baseline.bytes)
-                           : std::array<std::uint8_t, 8>{};
+    st.baseline = {};
+    if (d.baseline.valid) {
+      // Bytes only: the verdict is not persisted, so the restored round
+      // serves delta frames but the device's next round replays. The
+      // hash is derived state: recompute instead of persisting, so the
+      // on-disk format stays independent of the hash construction.
+      st.baseline.seq = d.baseline.seq;
+      st.baseline.hash =
+          proto::or_baseline_hash(d.baseline.seq, d.baseline.bytes);
+      st.baseline.round = std::make_shared<const verifier::accepted_round>(
+          verifier::accepted_round{{}, d.baseline.bytes, std::nullopt});
+    }
     st.counters.accepted.store(d.counters.accepted,
                                std::memory_order_relaxed);
     st.counters.rejected_verdict.store(d.counters.rejected_verdict,
@@ -545,9 +559,11 @@ std::vector<device_restore> verifier_hub::dump_devices() const {
       for (const auto& e : st.retired) {
         d.retired.push_back({e.nonce, e.fate});
       }
-      d.baseline.valid = st.baseline.valid;
-      d.baseline.seq = st.baseline.seq;
-      d.baseline.bytes = st.baseline.bytes;
+      if (st.baseline.round != nullptr) {
+        d.baseline.valid = true;
+        d.baseline.seq = st.baseline.seq;
+        d.baseline.bytes = st.baseline.round->or_bytes;
+      }
       d.counters = st.counters.snapshot();
       out.push_back(std::move(d));
     }

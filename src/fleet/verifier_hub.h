@@ -44,6 +44,17 @@
 // baseline_mismatch error WITHOUT consuming the frame's nonce: the
 // prover falls back to a full frame for the same challenge.
 //
+// Replay reuse
+// ------------
+// The baseline is also the hub's only replay cache. Next to the bytes it
+// holds the verdict the round was accepted with (one immutable
+// verifier::accepted_round, swapped whole under the shard lock). A report
+// — full or delta — whose OR is byte-identical to it reuses that verdict
+// instead of replaying, after its own MAC verified; the claimed result is
+// still checked per report (firmware_artifact::verify). A restored
+// baseline carries bytes only, so each device's first round after a
+// restart replays.
+//
 // Challenge lifecycle: issued -> (consumed | superseded | expired), with a
 // bounded per-device memory of retired nonces so a late report gets the
 // precise typed error instead of a generic rejection.
@@ -67,8 +78,8 @@
 // with its own mutex and its own challenge-nonce RNG stream. All public
 // entry points are safe to call concurrently from any number of threads:
 //
-//   - `challenge` / `submit` / `verify_report` take only the owning
-//     shard's lock, so traffic for different shards never contends.
+//   - `challenge` / `submit` take only the owning shard's lock, so
+//     traffic for different shards never contends.
 //   - Nonce bookkeeping (match, seq check, consume) happens under the
 //     shard lock; the expensive cryptographic/replay verification runs
 //     OUTSIDE it, so one slow report does not stall its shard. The nonce
@@ -90,6 +101,7 @@
 #include <array>
 #include <atomic>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <random>
@@ -128,11 +140,6 @@ struct hub_config {
   /// Forces verify_batch to run inline on the calling thread (no pool is
   /// created).
   bool sequential_batch = false;
-  /// Track per-device wire v2.1 delta baselines (the OR of the last
-  /// accepted report, O(or_bytes) memory per device). Off, every v2.1
-  /// frame is rejected baseline_mismatch and no baseline state is kept —
-  /// for fleets that only ever speak full frames.
-  bool or_baselines = true;
   /// Durability sink (src/store/fleet_store): challenge issuance, nonce
   /// retirement and verdicts are journaled through it — issuance and
   /// retirement UNDER the owning shard lock, so the on-disk order matches
@@ -143,10 +150,6 @@ struct hub_config {
   /// the slow/rejected flight recorder. `obs.enabled = false` removes
   /// every clock read from the verify path (the overhead bench baseline).
   obs::pipeline_config obs{};
-  /// Replay-memoization capacity (results, LRU-bounded): repeated rounds
-  /// with byte-identical attested inputs skip the §III replay entirely —
-  /// the MAC is still verified per report. 0 disables memoization.
-  std::size_t replay_memo_entries = 1024;
 };
 
 // challenge_grant, hub_stats, and attest_result moved to
@@ -169,16 +172,11 @@ class verifier_hub : public hub_like {
   /// challenge outstanding. Thread-safe, reentrant: decoding uses a
   /// thread-local scratch frame, so concurrent submits never share a
   /// buffer. Zero-copy: full frames are decoded in borrow mode — the OR
-  /// is verified straight out of `frame` (never copied unless the verdict
-  /// is accepted and the bytes become the delta baseline); delta frames
+  /// is verified straight out of `frame` (copied only when a replayed
+  /// verdict is accepted and the bytes become the baseline); delta frames
   /// reconstruct into the thread-local scratch arena. Either way `frame`
   /// is not read after submit returns.
   attest_result submit(std::span<const std::uint8_t> frame) override;
-
-  /// Verify an already-decoded report for a device, requiring the frame's
-  /// sequence number to match the one its challenge was issued with.
-  attest_result verify_report(device_id id, std::uint32_t seq,
-                              const verifier::attestation_report& report);
 
   /// Verify a batch of independent frames in parallel on the hub's worker
   /// pool (per-shard locking; crypto/replay outside the locks). Results
@@ -274,15 +272,16 @@ class verifier_hub : public hub_like {
     }
   };
 
-  /// The wire v2.1 delta baseline, guarded by the owning shard's mutex:
-  /// written only under the lock (accepted verdicts, restore), read under
-  /// the lock (delta resolution copies the bytes out before unlocking —
-  /// reconstruction itself never holds the lock).
+  /// The device's last accepted round: wire v2.1 delta baseline and
+  /// replay-reuse source in one. Guarded by the owning shard's mutex:
+  /// written only under the lock (accepted verdicts, restore); readers
+  /// copy the shared_ptr out under it and use the immutable round
+  /// unlocked.
   struct or_baseline {
-    bool valid = false;
     std::uint32_t seq = 0;
     std::array<std::uint8_t, 8> hash{};  ///< proto::or_baseline_hash
-    byte_vec bytes;                      ///< full OR of the accepted round
+    /// null until the first accepted round (or a restored one)
+    std::shared_ptr<const verifier::accepted_round> round;
   };
 
   struct device_state {
@@ -311,6 +310,9 @@ class verifier_hub : public hub_like {
     std::atomic<std::uint64_t> reports_rejected_verdict{0};
     std::array<std::atomic<std::uint64_t>, proto::proto_error_count>
         rejected_by_error{};
+    // Replay outcomes of DIALED-mode verdicts (process-local).
+    std::atomic<std::uint64_t> replays_reused{0};
+    std::atomic<std::uint64_t> replays_run{0};
     // verify_batch gauges (never restored — process-local by design).
     std::atomic<std::uint64_t> verify_batches{0};
     std::atomic<std::uint64_t> verify_batch_frames{0};
@@ -323,13 +325,13 @@ class verifier_hub : public hub_like {
   void retire(device_id id, device_state& st, std::size_t index,
               nonce_fate fate);
   void expire_stale(device_id id, device_state& st, std::uint64_t now);
-  /// Bump the hub histogram (and the per-device protocol/replay counter
-  /// when `st` is known), then journal the verdict. Returns `r` so reject
-  /// paths read `return rejected(...)`.
+  /// Journal the verdict (when `st` is known), then bump the hub
+  /// histogram and the per-device protocol/replay counter. Returns `r` so
+  /// reject paths read `return rejected(...)`.
   attest_result rejected(attest_result r, device_state* st);
   /// The common verification core. Takes a report VIEW: `report.or_bytes`
   /// may borrow the caller's frame buffer (submit's zero-copy path) and is
-  /// only read for the duration of the call — adopt_baseline copies the
+  /// only read for the duration of the call — adopt_round copies the
   /// bytes it keeps.
   attest_result verify_impl(device_id id, std::uint32_t seq,
                             const verifier::report_view& report,
@@ -339,20 +341,19 @@ class verifier_hub : public hub_like {
   /// through this.
   attest_result observed(const obs::span_recorder& sp, attest_result r);
   /// v2.1 path: check the frame's baseline reference against the device's
-  /// or_baseline (under the shard lock), copy the baseline bytes out, and
-  /// reconstruct the full OR into report.or_bytes (outside the lock).
+  /// or_baseline (under the shard lock), take a reference to its round,
+  /// and reconstruct the full OR into report.or_bytes (outside the lock).
   /// nullopt on success; the fully-bookkept rejection (unknown_device /
   /// baseline_mismatch) otherwise — in which case NO challenge state was
   /// touched, so the prover can retry the same nonce with a full frame.
   std::optional<attest_result> reconstruct_delta(
       device_id id, std::uint32_t seq, const proto::or_delta& delta,
       verifier::attestation_report& report);
-  /// Adopt `or_bytes` as the device's delta baseline for round `seq` if
-  /// it is newer than the current one (accepted verdicts only; takes the
-  /// shard lock; journals under it). COPIES the bytes — the span may
-  /// alias a borrowed frame buffer that dies when submit returns.
-  void adopt_baseline(device_id id, std::uint32_t seq,
-                      std::span<const std::uint8_t> or_bytes);
+  /// Make `round` the device's baseline for round `seq` if it is newer
+  /// than the current one (accepted verdicts only; takes the shard lock;
+  /// journals under it). The round is built outside the lock.
+  void adopt_round(device_id id, std::uint32_t seq,
+                   std::shared_ptr<const verifier::accepted_round> round);
 
   const device_registry& registry_;
   hub_config cfg_;
@@ -361,9 +362,6 @@ class verifier_hub : public hub_like {
   std::unique_ptr<thread_pool> pool_;  ///< null when sequential_batch
   mutable counters stats_;
   obs::pipeline_obs obs_;
-  /// Shared replay-result cache (null when cfg.replay_memo_entries == 0);
-  /// internally synchronized, consulted only on the artifact hot path.
-  std::unique_ptr<verifier::replay_memo> memo_;
 };
 
 }  // namespace dialed::fleet

@@ -10,7 +10,6 @@
 #include "rot/attest.h"
 #include "verifier/cfa_check.h"
 #include "verifier/replay.h"
-#include "verifier/replay_cache.h"
 
 namespace dialed::verifier {
 
@@ -53,6 +52,21 @@ constexpr std::size_t node_overhead = 48;
 
 std::size_t string_bytes(const std::string& s) {
   return s.capacity() <= sizeof(std::string) ? 0 : s.capacity();
+}
+
+/// The device's claimed result is covered by neither the OR nor the MAC,
+/// so every report gets this check — replayed or reused — and it decides
+/// the verdict last.
+void check_claimed_result(const report_view& report, verdict& v) {
+  if (report.claimed_result != v.replayed_result) {
+    v.findings.push_back(
+        {attack_kind::result_forged,
+         "device claimed result " + hex16(report.claimed_result) +
+             " but the attested execution produced " +
+             hex16(v.replayed_result),
+         0, 0});
+  }
+  v.accepted = v.findings.empty();
 }
 
 }  // namespace
@@ -259,7 +273,7 @@ verdict firmware_artifact::verify(
     const report_view& report, const crypto::hmac_keystate& key_state,
     const std::vector<std::shared_ptr<policy>>& policies,
     std::optional<std::array<std::uint8_t, 16>> expected_challenge,
-    verify_timings* timings, replay_memo* memo) const {
+    verify_timings* timings, const accepted_round* prior) const {
   verdict v;
 
   // ---- 1. configuration ----
@@ -360,12 +374,23 @@ verdict firmware_artifact::verify(
     return v;
   }
 
-  // Replay is a pure function of (artifact, attested inputs): the memo is
-  // only consulted when no policies run (policies may carry state the
-  // cache cannot key on).
-  replay_result rr = (memo != nullptr && policies.empty())
-                         ? memo->get_or_replay(*this, report)
-                         : replay_operation(*this, report, policies);
+  // Replay is a pure function of (artifact, OR bytes) — the bounds
+  // already matched this artifact's — so the device's last accepted round
+  // stands in for it when its OR bytes are identical. Policies may carry
+  // state outside that pair, so they always replay. Reached only after
+  // this report's MAC verified.
+  if (prior != nullptr && policies.empty() && prior->outcome &&
+      prior->outcome->accepted && prior->fw == id() &&
+      std::ranges::equal(prior->or_bytes, report.or_bytes)) {
+    v = *prior->outcome;
+    v.replay = replay_path::reused;
+    check_claimed_result(report, v);
+    stamp_replay();
+    return v;
+  }
+
+  replay_result rr = replay_operation(*this, report, policies);
+  v.replay = replay_path::replayed;
   v.findings.insert(v.findings.end(), rr.findings.begin(),
                     rr.findings.end());
   v.replay_instructions = rr.instructions;
@@ -401,15 +426,7 @@ verdict firmware_artifact::verify(
     }
   }
 
-  if (report.claimed_result != rr.final_r15) {
-    v.findings.push_back(
-        {attack_kind::result_forged,
-         "device claimed result " + hex16(report.claimed_result) +
-             " but the attested execution produced " + hex16(rr.final_r15),
-         0, 0});
-  }
-
-  v.accepted = v.findings.empty();
+  check_claimed_result(report, v);
   stamp_replay();
   return v;
 }

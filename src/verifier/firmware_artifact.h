@@ -41,11 +41,23 @@
 
 namespace dialed::verifier {
 
-class policy;       // replay.h
-class replay_memo;  // replay_cache.h
+class policy;  // replay.h
 
 /// Content address of a firmware image (SHA-256).
 using firmware_id = std::array<std::uint8_t, 32>;
+
+/// A device's last accepted round, as the fleet hub keeps it: the full OR
+/// that round attested and, when this process verified it, the accepted
+/// verdict it got under firmware `fw`. Immutable once built — the hub
+/// shares it as shared_ptr<const accepted_round> and swaps the whole
+/// object, so the bytes and the verdict always come from one round.
+struct accepted_round {
+  firmware_id fw{};
+  byte_vec or_bytes;
+  /// nullopt for a round restored from disk (bytes only): it serves as
+  /// the v2.1 delta baseline but is never reused.
+  std::optional<verdict> outcome;
+};
 
 /// The instrumented `ret` idiom (`mov @SP+, PC`) — the pattern both the
 /// replay loop's return-address witness and the artifact's predecoded
@@ -168,16 +180,18 @@ class firmware_artifact {
   /// fleet::device_record carries) — skips four key-block compressions
   /// per report. `timings`, when non-null, receives the MAC/replay stage
   /// split for pipeline stage attribution (no clock reads when null).
-  /// `memo`, when non-null AND `policies` is empty, serves the replay
-  /// stage from the memo's cache keyed on (artifact id, attested-input
-  /// digest) — see replay_cache.h for why nonce/MAC stay outside the key.
+  /// `prior`, the device's last accepted round, lets a DIALED-mode report
+  /// skip the replay: when the MAC verifies, no policies run, and `prior`
+  /// carries an accepted verdict from THIS artifact for byte-identical OR
+  /// bytes, that verdict is reused and only the claimed result is checked
+  /// again (docs/REPLAY.md, "Replay reuse").
   verdict verify(const report_view& report,
                  const crypto::hmac_keystate& key_state,
                  const std::vector<std::shared_ptr<policy>>& policies,
                  std::optional<std::array<std::uint8_t, 16>>
                      expected_challenge = std::nullopt,
                  verify_timings* timings = nullptr,
-                 replay_memo* memo = nullptr) const;
+                 const accepted_round* prior = nullptr) const;
 
   /// Approximate heap+object footprint of this artifact (metrics: fleet
   /// verifier memory is artifacts * this, not devices * program).

@@ -107,6 +107,14 @@ struct verify_timings {
   std::uint64_t replay_ns = 0;
 };
 
+/// How a verdict's replay outcome was obtained. Provenance only: a reused
+/// verdict is field-for-field the one a replay would produce.
+enum class replay_path : std::uint8_t {
+  none,      ///< rejected before replay, or a mode that never replays
+  replayed,  ///< the abstract executor ran
+  reused,    ///< the device's last accepted round had byte-identical OR
+};
+
 struct verdict {
   bool accepted = false;
   std::vector<finding> findings;
@@ -128,6 +136,8 @@ struct verdict {
   std::vector<io_event> io_trace;
   /// Whether the replayed result derives from attested inputs.
   bool result_tainted = false;
+
+  replay_path replay = replay_path::none;
 
   bool has(attack_kind k) const {
     for (const auto& f : findings) {

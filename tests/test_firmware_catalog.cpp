@@ -16,6 +16,7 @@ namespace dialed::fleet {
 namespace {
 
 using test::build_op;
+using test::expect_same_verdict;
 using verifier::firmware_artifact;
 
 constexpr const char* adder = "int op(int a, int b) { return a + b; }";
@@ -108,38 +109,6 @@ TEST(catalog, registries_can_share_a_catalog) {
 // per-device op_verifier, across all four apps
 // ---------------------------------------------------------------------------
 
-void expect_verdict_eq(const verifier::verdict& a,
-                       const verifier::verdict& b, const char* label) {
-  EXPECT_EQ(a.accepted, b.accepted) << label;
-  EXPECT_EQ(a.replayed_result, b.replayed_result) << label;
-  EXPECT_EQ(a.replay_instructions, b.replay_instructions) << label;
-  EXPECT_EQ(a.log_slots_consumed, b.log_slots_consumed) << label;
-  EXPECT_EQ(a.log_bytes, b.log_bytes) << label;
-  EXPECT_EQ(a.result_tainted, b.result_tainted) << label;
-  ASSERT_EQ(a.findings.size(), b.findings.size()) << label;
-  for (std::size_t i = 0; i < a.findings.size(); ++i) {
-    EXPECT_EQ(a.findings[i].kind, b.findings[i].kind) << label;
-    EXPECT_EQ(a.findings[i].detail, b.findings[i].detail) << label;
-    EXPECT_EQ(a.findings[i].pc, b.findings[i].pc) << label;
-    EXPECT_EQ(a.findings[i].addr, b.findings[i].addr) << label;
-  }
-  ASSERT_EQ(a.annotated_log.size(), b.annotated_log.size()) << label;
-  for (std::size_t i = 0; i < a.annotated_log.size(); ++i) {
-    EXPECT_EQ(a.annotated_log[i].slot, b.annotated_log[i].slot) << label;
-    EXPECT_EQ(a.annotated_log[i].value, b.annotated_log[i].value) << label;
-    EXPECT_EQ(a.annotated_log[i].kind, b.annotated_log[i].kind) << label;
-    EXPECT_EQ(a.annotated_log[i].source_pc, b.annotated_log[i].source_pc)
-        << label;
-  }
-  ASSERT_EQ(a.io_trace.size(), b.io_trace.size()) << label;
-  for (std::size_t i = 0; i < a.io_trace.size(); ++i) {
-    EXPECT_EQ(a.io_trace[i].addr, b.io_trace[i].addr) << label;
-    EXPECT_EQ(a.io_trace[i].value, b.io_trace[i].value) << label;
-    EXPECT_EQ(a.io_trace[i].pc, b.io_trace[i].pc) << label;
-    EXPECT_EQ(a.io_trace[i].tainted, b.io_trace[i].tainted) << label;
-  }
-}
-
 std::vector<apps::app_spec> four_apps() {
   auto specs = apps::evaluation_apps();  // SyringePump, FireSensor, Ranger
   specs.push_back(apps::door_lock_app());
@@ -164,8 +133,8 @@ TEST(equivalence, shared_artifact_matches_fresh_verifier_all_apps) {
     const auto v_fresh = fresh.verify(rep, chal);
     const auto v_shared1 = shared.verify(rep, chal);
     const auto v_shared2 = shared.verify(rep, chal);
-    expect_verdict_eq(v_fresh, v_shared1, app.name.c_str());
-    expect_verdict_eq(v_fresh, v_shared2, app.name.c_str());
+    expect_same_verdict(v_fresh, v_shared1, app.name.c_str());
+    expect_same_verdict(v_fresh, v_shared2, app.name.c_str());
     EXPECT_TRUE(v_fresh.accepted) << app.name;
   }
   EXPECT_EQ(cat.size(), 4u);
@@ -185,14 +154,14 @@ TEST(equivalence, attack_findings_identical_on_shared_path) {
   const verifier::op_verifier shared(cat.intern(prog), test::test_key());
 
   const auto attack = dev.invoke(chal, apps::fig2_attack());
-  expect_verdict_eq(fresh.verify(attack, chal), shared.verify(attack, chal),
+  expect_same_verdict(fresh.verify(attack, chal), shared.verify(attack, chal),
                     "fig2-attack");
   EXPECT_TRUE(shared.verify(attack, chal)
                   .has(verifier::attack_kind::data_only_attack));
 
   auto forged = dev.invoke(chal, apps::fig2_benign(1, 3));
   forged.claimed_result = 0xbeef;
-  expect_verdict_eq(fresh.verify(forged, chal), shared.verify(forged, chal),
+  expect_same_verdict(fresh.verify(forged, chal), shared.verify(forged, chal),
                     "fig2-forged-result");
   EXPECT_TRUE(shared.verify(forged, chal)
                   .has(verifier::attack_kind::result_forged));
@@ -219,7 +188,7 @@ TEST(equivalence, hub_path_matches_direct_verifier) {
   ASSERT_EQ(result.error, proto::proto_error::none);
 
   const verifier::op_verifier fresh(prog, reg.derive_key(id));
-  expect_verdict_eq(fresh.verify(rep, grant.nonce), result.verdict,
+  expect_same_verdict(fresh.verify(rep, grant.nonce), result.verdict,
                     "hub-vs-direct");
   EXPECT_TRUE(result.accepted());
 }

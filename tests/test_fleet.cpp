@@ -42,6 +42,16 @@ byte_vec frame_for(device_id id, const challenge_grant& grant,
   return proto::encode_frame(info, rep);
 }
 
+/// Frame `rep` as a v2 report for (`id`, `seq`) and submit it.
+attest_result submit_report(verifier_hub& hub, device_id id,
+                            std::uint32_t seq,
+                            const verifier::attestation_report& rep) {
+  proto::frame_info info;
+  info.device_id = id;
+  info.seq = seq;
+  return hub.submit(proto::encode_frame(info, rep));
+}
+
 // ---------------------------------------------------------------------------
 // Registry / KDF
 // ---------------------------------------------------------------------------
@@ -138,7 +148,7 @@ TEST(hub, unknown_device_is_a_typed_error) {
   verifier_hub hub(reg);
   EXPECT_EQ(hub.challenge(5).error, proto_error::unknown_device);
   verifier::attestation_report rep;
-  EXPECT_EQ(hub.verify_report(5, 1, rep).error,
+  EXPECT_EQ(submit_report(hub, 5, 1, rep).error,
             proto_error::unknown_device);
 }
 
@@ -152,12 +162,12 @@ TEST(hub, accepts_fresh_report_and_rejects_replay) {
   const auto grant = hub.challenge(id);
   ASSERT_TRUE(grant.ok());
   const auto rep = dev.invoke(grant.nonce, args(20, 22));
-  const auto r = hub.verify_report(id, grant.seq, rep);
+  const auto r = submit_report(hub, id, grant.seq, rep);
   EXPECT_EQ(r.error, proto_error::none);
   EXPECT_TRUE(r.accepted());
   EXPECT_EQ(r.verdict.replayed_result, 42);
   // The nonce is consumed: an identical report is a typed replay error.
-  const auto replay = hub.verify_report(id, grant.seq, rep);
+  const auto replay = submit_report(hub, id, grant.seq, rep);
   EXPECT_EQ(replay.error, proto_error::replayed_report);
   EXPECT_FALSE(replay.accepted());
 }
@@ -177,9 +187,9 @@ TEST(hub, many_outstanding_challenges_complete_out_of_order) {
   EXPECT_LT(g2.seq, g3.seq);
 
   // Answer newest first: per-challenge consumption, not strict ordering.
-  const auto r3 = hub.verify_report(id, g3.seq, dev.invoke(g3.nonce, args(3)));
-  const auto r1 = hub.verify_report(id, g1.seq, dev.invoke(g1.nonce, args(1)));
-  const auto r2 = hub.verify_report(id, g2.seq, dev.invoke(g2.nonce, args(2)));
+  const auto r3 = submit_report(hub, id, g3.seq, dev.invoke(g3.nonce, args(3)));
+  const auto r1 = submit_report(hub, id, g1.seq, dev.invoke(g1.nonce, args(1)));
+  const auto r2 = submit_report(hub, id, g2.seq, dev.invoke(g2.nonce, args(2)));
   EXPECT_TRUE(r1.accepted());
   EXPECT_TRUE(r2.accepted());
   EXPECT_TRUE(r3.accepted());
@@ -205,12 +215,12 @@ TEST(hub, capacity_eviction_is_explicit_challenge_superseded) {
   const auto rep1 = dev.invoke(g1.nonce, args(1));  // answer g1... too late:
   const auto g3 = hub.challenge(id);                // g3 evicts g1
   EXPECT_EQ(g3.note, proto_error::challenge_superseded);
-  const auto r1 = hub.verify_report(id, g1.seq, rep1);
+  const auto r1 = submit_report(hub, id, g1.seq, rep1);
   EXPECT_EQ(r1.error, proto_error::challenge_superseded);
   // g2 and g3 still verify.
-  EXPECT_TRUE(hub.verify_report(id, g2.seq, dev.invoke(g2.nonce, args(2)))
+  EXPECT_TRUE(submit_report(hub, id, g2.seq, dev.invoke(g2.nonce, args(2)))
                   .accepted());
-  EXPECT_TRUE(hub.verify_report(id, g3.seq, dev.invoke(g3.nonce, args(3)))
+  EXPECT_TRUE(submit_report(hub, id, g3.seq, dev.invoke(g3.nonce, args(3)))
                   .accepted());
 }
 
@@ -228,9 +238,9 @@ TEST(hub, challenges_expire_on_the_tick_clock) {
   hub.tick(5);
   const auto g2 = hub.challenge(id);  // younger: survives the cutoff
   hub.tick(6);                        // g1 is now 11 ticks old, g2 only 6
-  const auto r1 = hub.verify_report(id, g1.seq, rep1);
+  const auto r1 = submit_report(hub, id, g1.seq, rep1);
   EXPECT_EQ(r1.error, proto_error::challenge_expired);
-  const auto r2 = hub.verify_report(id, g2.seq, dev.invoke(g2.nonce, args(2)));
+  const auto r2 = submit_report(hub, id, g2.seq, dev.invoke(g2.nonce, args(2)));
   EXPECT_TRUE(r2.accepted());
 }
 
@@ -245,13 +255,13 @@ TEST(hub, sequence_mismatch_is_detected) {
   const auto g2 = hub.challenge(id);
   // A frame carrying g1's nonce but claiming g2's seq is inconsistent.
   const auto rep = dev.invoke(g1.nonce, args(1));
-  EXPECT_EQ(hub.verify_report(id, g2.seq, rep).error,
+  EXPECT_EQ(submit_report(hub, id, g2.seq, rep).error,
             proto_error::sequence_mismatch);
   // A wire seq of 0 is NOT a skip token: it must mismatch too.
-  EXPECT_EQ(hub.verify_report(id, 0, rep).error,
+  EXPECT_EQ(submit_report(hub, id, 0, rep).error,
             proto_error::sequence_mismatch);
   // A mismatch burns nothing: the consistent (nonce, seq) still verifies.
-  EXPECT_TRUE(hub.verify_report(id, g1.seq, rep).accepted());
+  EXPECT_TRUE(submit_report(hub, id, g1.seq, rep).accepted());
 }
 
 TEST(hub, never_issued_nonce_is_stale) {
@@ -263,7 +273,7 @@ TEST(hub, never_issued_nonce_is_stale) {
   std::array<std::uint8_t, 16> bogus{};
   bogus.fill(0xee);
   const auto rep = dev.invoke(bogus, args(1));
-  EXPECT_EQ(hub.verify_report(id, 1, rep).error, proto_error::stale_nonce);
+  EXPECT_EQ(submit_report(hub, id, 1, rep).error, proto_error::stale_nonce);
 }
 
 // ---------------------------------------------------------------------------
@@ -283,7 +293,7 @@ TEST(hub, report_mac_from_device_a_rejected_for_device_b) {
   // the MAC cannot verify under K_dev(B).
   const auto grant_b = hub.challenge(id_b);
   const auto rep = dev_a.invoke(grant_b.nonce, args(20, 22));
-  const auto r = hub.verify_report(id_b, grant_b.seq, rep);
+  const auto r = submit_report(hub, id_b, grant_b.seq, rep);
   EXPECT_EQ(r.error, proto_error::none);  // protocol-level fine...
   EXPECT_FALSE(r.accepted());             // ...but cryptographically rejected
   EXPECT_TRUE(r.verdict.has(verifier::attack_kind::mac_invalid));
@@ -559,34 +569,6 @@ TEST(hub, adopted_baseline_survives_frame_buffer_reuse) {
   EXPECT_EQ(r.verdict.replayed_result, 13);
 }
 
-TEST(hub, baselines_can_be_disabled_per_hub) {
-  device_registry reg(master_key());
-  const auto prog = adder_prog();
-  const auto id = reg.provision(prog);
-  hub_config cfg;
-  cfg.sequential_batch = true;
-  cfg.or_baselines = false;
-  verifier_hub hub(reg, cfg);
-  proto::prover_device dev(prog, reg.derive_key(id));
-
-  const auto g1 = hub.challenge(id);
-  const auto rep1 = dev.invoke(g1.nonce, args(1, 2));
-  ASSERT_TRUE(hub.submit(frame_for(id, g1, rep1)).accepted());
-  // No baseline was adopted: a byte-perfect delta is still rejected.
-  const auto g2 = hub.challenge(id);
-  const auto rep2 = dev.invoke(g2.nonce, args(3, 4));
-  proto::frame_info info;
-  info.device_id = id;
-  info.seq = g2.seq;
-  const auto r = hub.submit(
-      proto::encode_delta_frame(info, rep2, g1.seq, rep1.or_bytes));
-  EXPECT_EQ(r.error, proto_error::baseline_mismatch);
-  // And none is ever persisted through a dump.
-  for (const auto& d : hub.dump_devices()) {
-    EXPECT_FALSE(d.baseline.valid);
-  }
-}
-
 TEST(hub_concurrency, delta_submit_hammer_keeps_baselines_untorn) {
   // 8 threads × delta/full/tampered submissions on ONE device (maximal
   // shard-lock contention on the baseline). Run under TSan in CI. After
@@ -815,7 +797,7 @@ TEST(hub_concurrency, outstanding_count_is_expiry_aware) {
   const auto g1 = hub.challenge(id);
   const auto rep1 = dev.invoke(g1.nonce, args(1));
   hub.tick(5);
-  const auto g2 = hub.challenge(id);
+  hub.challenge(id);
   EXPECT_EQ(hub.outstanding(id), 2u);
   // g1 dies at age 11. No challenge/verify runs on this device in
   // between, so only the lazily-swept table holds it — the count must
@@ -825,7 +807,7 @@ TEST(hub_concurrency, outstanding_count_is_expiry_aware) {
   hub.tick(5);  // now g2 (age 11) is dead too
   EXPECT_EQ(hub.outstanding(id), 0u);
   // The late report still gets its precise typed error.
-  EXPECT_EQ(hub.verify_report(id, g1.seq, rep1).error,
+  EXPECT_EQ(submit_report(hub, id, g1.seq, rep1).error,
             proto_error::challenge_expired);
 }
 
@@ -873,6 +855,96 @@ TEST(hub_concurrency, many_devices_one_firmware_verify_in_parallel) {
 }
 
 // ---------------------------------------------------------------------------
+// Journal, then count
+// ---------------------------------------------------------------------------
+
+/// At every verdict it is handed, checks that the hub's counters do not
+/// include that verdict yet. A store's compaction folds the live counters
+/// into its snapshot (merge_live_stats); a verdict counted before its
+/// journal append could land both in that snapshot and in the next WAL
+/// generation, and be counted twice on recovery. Reads only the
+/// lock-free hub-level stats, so calling back into the hub is safe here.
+class count_after_journal_sink : public persist_sink {
+ public:
+  const verifier_hub* hub = nullptr;
+  std::uint64_t accepted = 0;
+  std::uint64_t rejected_verdict = 0;
+  std::array<std::uint64_t, proto::proto_error_count> by_error{};
+
+  void on_provision(const device_record&) override {}
+  void on_challenge(device_id, std::uint32_t, const nonce16&,
+                    std::uint64_t) override {}
+  void on_retire(device_id, const nonce16&, nonce_fate) override {}
+  void on_baseline(device_id, std::uint32_t,
+                   std::span<const std::uint8_t>) override {}
+  void on_tick(std::uint64_t) override {}
+  void on_verdict(device_id, proto_error error, bool ok) override {
+    const auto s = hub->stats(/*include_per_device=*/false);
+    const auto e = static_cast<std::size_t>(error);
+    if (error != proto_error::none) {
+      EXPECT_EQ(s.rejected_by_error[e], by_error[e])
+          << proto::to_string(error);
+      ++by_error[e];
+    } else if (ok) {
+      EXPECT_EQ(s.reports_accepted, accepted);
+      ++accepted;
+    } else {
+      EXPECT_EQ(s.reports_rejected_verdict, rejected_verdict);
+      ++rejected_verdict;
+    }
+  }
+};
+
+TEST(hub, verdicts_are_journaled_before_they_are_counted) {
+  device_registry reg(master_key());
+  const auto prog = adder_prog();
+  const auto id = reg.provision(prog);
+  count_after_journal_sink sink;
+  hub_config cfg;
+  cfg.sequential_batch = true;
+  cfg.sink = &sink;
+  verifier_hub hub(reg, cfg);
+  sink.hub = &hub;
+  proto::prover_device dev(prog, reg.derive_key(id));
+
+  // Accepted, then replayed (a protocol rejection).
+  const auto g1 = hub.challenge(id);
+  const auto rep1 = dev.invoke(g1.nonce, args(20, 22));
+  EXPECT_TRUE(submit_report(hub, id, g1.seq, rep1).accepted());
+  EXPECT_EQ(submit_report(hub, id, g1.seq, rep1).error,
+            proto_error::replayed_report);
+  // A verdict rejection.
+  const auto g2 = hub.challenge(id);
+  auto forged = dev.invoke(g2.nonce, args(1, 2));
+  forged.claimed_result = 0x1234;
+  EXPECT_FALSE(submit_report(hub, id, g2.seq, forged).accepted());
+  // A delta naming a baseline the hub does not hold, then the full frame.
+  const auto g3 = hub.challenge(id);
+  const auto rep3 = dev.invoke(g3.nonce, args(3, 4));
+  proto::frame_info info;
+  info.device_id = id;
+  info.seq = g3.seq;
+  EXPECT_EQ(hub.submit(proto::encode_delta_frame(info, rep3, g1.seq + 9,
+                                                 rep1.or_bytes))
+                .error,
+            proto_error::baseline_mismatch);
+  EXPECT_TRUE(submit_report(hub, id, g3.seq, rep3).accepted());
+
+  EXPECT_EQ(sink.accepted, 2u);
+  EXPECT_EQ(sink.rejected_verdict, 1u);
+  EXPECT_EQ(sink.by_error[static_cast<std::size_t>(
+                proto_error::replayed_report)],
+            1u);
+  EXPECT_EQ(sink.by_error[static_cast<std::size_t>(
+                proto_error::baseline_mismatch)],
+            1u);
+  const auto s = hub.stats();
+  EXPECT_EQ(s.reports_accepted, 2u);
+  EXPECT_EQ(s.reports_rejected_verdict, 1u);
+  EXPECT_EQ(s.reports_rejected_protocol(), 2u);
+}
+
+// ---------------------------------------------------------------------------
 // Hub metrics
 // ---------------------------------------------------------------------------
 
@@ -893,15 +965,15 @@ TEST(hub, stats_count_accepts_rejects_and_challenge_lifecycle) {
   // rejection).
   const auto g1 = hub.challenge(id);
   const auto rep1 = dev.invoke(g1.nonce, args(20, 22));
-  EXPECT_TRUE(hub.verify_report(id, g1.seq, rep1).accepted());
-  EXPECT_EQ(hub.verify_report(id, g1.seq, rep1).error,
+  EXPECT_TRUE(submit_report(hub, id, g1.seq, rep1).accepted());
+  EXPECT_EQ(submit_report(hub, id, g1.seq, rep1).error,
             proto_error::replayed_report);
   EXPECT_EQ(hub.submit(byte_vec(16, 0)).error, proto_error::bad_magic);
 
   const auto g2 = hub.challenge(id);
   auto forged = dev.invoke(g2.nonce, args(1, 2));
   forged.claimed_result = 0x1234;
-  const auto r = hub.verify_report(id, g2.seq, forged);
+  const auto r = submit_report(hub, id, g2.seq, forged);
   EXPECT_EQ(r.error, proto_error::none);
   EXPECT_FALSE(r.accepted());
 
@@ -948,13 +1020,13 @@ TEST(hub, stats_break_down_per_device) {
   for (int i = 0; i < 2; ++i) {
     const auto g = hub.challenge(id_a);
     EXPECT_TRUE(
-        hub.verify_report(id_a, g.seq, dev_a.invoke(g.nonce, args(1, 2)))
+        submit_report(hub, id_a, g.seq, dev_a.invoke(g.nonce, args(1, 2)))
             .accepted());
   }
   const auto ga = hub.challenge(id_a);
   const auto rep_a = dev_a.invoke(ga.nonce, args(3, 4));
-  EXPECT_TRUE(hub.verify_report(id_a, ga.seq, rep_a).accepted());
-  EXPECT_EQ(hub.verify_report(id_a, ga.seq, rep_a).error,
+  EXPECT_TRUE(submit_report(hub, id_a, ga.seq, rep_a).accepted());
+  EXPECT_EQ(submit_report(hub, id_a, ga.seq, rep_a).error,
             proto_error::replayed_report);
 
   // Device B: one verdict rejection (forged result) and one protocol
@@ -962,16 +1034,16 @@ TEST(hub, stats_break_down_per_device) {
   const auto gb = hub.challenge(id_b);
   auto forged = dev_b.invoke(gb.nonce, args(1, 2));
   forged.claimed_result = 0x1234;
-  EXPECT_FALSE(hub.verify_report(id_b, gb.seq, forged).accepted());
+  EXPECT_FALSE(submit_report(hub, id_b, gb.seq, forged).accepted());
   const auto gb2 = hub.challenge(id_b);
-  EXPECT_EQ(hub.verify_report(id_b, gb2.seq + 7,
+  EXPECT_EQ(submit_report(hub, id_b, gb2.seq + 7,
                               dev_b.invoke(gb2.nonce, args(1, 2)))
                 .error,
             proto_error::sequence_mismatch);
 
   // A submission for an unprovisioned id must NOT grow the map.
   verifier::attestation_report bogus;
-  EXPECT_EQ(hub.verify_report(9999, 1, bogus).error,
+  EXPECT_EQ(submit_report(hub, 9999, 1, bogus).error,
             proto_error::unknown_device);
 
   const auto s = hub.stats();
@@ -1127,13 +1199,14 @@ TEST(hub_obs, accepted_report_times_every_stage) {
 
   const auto g = hub.challenge(id);
   ASSERT_TRUE(
-      hub.verify_report(id, g.seq, dev.invoke(g.nonce, args(2, 3)))
+      submit_report(hub, id, g.seq, dev.invoke(g.nonce, args(2, 3)))
           .accepted());
 
   const auto p = hub.pipeline();
-  // verify_report enters after decode, so journal/mac/replay/verdict
-  // each saw exactly one sample (0ns at clock granularity still counts).
+  // Every stage saw exactly one sample (0ns at clock granularity still
+  // counts).
   using obs::stage;
+  EXPECT_EQ(p.stages[static_cast<std::size_t>(stage::decode)].count, 1u);
   EXPECT_EQ(p.stages[static_cast<std::size_t>(stage::journal)].count, 1u);
   EXPECT_EQ(p.stages[static_cast<std::size_t>(stage::mac)].count, 1u);
   EXPECT_EQ(p.stages[static_cast<std::size_t>(stage::replay)].count, 1u);
@@ -1195,7 +1268,7 @@ TEST(hub_obs, disabled_observability_records_nothing) {
 
   const auto g = hub.challenge(id);
   ASSERT_TRUE(
-      hub.verify_report(id, g.seq, dev.invoke(g.nonce, args(1, 1)))
+      submit_report(hub, id, g.seq, dev.invoke(g.nonce, args(1, 1)))
           .accepted());
 
   const auto p = hub.pipeline();

@@ -1,9 +1,9 @@
-// Replay fast-path differential suite (PR 10): the direct-dispatch replay
-// loop and the memoized path must produce verdicts FIELD-IDENTICAL to the
-// legacy live-decode loop — over the four evaluation apps, the
-// attack/forged/CFA rounds and the wire fuzz corpus — plus the replay
-// memo's own LRU/counter semantics and the top-of-address-space
-// fail-closed behavior.
+// Replay fast-path differential suite: the direct-dispatch replay loop
+// and the reuse of a device's last accepted round must produce verdicts
+// FIELD-IDENTICAL to the legacy live-decode loop — over the four
+// evaluation apps, the attack/forged/CFA rounds and the wire fuzz corpus
+// — plus the reuse rule's security invariants and the
+// top-of-address-space fail-closed behavior.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -15,8 +15,8 @@
 #include "fleet/verifier_hub.h"
 #include "helpers.h"
 #include "proto/wire.h"
+#include "store/fleet_store.h"
 #include "verifier/firmware_artifact.h"
-#include "verifier/replay_cache.h"
 
 namespace dialed::verifier {
 namespace {
@@ -35,45 +35,13 @@ struct dispatch_guard {
   ~dispatch_guard() { replay_force_dispatch(replay_dispatch::fast); }
 };
 
-void expect_verdict_eq(const verdict& a, const verdict& b,
-                       const std::string& label) {
-  EXPECT_EQ(a.accepted, b.accepted) << label;
-  EXPECT_EQ(a.replayed_result, b.replayed_result) << label;
-  EXPECT_EQ(a.replay_instructions, b.replay_instructions) << label;
-  EXPECT_EQ(a.log_slots_consumed, b.log_slots_consumed) << label;
-  EXPECT_EQ(a.log_bytes, b.log_bytes) << label;
-  EXPECT_EQ(a.result_tainted, b.result_tainted) << label;
-  ASSERT_EQ(a.findings.size(), b.findings.size()) << label;
-  for (std::size_t i = 0; i < a.findings.size(); ++i) {
-    EXPECT_EQ(a.findings[i].kind, b.findings[i].kind) << label;
-    EXPECT_EQ(a.findings[i].detail, b.findings[i].detail) << label;
-    EXPECT_EQ(a.findings[i].pc, b.findings[i].pc) << label;
-    EXPECT_EQ(a.findings[i].addr, b.findings[i].addr) << label;
-  }
-  ASSERT_EQ(a.annotated_log.size(), b.annotated_log.size()) << label;
-  for (std::size_t i = 0; i < a.annotated_log.size(); ++i) {
-    EXPECT_EQ(a.annotated_log[i].slot, b.annotated_log[i].slot) << label;
-    EXPECT_EQ(a.annotated_log[i].value, b.annotated_log[i].value) << label;
-    EXPECT_EQ(a.annotated_log[i].kind, b.annotated_log[i].kind) << label;
-    EXPECT_EQ(a.annotated_log[i].source_pc, b.annotated_log[i].source_pc)
-        << label;
-  }
-  ASSERT_EQ(a.io_trace.size(), b.io_trace.size()) << label;
-  for (std::size_t i = 0; i < a.io_trace.size(); ++i) {
-    EXPECT_EQ(a.io_trace[i].addr, b.io_trace[i].addr) << label;
-    EXPECT_EQ(a.io_trace[i].value, b.io_trace[i].value) << label;
-    EXPECT_EQ(a.io_trace[i].pc, b.io_trace[i].pc) << label;
-    EXPECT_EQ(a.io_trace[i].tainted, b.io_trace[i].tainted) << label;
-  }
-}
-
 void expect_result_eq(const fleet::attest_result& a,
                       const fleet::attest_result& b,
                       const std::string& label) {
   EXPECT_EQ(a.error, b.error) << label;
   EXPECT_EQ(a.device, b.device) << label;
   EXPECT_EQ(a.seq, b.seq) << label;
-  expect_verdict_eq(a.verdict, b.verdict, label);
+  test::expect_same_verdict(a.verdict, b.verdict, label);
 }
 
 std::vector<apps::app_spec> four_apps() {
@@ -82,8 +50,10 @@ std::vector<apps::app_spec> four_apps() {
   return specs;
 }
 
-/// Verify one report under every dispatch/memo combination and require
-/// field-identical verdicts throughout. Returns the legacy verdict.
+/// Verify one report on the legacy loop, on the fast loop, and with the
+/// fast verdict offered back as the device's prior round (reused when it
+/// was accepted); require field-identical verdicts throughout. Returns
+/// the legacy verdict.
 verdict expect_all_paths_equal(const firmware_artifact& fw,
                                const attestation_report& rep,
                                const std::array<std::uint8_t, 16>& chal,
@@ -97,20 +67,21 @@ verdict expect_all_paths_equal(const firmware_artifact& fw,
     legacy = fw.verify(rep, ks, no_policies, chal);
   }
   const verdict fast = fw.verify(rep, ks, no_policies, chal);
-  expect_verdict_eq(legacy, fast, label + "/fast-vs-legacy");
+  test::expect_same_verdict(legacy, fast, label + "/fast-vs-legacy");
 
-  replay_memo memo(8);
-  const verdict miss =
-      fw.verify(rep, ks, no_policies, chal, nullptr, &memo);
-  const verdict hit =
-      fw.verify(rep, ks, no_policies, chal, nullptr, &memo);
-  expect_verdict_eq(legacy, miss, label + "/memo-miss-vs-legacy");
-  expect_verdict_eq(legacy, hit, label + "/memo-hit-vs-legacy");
+  const accepted_round prior{fw.id(), rep.or_bytes, fast};
+  const verdict again =
+      fw.verify(rep, ks, no_policies, chal, nullptr, &prior);
+  const bool reusable =
+      fast.accepted && fast.replay == replay_path::replayed;
+  EXPECT_EQ(again.replay, reusable ? replay_path::reused : fast.replay)
+      << label;
+  test::expect_same_verdict(legacy, again, label + "/prior-vs-legacy");
   return legacy;
 }
 
 // ---------------------------------------------------------------------------
-// Differential: legacy vs fast vs memoized
+// Differential: legacy vs fast vs reused
 // ---------------------------------------------------------------------------
 
 TEST(dispatch, all_apps_benign_rounds_identical) {
@@ -150,7 +121,7 @@ TEST(dispatch, attack_and_forged_rounds_identical) {
 
 TEST(dispatch, cfa_rounds_identical) {
   // Tiny-CFA mode never replays (no I-Log), but it must still verify
-  // identically regardless of the dispatch pin or an offered memo.
+  // identically regardless of the dispatch pin or an offered prior round.
   const auto prog =
       apps::build_app(apps::fig1_app(), instr::instrumentation::tinycfa);
   proto::prover_device dev(prog, test::test_key());
@@ -168,7 +139,9 @@ TEST(dispatch, cfa_rounds_identical) {
 TEST(dispatch, hub_legacy_vs_fast_over_fuzz_corpus) {
   // Two identically-seeded hubs, one pinned to the legacy loop, replay
   // the checked-in wire fuzz corpus plus a valid round; every frame must
-  // produce a field-identical attest_result.
+  // produce a field-identical attest_result. One valid round only: a
+  // repeated identical round would be reused on both hubs, and the
+  // legacy loop would never run.
   device_registry reg(master_key());
   const auto prog = build_op("int op(int a, int b) { return a + b; }",
                              "op", instr::instrumentation::dialed);
@@ -218,123 +191,280 @@ TEST(dispatch, hub_legacy_vs_fast_over_fuzz_corpus) {
 }
 
 // ---------------------------------------------------------------------------
-// Memo semantics
+// Replay reuse: the device's last accepted round
 // ---------------------------------------------------------------------------
 
-TEST(memo, counts_hits_misses_and_ignores_the_nonce) {
-  const auto prog = build_op("int op(int a, int b) { return a + b; }",
-                             "op", instr::instrumentation::dialed);
+instr::linked_program adder() {
+  return build_op("int op(int a, int b) { return a + b; }", "op",
+                  instr::instrumentation::dialed);
+}
+
+proto::invocation args(std::uint16_t a, std::uint16_t b) {
+  proto::invocation inv;
+  inv.args[0] = a;
+  inv.args[1] = b;
+  return inv;
+}
+
+/// One challenge -> invoke -> v2 frame -> submit round; `tamper` edits
+/// the report in transit. Returns the report with the result.
+std::pair<attestation_report, fleet::attest_result> round_on(
+    test::hub_device& dut, const proto::invocation& inv,
+    const std::function<void(attestation_report&)>& tamper = {}) {
+  const auto grant = dut.hub.challenge(dut.id);
+  auto rep = dut.dev.invoke(grant.nonce, inv);
+  if (tamper) tamper(rep);
+  auto r = dut.submit(grant, rep);
+  return {std::move(rep), std::move(r)};
+}
+
+TEST(reuse, identical_rounds_replay_once_then_reuse_on_all_apps) {
+  for (const auto& app : four_apps()) {
+    const auto prog = apps::build_app(app, instr::instrumentation::dialed);
+    test::hub_device dut(prog);
+    const op_verifier fresh(prog, dut.registry.derive_key(dut.id));
+    for (int round = 0; round < 3; ++round) {
+      const auto label = app.name + " round " + std::to_string(round);
+      const auto [rep, r] = round_on(dut, app.representative_input);
+      ASSERT_TRUE(r.accepted()) << label;
+      EXPECT_EQ(r.verdict.replay,
+                round == 0 ? replay_path::replayed : replay_path::reused)
+          << label;
+      test::expect_same_verdict(fresh.verify(rep, rep.challenge), r.verdict,
+                                label);
+    }
+    const auto s = dut.hub.stats();
+    EXPECT_EQ(s.replay_memo_misses, 1u) << app.name;
+    EXPECT_EQ(s.replay_memo_hits, 2u) << app.name;
+  }
+}
+
+TEST(reuse, rejected_round_is_never_reused) {
+  test::hub_device dut(adder());
+  // The forged claim leaves the OR untouched, so the honest rounds that
+  // follow carry byte-identical OR bytes: the first must still replay.
+  const auto [forged_rep, forged] =
+      round_on(dut, args(1, 2), [](attestation_report& rep) {
+        rep.claimed_result = 0x1234;
+      });
+  EXPECT_FALSE(forged.accepted());
+  EXPECT_TRUE(forged.verdict.has(attack_kind::result_forged));
+  const auto [rep1, r1] = round_on(dut, args(1, 2));
+  ASSERT_EQ(rep1.or_bytes, forged_rep.or_bytes);
+  EXPECT_TRUE(r1.accepted());
+  EXPECT_EQ(r1.verdict.replay, replay_path::replayed);
+  const auto [rep2, r2] = round_on(dut, args(1, 2));
+  EXPECT_TRUE(r2.accepted());
+  EXPECT_EQ(r2.verdict.replay, replay_path::reused);
+  const auto s = dut.hub.stats();
+  EXPECT_EQ(s.replay_memo_misses, 2u);
+  EXPECT_EQ(s.replay_memo_hits, 1u);
+}
+
+TEST(reuse, forged_claimed_result_is_caught_on_a_reused_round) {
+  const auto prog = adder();
+  test::hub_device dut(prog);
+  const op_verifier fresh(prog, dut.registry.derive_key(dut.id));
+  ASSERT_TRUE(round_on(dut, args(20, 22)).second.accepted());
+
+  // The claimed result is covered by neither the OR nor the MAC.
+  const auto [rep, r] =
+      round_on(dut, args(20, 22), [](attestation_report& rep) {
+        rep.claimed_result ^= 0x5a5a;
+      });
+  EXPECT_EQ(r.verdict.replay, replay_path::reused);
+  EXPECT_FALSE(r.accepted());
+  ASSERT_EQ(r.verdict.findings.size(), 1u);
+  EXPECT_EQ(r.verdict.findings[0].kind, attack_kind::result_forged);
+  test::expect_same_verdict(fresh.verify(rep, rep.challenge), r.verdict,
+                            "forged-on-reuse");
+
+  // The rejection did not displace the accepted round.
+  const auto [rep3, r3] = round_on(dut, args(20, 22));
+  EXPECT_TRUE(r3.accepted());
+  EXPECT_EQ(r3.verdict.replay, replay_path::reused);
+}
+
+TEST(reuse, mac_is_verified_before_any_reuse) {
+  test::hub_device dut(adder());
+  ASSERT_TRUE(round_on(dut, args(20, 22)).second.accepted());
+
+  const auto flip_or = round_on(dut, args(20, 22), [](auto& rep) {
+    rep.or_bytes[rep.or_bytes.size() / 2] ^= 0x01;
+  });
+  EXPECT_TRUE(flip_or.second.verdict.has(attack_kind::mac_invalid));
+  EXPECT_EQ(flip_or.second.verdict.replay, replay_path::none);
+
+  // Byte-identical OR under a forged MAC: still no reuse.
+  const auto flip_mac = round_on(dut, args(20, 22),
+                                 [](auto& rep) { rep.mac[0] ^= 0x01; });
+  EXPECT_TRUE(flip_mac.second.verdict.has(attack_kind::mac_invalid));
+  EXPECT_EQ(flip_mac.second.verdict.replay, replay_path::none);
+
+  const auto s = dut.hub.stats();
+  EXPECT_EQ(s.replay_memo_misses, 1u);
+  EXPECT_EQ(s.replay_memo_hits, 0u);
+}
+
+TEST(reuse, second_device_with_identical_or_replays) {
+  fleet::device_registry reg(test::test_key());
+  const auto prog = adder();
+  const auto id_a = reg.provision(prog);
+  const auto id_b = reg.provision(prog);
+  verifier_hub hub(reg, test::hub_device::default_config());
+  std::vector<attestation_report> reps;
+  for (const auto id : {id_a, id_b}) {
+    proto::prover_device dev(prog, reg.derive_key(id));
+    const auto grant = hub.challenge(id);
+    reps.push_back(dev.invoke(grant.nonce, args(20, 22)));
+    const auto r = hub.submit(proto::encode_frame(
+        proto::frame_info{.device_id = id, .seq = grant.seq}, reps.back()));
+    ASSERT_TRUE(r.accepted());
+    EXPECT_EQ(r.verdict.replay, replay_path::replayed);
+  }
+  // Same firmware, same inputs: the OR bytes do not depend on the key.
+  EXPECT_EQ(reps[0].or_bytes, reps[1].or_bytes);
+  const auto s = hub.stats();
+  EXPECT_EQ(s.replay_memo_misses, 2u);
+  EXPECT_EQ(s.replay_memo_hits, 0u);
+}
+
+TEST(reuse, reopened_store_replays_the_first_round_then_reuses) {
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "dialed-reuse-reopened-store";
+  fs::remove_all(dir);
+  store::fleet_store::options opts;
+  opts.master_key = master_key();
+  opts.hub.sequential_batch = true;
+
+  fleet::device_id id = 0;
+  std::uint32_t seq = 0;
+  byte_vec or_bytes;
+  {
+    auto st = store::fleet_store::open(dir.string(), opts);
+    id = st.registry->provision(adder());
+    proto::prover_device dev(*st.registry->find(id)->program,
+                             st.registry->find(id)->key);
+    const auto g = st.hub->challenge(id);
+    const auto rep = dev.invoke(g.nonce, args(20, 22));
+    ASSERT_TRUE(st.hub->submit(proto::encode_frame(
+                                   {.device_id = id, .seq = g.seq}, rep))
+                    .accepted());
+    seq = g.seq;
+    or_bytes = rep.or_bytes;
+  }  // "crash"
+
+  // The restored baseline holds the bytes but no verdict: it still
+  // serves delta frames, and the first round after the restart replays.
+  {
+    auto st = store::fleet_store::open(dir.string(), opts);
+    proto::prover_device dev(*st.registry->find(id)->program,
+                             st.registry->find(id)->key);
+    for (const auto want : {replay_path::replayed, replay_path::reused}) {
+      const auto g = st.hub->challenge(id);
+      const auto rep = dev.invoke(g.nonce, args(20, 22));
+      ASSERT_EQ(rep.or_bytes, or_bytes);
+      const auto r = st.hub->submit(proto::encode_delta_frame(
+          {.device_id = id, .seq = g.seq}, rep, seq, or_bytes));
+      ASSERT_TRUE(r.accepted());
+      EXPECT_EQ(r.verdict.replay, want);
+      seq = g.seq;
+    }
+    const auto s = st.hub->stats();
+    EXPECT_EQ(s.replay_memo_misses, 1u);
+    EXPECT_EQ(s.replay_memo_hits, 1u);
+  }
+  fs::remove_all(dir);
+}
+
+TEST(reuse, concurrent_rounds_of_one_device) {
+  // Pool workers verify rounds of ONE device at once while accepted
+  // rounds swap its baseline (run under TSan in CI). Two input vectors
+  // interleave, so reuse hits and replays both race with the swaps. A
+  // round whose bytes and verdict came from different rounds would
+  // carry the wrong replayed result and fail the claimed-result check.
+  fleet::hub_config cfg = test::hub_device::default_config();
+  cfg.sequential_batch = false;
+  cfg.workers = 4;
+  cfg.max_outstanding = 32;
+  test::hub_device dut(adder(), cfg);
+  ASSERT_TRUE(round_on(dut, args(20, 22)).second.accepted());
+
+  std::vector<byte_vec> frames;
+  std::vector<attestation_report> reps;
+  for (int i = 0; i < 24; ++i) {
+    const auto grant = dut.hub.challenge(dut.id);
+    reps.push_back(dut.dev.invoke(
+        grant.nonce, i % 3 == 2 ? args(1, 2) : args(20, 22)));
+    frames.push_back(proto::encode_frame(
+        {.device_id = dut.id, .seq = grant.seq}, reps.back()));
+  }
+  const auto results = dut.hub.verify_batch(frames);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_TRUE(results[i].accepted()) << i;
+    EXPECT_EQ(results[i].verdict.replayed_result, i % 3 == 2 ? 3 : 42)
+        << i;
+  }
+  const auto s = dut.hub.stats();
+  EXPECT_EQ(s.replay_memo_hits + s.replay_memo_misses, 25u);
+
+  // The baseline is the newest round (inputs 1, 2), and its verdict
+  // matches its bytes.
+  const auto dump = dut.hub.dump_devices();
+  ASSERT_EQ(dump.size(), 1u);
+  EXPECT_EQ(dump[0].baseline.seq, results.back().seq);
+  EXPECT_EQ(dump[0].baseline.bytes, reps.back().or_bytes);
+  const auto [rep, r] = round_on(dut, args(1, 2));
+  EXPECT_TRUE(r.accepted());
+  EXPECT_EQ(r.verdict.replay, replay_path::reused);
+  EXPECT_EQ(r.verdict.replayed_result, 3);
+}
+
+TEST(reuse, artifact_checks_artifact_policies_acceptance_and_bytes) {
+  const auto prog = adder();
   const auto fw = firmware_artifact::build(prog);
+  const auto other = firmware_artifact::build(
+      build_op("int op(int a, int b) { return a - b; }", "op",
+               instr::instrumentation::dialed));
+  ASSERT_NE(fw->id(), other->id());
   proto::prover_device dev(prog, test::test_key());
   const auto ks = crypto::hmac_keystate::derive(test::test_key());
-  const std::vector<std::shared_ptr<policy>> no_policies;
-  proto::invocation inv;
-  inv.args[0] = 3;
-  inv.args[1] = 4;
-
-  replay_memo memo(8);
-  std::array<std::uint8_t, 16> chal1{};
-  chal1.fill(0x11);
-  const auto rep1 = dev.invoke(chal1, inv);
-  EXPECT_TRUE(
-      fw->verify(rep1, ks, no_policies, chal1, nullptr, &memo).accepted);
-  EXPECT_EQ(memo.misses(), 1u);
-  EXPECT_EQ(memo.hits(), 0u);
-  EXPECT_EQ(memo.entries(), 1u);
-
-  // A fresh round with a DIFFERENT challenge but identical attested
-  // inputs: the nonce is deliberately outside the memo key (the MAC —
-  // which the hub verifies per report — is what binds it), so this is a
-  // hit.
-  std::array<std::uint8_t, 16> chal2{};
-  chal2.fill(0x22);
-  const auto rep2 = dev.invoke(chal2, inv);
-  ASSERT_EQ(rep1.or_bytes, rep2.or_bytes);
-  EXPECT_TRUE(
-      fw->verify(rep2, ks, no_policies, chal2, nullptr, &memo).accepted);
-  EXPECT_EQ(memo.hits(), 1u);
-  EXPECT_EQ(memo.misses(), 1u);
-
-  // Different arguments -> different attested inputs -> miss.
-  proto::invocation other;
-  other.args[0] = 9;
-  other.args[1] = 1;
-  const auto rep3 = dev.invoke(chal1, other);
-  EXPECT_TRUE(
-      fw->verify(rep3, ks, no_policies, chal1, nullptr, &memo).accepted);
-  EXPECT_EQ(memo.misses(), 2u);
-  EXPECT_EQ(memo.entries(), 2u);
-}
-
-TEST(memo, lru_eviction_is_bounded) {
-  const auto prog = build_op("int op(int a, int b) { return a + b; }",
-                             "op", instr::instrumentation::dialed);
-  const auto fw = firmware_artifact::build(prog);
-  proto::prover_device dev(prog, test::test_key());
   std::array<std::uint8_t, 16> chal{};
+  chal.fill(0x33);
+  const auto rep = dev.invoke(chal, args(20, 22));
+  const verdict v0 = fw->verify(rep, ks, {}, chal);
+  ASSERT_TRUE(v0.accepted);
+  ASSERT_EQ(v0.replay, replay_path::replayed);
 
-  replay_memo memo(2);
-  std::vector<attestation_report> reps;
-  for (int i = 0; i < 3; ++i) {
-    proto::invocation inv;
-    inv.args[0] = static_cast<std::uint16_t>(i);
-    inv.args[1] = 100;
-    reps.push_back(dev.invoke(chal, inv));
-  }
-  for (const auto& rep : reps) memo.get_or_replay(*fw, rep);
-  EXPECT_EQ(memo.entries(), 2u);
-  EXPECT_EQ(memo.misses(), 3u);
+  struct noop_policy : policy {
+    std::string name() const override { return "noop"; }
+  };
+  const std::vector<std::shared_ptr<policy>> none;
+  const std::vector<std::shared_ptr<policy>> one{
+      std::make_shared<noop_policy>()};
+  const auto path_with = [&](const accepted_round& prior,
+                             const std::vector<std::shared_ptr<policy>>&
+                                 policies) {
+    return fw->verify(rep, ks, policies, chal, nullptr, &prior).replay;
+  };
 
-  // reps[0] was least recently used and is gone; reps[2] still cached.
-  memo.get_or_replay(*fw, reps[2]);
-  EXPECT_EQ(memo.hits(), 1u);
-  memo.get_or_replay(*fw, reps[0]);
-  EXPECT_EQ(memo.misses(), 4u);
-}
-
-TEST(memo, hub_exposes_counters_and_policies_bypass) {
-  device_registry reg(master_key());
-  const auto prog = build_op("int op(int a, int b) { return a + b; }",
-                             "op", instr::instrumentation::dialed);
-  const auto id = reg.provision(prog);
-  fleet::hub_config cfg;
-  cfg.sequential_batch = true;
-  cfg.replay_memo_entries = 64;
-  verifier_hub hub(reg, cfg);
-  proto::prover_device dev(prog, reg.derive_key(id));
-  proto::invocation inv;
-  inv.args[0] = 20;
-  inv.args[1] = 22;
-
-  for (int round = 0; round < 3; ++round) {
-    const auto grant = hub.challenge(id);
-    const auto rep = dev.invoke(grant.nonce, inv);
-    proto::frame_info info;
-    info.device_id = id;
-    info.seq = grant.seq;
-    const auto r = hub.submit(proto::encode_frame(info, rep));
-    ASSERT_EQ(r.error, proto::proto_error::none);
-    EXPECT_TRUE(r.accepted());
-  }
-  const auto s = hub.stats();
-  EXPECT_EQ(s.replay_memo_misses, 1u);
-  EXPECT_EQ(s.replay_memo_hits, 2u);
-  EXPECT_EQ(s.replay_memo_entries, 1u);
-
-  // With the memo disabled every counter stays zero.
-  fleet::hub_config off = cfg;
-  off.replay_memo_entries = 0;
-  verifier_hub hub_off(reg, off);
-  const auto grant = hub_off.challenge(id);
-  const auto rep = dev.invoke(grant.nonce, inv);
-  proto::frame_info info;
-  info.device_id = id;
-  info.seq = grant.seq;
-  EXPECT_TRUE(hub_off.submit(proto::encode_frame(info, rep)).accepted());
-  const auto s_off = hub_off.stats();
-  EXPECT_EQ(s_off.replay_memo_hits + s_off.replay_memo_misses +
-                s_off.replay_memo_entries,
-            0u);
+  EXPECT_EQ(path_with({fw->id(), rep.or_bytes, v0}, none),
+            replay_path::reused);
+  EXPECT_EQ(path_with({other->id(), rep.or_bytes, v0}, none),
+            replay_path::replayed);
+  EXPECT_EQ(path_with({fw->id(), rep.or_bytes, v0}, one),
+            replay_path::replayed);
+  auto rejected = v0;
+  rejected.accepted = false;
+  EXPECT_EQ(path_with({fw->id(), rep.or_bytes, rejected}, none),
+            replay_path::replayed);
+  EXPECT_EQ(path_with({fw->id(), rep.or_bytes, std::nullopt}, none),
+            replay_path::replayed);
+  auto flipped = rep.or_bytes;
+  flipped.back() ^= 0x01;
+  EXPECT_EQ(path_with({fw->id(), flipped, v0}, none), replay_path::replayed);
+  const byte_vec shorter(rep.or_bytes.begin(), rep.or_bytes.end() - 2);
+  EXPECT_EQ(path_with({fw->id(), shorter, v0}, none), replay_path::replayed);
 }
 
 // ---------------------------------------------------------------------------
