@@ -1,7 +1,9 @@
 // Forensics: what the verifier can reconstruct from one attestation report.
 // Dumps the instrumented ER disassembly head, the annotated CF-Log/I-Log
 // (every slot classified by the abstract executor), and the replay
-// statistics — for a benign run and for the Fig. 2 data-only attack.
+// statistics — for a benign run and for the Fig. 2 data-only attack. The
+// verdict carries the decision only; the forensic record comes from
+// replaying the same report again with a `forensics` sink.
 //
 // Build & run:  ./examples/forensics
 #include <cstdio>
@@ -10,18 +12,19 @@
 #include "fleet/registry.h"
 #include "masm/disasm.h"
 #include "proto/prover.h"
+#include "verifier/replay.h"
 #include "verifier/verifier.h"
 
 using namespace dialed;
 
 namespace {
 
-void dump_log(const verifier::verdict& v, int max_entries) {
+void dump_log(const verifier::forensics& fx, int max_entries) {
   std::printf("  slot  value   kind         produced at\n");
   int shown = 0;
-  for (const auto& e : v.annotated_log) {
+  for (const auto& e : fx.annotated_log) {
     if (shown++ >= max_entries) {
-      std::printf("  ... (%zu entries total)\n", v.annotated_log.size());
+      std::printf("  ... (%zu entries total)\n", fx.annotated_log.size());
       break;
     }
     std::printf("  %4d  0x%04x  %-12s pc=0x%04x\n", e.slot, e.value,
@@ -70,7 +73,9 @@ int main() {
     std::printf("verdict: %s; %d log slots, %llu replayed instructions\n",
                 v.accepted ? "ACCEPTED" : "REJECTED", v.log_slots_consumed,
                 static_cast<unsigned long long>(v.replay_instructions));
-    dump_log(v, 14);
+    verifier::forensics fx;
+    verifier::replay_operation(*record.firmware, rep, {}, &fx);
+    dump_log(fx, 14);
   }
 
   std::printf("\n=== Attack round: settings[8] = 0 ===\n");
@@ -91,7 +96,9 @@ int main() {
                 log.argument(1));
 
     std::printf("\nperipheral writes with input-taint provenance:\n");
-    for (const auto& e : v.io_trace) {
+    verifier::forensics fx;
+    verifier::replay_operation(*record.firmware, rep, {}, &fx);
+    for (const auto& e : fx.io_trace) {
       std::printf("  pc=0x%04x  [0x%04x] <- 0x%04x  %s\n", e.pc, e.addr,
                   e.value,
                   e.tainted ? "INPUT-DERIVED (attacker-influencable)"

@@ -262,14 +262,6 @@ bool firmware_artifact::is_taken_label(std::uint16_t addr) const {
 }
 
 verdict firmware_artifact::verify(
-    const report_view& report, std::span<const std::uint8_t> key,
-    const std::vector<std::shared_ptr<policy>>& policies,
-    std::optional<std::array<std::uint8_t, 16>> expected_challenge) const {
-  return verify(report, crypto::hmac_keystate::derive(key), policies,
-                expected_challenge);
-}
-
-verdict firmware_artifact::verify(
     const report_view& report, const crypto::hmac_keystate& key_state,
     const std::vector<std::shared_ptr<policy>>& policies,
     std::optional<std::array<std::uint8_t, 16>> expected_challenge,
@@ -286,6 +278,7 @@ verdict firmware_artifact::verify(
          0, report.er_min});
     return v;
   }
+  if (!check_or_length(report, v.findings)) return v;
   if (expected_challenge && report.challenge != *expected_challenge) {
     v.findings.push_back({attack_kind::stale_challenge,
                           "challenge does not match the outstanding nonce",
@@ -394,9 +387,6 @@ verdict firmware_artifact::verify(
   v.findings.insert(v.findings.end(), rr.findings.begin(),
                     rr.findings.end());
   v.replay_instructions = rr.instructions;
-  v.annotated_log = std::move(rr.annotated_log);
-  v.io_trace = std::move(rr.io_trace);
-  v.result_tainted = rr.result_tainted;
 
   if (!rr.completed) {
     if (rr.findings.empty()) {
@@ -411,21 +401,6 @@ verdict firmware_artifact::verify(
   logfmt::log_view log(report.or_min, report.or_max, report.or_bytes);
   v.log_slots_consumed = log.used_slots(rr.final_r4);
   v.log_bytes = log.used_bytes(rr.final_r4);
-
-  // Replayed OR must byte-match the attested OR over the consumed region.
-  const std::size_t lo = static_cast<std::size_t>(rr.final_r4) + 2 -
-                         report.or_min;
-  for (std::size_t i = lo; i < report.or_bytes.size(); ++i) {
-    if (report.or_bytes[i] != rr.replay_or_bytes[i]) {
-      v.findings.push_back(
-          {attack_kind::replay_divergence,
-           "attested OR differs from the replayed OR at " +
-               hex16(static_cast<std::uint16_t>(report.or_min + i)),
-           0, static_cast<std::uint16_t>(report.or_min + i)});
-      break;
-    }
-  }
-
   check_claimed_result(report, v);
   stamp_replay();
   return v;

@@ -165,20 +165,14 @@ class firmware_artifact {
     return it == sites_.end() ? nullptr : &it->second;
   }
 
-  /// Full §III verification of one report against this firmware, under a
-  /// given device key. `policies` may be empty; `expected_challenge`
-  /// enforces anti-replay. Const, reentrant, and safe to call from many
-  /// threads at once. Takes a report_view (owning reports convert
-  /// implicitly); the viewed OR storage must stay alive for the call.
-  verdict verify(const report_view& report,
-                 std::span<const std::uint8_t> key,
-                 const std::vector<std::shared_ptr<policy>>& policies,
-                 std::optional<std::array<std::uint8_t, 16>>
-                     expected_challenge = std::nullopt) const;
-
-  /// Same, from a cached HMAC key schedule for the device key (what
-  /// fleet::device_record carries) — skips four key-block compressions
-  /// per report. `timings`, when non-null, receives the MAC/replay stage
+  /// Full §III verification of one report against this firmware, under
+  /// the cached HMAC key schedule of the device key (what
+  /// fleet::device_record and op_verifier carry). `policies` may be
+  /// empty; `expected_challenge` enforces anti-replay. Const, reentrant,
+  /// and safe to call from many threads at once. Takes a report_view
+  /// (owning reports convert implicitly); the viewed OR storage must stay
+  /// alive for the call. The verdict is the decision only (no forensics).
+  /// `timings`, when non-null, receives the MAC/replay stage
   /// split for pipeline stage attribution (no clock reads when null).
   /// `prior`, the device's last accepted round, lets a DIALED-mode report
   /// skip the replay: when the MAC verifies, no policies run, and `prior`

@@ -1,9 +1,7 @@
 #include "verifier/replay.h"
 
-#include <algorithm>
 #include <atomic>
 #include <bitset>
-#include <map>
 #include <optional>
 
 #include "common/bytes.h"
@@ -100,19 +98,33 @@ struct watcher_guard {
   ~watcher_guard() { bus.remove_watcher(w); }
 };
 
+/// Forensic capture, present only when the caller passed a sink: the
+/// output plus the taint bookkeeping behind its provenance bits. A
+/// verdict-only replay never allocates or clears any of it.
+struct forensic_state {
+  forensics& out;
+  bool reg_taint[16] = {};
+  std::bitset<0x10000> mem_taint;
+  bool write_taint = false;  ///< taint of the value the step writes
+  isa::instruction ins{};    ///< the step being replayed (annotation)
+  std::vector<bool> call_taint_stack;
+};
+
 class replay_engine final : public emu::watcher {
  public:
   replay_engine(const firmware_artifact& fw,
                 const report_view& report,
                 const std::vector<std::shared_ptr<policy>>& policies,
-                emu::machine& m)
+                emu::machine& m, forensics* fx)
       : fw_(fw),
         prog_(fw.program()),
         report_(report),
         policies_(policies),
         m_(m),
         state_(m_, prog_),
-        log_(report.or_min, report.or_max, report.or_bytes) {}
+        log_(report.or_min, report.or_max, report.or_bytes) {
+    if (fx != nullptr) fx_.emplace(*fx = forensics{});  // reset, then bind
+  }
 
   replay_result run();
 
@@ -121,8 +133,10 @@ class replay_engine final : public emu::watcher {
     if (!a.write) return;
     mark_code_dirty(a.addr, a.byte ? 1 : 2);
     if (a.addr < prog_.options.map.ram_start) {
-      result_.io_trace.push_back(
-          {a.addr, a.value, current_pc_, current_write_taint_});
+      if (fx_) {
+        fx_->out.io_trace.push_back(
+            {a.addr, a.value, current_pc_, fx_->write_taint});
+      }
       // Peripheral space: a write drives the device (FIFO ack, conversion
       // trigger, output latch) — it does NOT define the value of the next
       // read. Invalidate so subsequent reads are fed from the I-Log, which
@@ -133,7 +147,7 @@ class replay_engine final : public emu::watcher {
     } else {
       mark_known(a.addr, a.byte ? 1 : 2);
     }
-    if (a.addr >= report_.or_min && a.addr <= report_.or_max + 1) {
+    if (fx_ && a.addr >= report_.or_min && a.addr <= report_.or_max + 1) {
       annotate_or_write(a);
     }
     for (const auto& p : policies_) {
@@ -224,7 +238,7 @@ class replay_engine final : public emu::watcher {
             (i == 0) ? (slot & 0xff) : (slot >> 8));
         feed_poke(b, v);
         known_[b] = true;
-        mem_taint_[b] = true;  // I-Log-fed values are input-derived
+        if (fx_) fx_->mem_taint[b] = true;  // I-Log-fed: input-derived
       }
     }
   }
@@ -275,8 +289,8 @@ class replay_engine final : public emu::watcher {
     const int slot = (report_.or_max - a.addr) / 2;
     logfmt::entry_kind kind = logfmt::entry_kind::unknown;
     using isa::addr_mode;
-    const isa::operand& src = current_ins_.src;
-    if (current_ins_.op == isa::opcode::mov) {
+    const isa::operand& src = fx_->ins.src;
+    if (fx_->ins.op == isa::opcode::mov) {
       if (src.mode == addr_mode::indirect &&
           src.base == isa::REG_SCRATCH) {
         kind = logfmt::entry_kind::data_input;
@@ -302,12 +316,12 @@ class replay_engine final : public emu::watcher {
     }
     // Two-stage byte logging rewrites the same slot (clear, then mov.b):
     // keep the latest classification.
-    if (!result_.annotated_log.empty() &&
-        result_.annotated_log.back().slot == slot) {
-      result_.annotated_log.back() = {slot, a.value, kind, current_pc_};
+    auto& log = fx_->out.annotated_log;
+    if (!log.empty() && log.back().slot == slot) {
+      log.back() = {slot, a.value, kind, current_pc_};
       return;
     }
-    result_.annotated_log.push_back({slot, a.value, kind, current_pc_});
+    log.push_back({slot, a.value, kind, current_pc_});
   }
 
   // ---- detectors ----
@@ -333,19 +347,33 @@ class replay_engine final : public emu::watcher {
     }
   }
 
-  // ---- taint tracking (value provenance from attested inputs) ----
-  bool reg_taint_[16] = {};
-  std::bitset<0x10000> mem_taint_;
-  bool current_write_taint_ = false;
+  /// The attested OR must byte-match the replayed memory over the
+  /// consumed region [final_r4+2, or_max+1] (none if r4 left the OR
+  /// below or_min); compared in place.
+  void compare_or(std::uint16_t final_r4) {
+    const std::uint32_t top = report_.or_max + 1u;
+    for (std::uint32_t a = final_r4 + 2u; a >= report_.or_min && a <= top;
+         ++a) {
+      const auto addr = static_cast<std::uint16_t>(a);
+      if (report_.or_bytes[a - report_.or_min] != m_.get_bus().peek8(addr)) {
+        result_.findings.push_back(
+            {attack_kind::replay_divergence,
+             "attested OR differs from the replayed OR at " + hex16(addr),
+             0, addr});
+        return;
+      }
+    }
+  }
 
+  // ---- taint tracking (value provenance; forensics only) ----
   void taint_bytes(std::uint16_t addr, int n, bool t) {
     for (int i = 0; i < n; ++i) {
-      mem_taint_[static_cast<std::uint16_t>(addr + i)] = t;
+      fx_->mem_taint[static_cast<std::uint16_t>(addr + i)] = t;
     }
   }
   bool bytes_tainted(std::uint16_t addr, int n) const {
     for (int i = 0; i < n; ++i) {
-      if (mem_taint_[static_cast<std::uint16_t>(addr + i)]) return true;
+      if (fx_->mem_taint[static_cast<std::uint16_t>(addr + i)]) return true;
     }
     return false;
   }
@@ -356,10 +384,10 @@ class replay_engine final : public emu::watcher {
     using isa::addr_mode;
     const auto& regs = m_.get_cpu().regs();
     switch (o.mode) {
-      case addr_mode::reg: return reg_taint_[o.base];
+      case addr_mode::reg: return fx_->reg_taint[o.base];
       case addr_mode::immediate: return false;
       case addr_mode::indexed:
-        return reg_taint_[o.base] ||
+        return fx_->reg_taint[o.base] ||
                bytes_tainted(static_cast<std::uint16_t>(regs[o.base] + o.ext),
                              width);
       case addr_mode::symbolic:
@@ -367,17 +395,19 @@ class replay_engine final : public emu::watcher {
         return bytes_tainted(o.ext, width);
       case addr_mode::indirect:
       case addr_mode::indirect_inc:
-        return reg_taint_[o.base] || bytes_tainted(regs[o.base], width);
+        return fx_->reg_taint[o.base] || bytes_tainted(regs[o.base], width);
     }
     return false;
   }
 
   /// Pre-step taint propagation for the instruction about to execute;
-  /// uses the same effective addresses the CPU will use.
+  /// uses the same effective addresses the CPU will use. Also remembers
+  /// the instruction for OR annotation.
   void propagate_taint(const isa::instruction& ins) {
     using isa::addr_mode;
     using isa::opcode;
-    current_write_taint_ = false;
+    fx_->ins = ins;
+    fx_->write_taint = false;
     const auto& regs = m_.get_cpu().regs();
     const int width = ins.byte_op ? 1 : 2;
     auto dst_ea = [&](const isa::operand& o) -> std::optional<std::uint16_t> {
@@ -398,26 +428,23 @@ class replay_engine final : public emu::watcher {
       if (ins.op == opcode::push) {
         const bool t = operand_taint(ins.dst, width);
         taint_bytes(static_cast<std::uint16_t>(regs[isa::REG_SP] - 2), 2, t);
-        current_write_taint_ = t;
-      } else if (ins.op != opcode::call) {
-        // rra/rrc/swpb/sxt: in-place transform keeps its own taint.
+        fx_->write_taint = t;
       }
+      // rra/rrc/swpb/sxt: an in-place transform keeps its own taint.
       return;
     }
 
     // Format I.
     const bool src_t = operand_taint(ins.src, width);
-    const bool reads_dst =
-        ins.op != opcode::mov;
-    const bool dst_t = reads_dst ? operand_taint(ins.dst, width) : false;
+    const bool dst_t = ins.op != opcode::mov && operand_taint(ins.dst, width);
     const bool result_t = src_t || dst_t;
     if (ins.op == opcode::cmp || ins.op == opcode::bit) return;
 
     if (ins.dst.mode == addr_mode::reg) {
-      reg_taint_[ins.dst.base] = result_t;
+      fx_->reg_taint[ins.dst.base] = result_t;
     } else if (const auto ea = dst_ea(ins.dst)) {
       taint_bytes(*ea, width, result_t);
-      current_write_taint_ = result_t;
+      fx_->write_taint = result_t;
     }
   }
 
@@ -438,9 +465,8 @@ class replay_engine final : public emu::watcher {
       replay_forced_dispatch() == replay_dispatch::legacy;
   std::uint16_t saved_sp_ = 0;
   std::uint16_t current_pc_ = 0;
-  isa::instruction current_ins_{};
   std::vector<std::pair<std::uint16_t, std::uint16_t>> ra_stack_;
-  std::vector<bool> call_taint_stack_;
+  std::optional<forensic_state> fx_;
   replay_result result_;
 };
 
@@ -461,7 +487,7 @@ replay_result replay_engine::run() {
   regs[isa::REG_LOGPTR] = report_.or_max;
   for (int i = 0; i < 8; ++i) {
     regs[static_cast<std::size_t>(8 + i)] = log_.entry_reg(i);
-    reg_taint_[8 + i] = true;  // the op's arguments are attested inputs
+    if (fx_) fx_->reg_taint[8 + i] = true;  // arguments are attested inputs
   }
   // The caller's pushed return address (which the final `ret` consumes and
   // Tiny-CFA logs): the crt0 continuation after `call #__er_start`.
@@ -491,10 +517,11 @@ replay_result replay_engine::run() {
       result_.completed = true;
       result_.final_r15 = reg(15);
       result_.final_r4 = reg(isa::REG_LOGPTR);
-      result_.result_tainted = reg_taint_[15];
+      if (fx_) fx_->out.result_tainted = fx_->reg_taint[15];
       for (const auto& p : policies_) {
         p->on_finish(state_, result_.findings);
       }
+      compare_or(result_.final_r4);
       break;
     }
     if (result_.instructions >= max_replay_instructions) {
@@ -535,9 +562,8 @@ replay_result replay_engine::run() {
       }
       const isa::decoded& d = *dp;
       current_pc_ = pc;
-      current_ins_ = d.ins;
       feed_for(d.ins, pc);
-      propagate_taint(d.ins);
+      if (fx_) propagate_taint(d.ins);
 
       // Return-address witness: `ret` must pop what the call pushed. The
       // predecoded index carries the classification as a flag; the live
@@ -566,12 +592,13 @@ replay_result replay_engine::run() {
         }
       }
 
-      if (is_ret && !call_taint_stack_.empty()) {
+      if (fx_ && is_ret && !fx_->call_taint_stack.empty()) {
         // Function-level implicit-flow approximation: a call's return
         // value is input-derived if any argument register was (explicit
         // dataflow alone misses loop-steered helpers like __mulhi).
-        reg_taint_[15] = reg_taint_[15] || call_taint_stack_.back();
-        call_taint_stack_.pop_back();
+        fx_->reg_taint[15] =
+            fx_->reg_taint[15] || fx_->call_taint_stack.back();
+        fx_->call_taint_stack.pop_back();
       }
 
       // Cached decode with the window still pristine -> the instruction
@@ -590,11 +617,13 @@ replay_result replay_engine::run() {
       if (info.ins.op == isa::opcode::call && !info.serviced_irq) {
         const std::uint16_t sp = reg(isa::REG_SP);
         ra_stack_.emplace_back(sp, m_.get_bus().peek16(sp));
-        bool arg_taint = false;
-        for (int r = 8; r <= 15; ++r) {
-          arg_taint = arg_taint || reg_taint_[r];
+        if (fx_) {
+          bool arg_taint = false;
+          for (int r = 8; r <= 15; ++r) {
+            arg_taint = arg_taint || fx_->reg_taint[r];
+          }
+          fx_->call_taint_stack.push_back(arg_taint);
         }
-        call_taint_stack_.push_back(arg_taint);
       }
     } catch (const error& e) {
       add_finding(attack_kind::replay_divergence,
@@ -603,16 +632,6 @@ replay_result replay_engine::run() {
     }
   }
 
-  // Extract the replayed OR snapshot [or_min, or_max+1]. The clamp keeps
-  // the loop inside the address space even for an (elsewhere-rejected)
-  // or_max of 0xffff — without it the uint16 cast would wrap the tail
-  // read to 0x0000 and the loop bound would overflow.
-  const std::uint32_t or_top = std::min<std::uint32_t>(
-      static_cast<std::uint32_t>(report_.or_max) + 1, 0xffff);
-  for (std::uint32_t a = report_.or_min; a <= or_top; ++a) {
-    result_.replay_or_bytes.push_back(
-        m_.get_bus().peek8(static_cast<std::uint16_t>(a)));
-  }
   return std::move(result_);
 }
 
@@ -620,7 +639,8 @@ replay_result replay_engine::run() {
 
 replay_result replay_operation(
     const firmware_artifact& fw, const report_view& report,
-    const std::vector<std::shared_ptr<policy>>& policies) {
+    const std::vector<std::shared_ptr<policy>>& policies, forensics* fx) {
+  replay_result r;
   if (report.or_max == 0xffff || report.er_max > 0xfffa) {
     // Fail closed before touching a machine: the OR snapshot covers
     // [or_min, or_max+1] and a fetch reads [pc, pc+5]; these bounds would
@@ -628,15 +648,15 @@ replay_result replay_operation(
     // constructor rejects such layouts and verify() requires the report's
     // bounds to match the program's — but the pure entry point must not
     // rely on its callers for that.
-    replay_result r;
     r.findings.push_back(
         {attack_kind::bounds_mismatch,
          "attested region abuts the top of the address space", 0,
          report.er_max > 0xfffa ? report.er_max : report.or_max});
     return r;
   }
+  if (!check_or_length(report, r.findings)) return r;
   machine_lease lease(fw.program().options.map);
-  replay_engine engine(fw, report, policies, lease.machine());
+  replay_engine engine(fw, report, policies, lease.machine(), fx);
   return engine.run();
 }
 

@@ -13,13 +13,13 @@
 //    a data-only attack (paper Fig. 2), detected with no code annotations.
 //  * OR equality              — the replay re-produces the CF/I-Log; any
 //    byte difference from the attested OR means the logs are inconsistent
-//    with the known binary (tamper/divergence).
+//    with the known binary (tamper/divergence). Compared in place.
 //  * app policies             — optional safety assertions over the replay.
+// Forensics are recorded only for a caller that passes a sink; no
+// decision reads them (docs/REPLAY.md, "Forensics on demand").
 #ifndef DIALED_VERIFIER_REPLAY_H
 #define DIALED_VERIFIER_REPLAY_H
 
-#include <bitset>
-#include <functional>
 #include <memory>
 
 #include "emu/machine.h"
@@ -73,24 +73,15 @@ struct replay_result {
   std::uint16_t final_r15 = 0;
   std::uint16_t final_r4 = 0;
   std::uint64_t instructions = 0;
-  std::vector<finding> findings;
-  std::vector<logfmt::annotated_entry> annotated_log;
-
-  /// The OR as re-produced by the replay ([or_min, or_max+1]); byte-equal
-  /// to the attested OR over the consumed region iff the logs are
-  /// consistent with the known binary.
-  byte_vec replay_or_bytes;
-
-  /// Peripheral writes observed during replay, with taint provenance
-  /// (sources: the logged entry arguments and every I-Log-fed value).
-  std::vector<io_event> io_trace;
-  /// Whether the op's returned value derives from attested inputs.
-  bool result_tainted = false;
+  std::vector<finding> findings;  ///< detection order; OR mismatch last
 };
 
 /// Replay one attested invocation of `fw`'s program against `report`'s
 /// logs. `policies` may be empty. Throws only on internal errors; attack
-/// conditions come back as findings.
+/// conditions, a bad OR length included, come back as findings.
+///
+/// `fx`, when non-null, is overwritten with the replay's forensics; the
+/// result is the same either way, and a null `fx` costs nothing.
 ///
 /// The replay executes on a per-THREAD reusable emu::machine (recycled
 /// between reports, constructed only when a thread first replays — or
@@ -100,7 +91,8 @@ struct replay_result {
 /// threads concurrently; each thread has its own machine.
 replay_result replay_operation(
     const firmware_artifact& fw, const report_view& report,
-    const std::vector<std::shared_ptr<policy>>& policies);
+    const std::vector<std::shared_ptr<policy>>& policies,
+    forensics* fx = nullptr);
 
 /// Test hook: pin the replay main loop to one dispatch path. `fast` (the
 /// default) decodes through the artifact's predecoded index and skips the

@@ -20,7 +20,16 @@ std::string to_string(attack_kind k) {
   return "?";
 }
 
-std::string render(const verdict& v) {
+bool check_or_length(const report_view& r, std::vector<finding>& out) {
+  if (r.or_bytes.size() == r.or_max + 2u - r.or_min) return true;
+  out.push_back({attack_kind::bounds_mismatch,
+                 "OR length " + std::to_string(r.or_bytes.size()) +
+                     " disagrees with the attested OR bounds",
+                 0, r.or_min});
+  return false;
+}
+
+std::string render(const verdict& v, const forensics* fx) {
   char buf[160];
   std::string out;
   out += v.accepted ? "VERDICT: ACCEPTED\n" : "VERDICT: REJECTED\n";
@@ -33,11 +42,12 @@ std::string render(const verdict& v) {
                 "  replayed result: 0x%04x%s; %llu instructions; "
                 "%d log slots (%d bytes)\n",
                 v.replayed_result,
-                v.result_tainted ? " (input-derived)" : "",
+                fx != nullptr && fx->result_tainted ? " (input-derived)" : "",
                 static_cast<unsigned long long>(v.replay_instructions),
                 v.log_slots_consumed, v.log_bytes);
   out += buf;
-  for (const auto& e : v.io_trace) {
+  if (fx == nullptr) return out;
+  for (const auto& e : fx->io_trace) {
     std::snprintf(buf, sizeof buf,
                   "  io: pc=0x%04x [0x%04x] <- 0x%04x %s\n", e.pc, e.addr,
                   e.value, e.tainted ? "(input-derived)" : "(constant)");

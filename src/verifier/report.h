@@ -99,6 +99,15 @@ struct io_event {
   bool tainted = false;
 };
 
+/// What a replay explains beyond the verdict. No decision reads it, so
+/// verify() never builds it; replay_operation fills it on request. Taint
+/// sources: the logged entry arguments and every I-Log-fed value.
+struct forensics {
+  std::vector<logfmt::annotated_entry> annotated_log;  ///< classified OR
+  std::vector<io_event> io_trace;  ///< replayed peripheral writes
+  bool result_tainted = false;     ///< replayed result is input-derived
+};
+
 /// Optional out-param of verify(): wall time the call spent in the MAC
 /// check vs the ER replay, for per-stage latency attribution. Written only
 /// when a non-null pointer is passed — the clock is never read otherwise.
@@ -128,15 +137,6 @@ struct verdict {
   int log_slots_consumed = 0;
   int log_bytes = 0;
 
-  /// Verifier-side annotation of the attested log (forensics).
-  std::vector<logfmt::annotated_entry> annotated_log;
-
-  /// Replayed peripheral writes with input-taint provenance; populated by
-  /// the abstract executor (DIALED-mode verification only).
-  std::vector<io_event> io_trace;
-  /// Whether the replayed result derives from attested inputs.
-  bool result_tainted = false;
-
   replay_path replay = replay_path::none;
 
   bool has(attack_kind k) const {
@@ -147,9 +147,14 @@ struct verdict {
   }
 };
 
+/// Whether `r`'s OR is exactly [or_min, or_max+1] long; if not, appends
+/// the bounds_mismatch finding to `out`.
+bool check_or_length(const report_view& r, std::vector<finding>& out);
+
 /// Human-readable multi-line report of a verdict (status, findings, replay
-/// statistics, peripheral-write provenance) for operator consoles/logs.
-std::string render(const verdict& v);
+/// statistics) for operator consoles/logs; `fx`, a forensic replay of the
+/// same report, adds input-taint provenance and the peripheral writes.
+std::string render(const verdict& v, const forensics* fx = nullptr);
 
 }  // namespace dialed::verifier
 

@@ -67,10 +67,10 @@ inline std::uint16_t eval_op(const std::string& source,
   return run_op(prog, inv);
 }
 
-/// Require two verdicts to be field-identical: outcome, findings, replay
-/// statistics, annotated log and I/O trace. `verdict::replay` is left
-/// out on purpose — it records HOW the outcome was obtained (replayed or
-/// reused), which is exactly what the differential suites vary.
+/// Require two verdicts to carry the same decision: outcome, findings and
+/// replay statistics. `verdict::replay` is left out on purpose — it
+/// records HOW the outcome was obtained (replayed or reused), which is
+/// exactly what the differential suites vary.
 inline void expect_same_verdict(const verifier::verdict& a,
                                 const verifier::verdict& b,
                                 const std::string& label) {
@@ -79,28 +79,12 @@ inline void expect_same_verdict(const verifier::verdict& a,
   EXPECT_EQ(a.replay_instructions, b.replay_instructions) << label;
   EXPECT_EQ(a.log_slots_consumed, b.log_slots_consumed) << label;
   EXPECT_EQ(a.log_bytes, b.log_bytes) << label;
-  EXPECT_EQ(a.result_tainted, b.result_tainted) << label;
   ASSERT_EQ(a.findings.size(), b.findings.size()) << label;
   for (std::size_t i = 0; i < a.findings.size(); ++i) {
     EXPECT_EQ(a.findings[i].kind, b.findings[i].kind) << label;
     EXPECT_EQ(a.findings[i].detail, b.findings[i].detail) << label;
     EXPECT_EQ(a.findings[i].pc, b.findings[i].pc) << label;
     EXPECT_EQ(a.findings[i].addr, b.findings[i].addr) << label;
-  }
-  ASSERT_EQ(a.annotated_log.size(), b.annotated_log.size()) << label;
-  for (std::size_t i = 0; i < a.annotated_log.size(); ++i) {
-    EXPECT_EQ(a.annotated_log[i].slot, b.annotated_log[i].slot) << label;
-    EXPECT_EQ(a.annotated_log[i].value, b.annotated_log[i].value) << label;
-    EXPECT_EQ(a.annotated_log[i].kind, b.annotated_log[i].kind) << label;
-    EXPECT_EQ(a.annotated_log[i].source_pc, b.annotated_log[i].source_pc)
-        << label;
-  }
-  ASSERT_EQ(a.io_trace.size(), b.io_trace.size()) << label;
-  for (std::size_t i = 0; i < a.io_trace.size(); ++i) {
-    EXPECT_EQ(a.io_trace[i].addr, b.io_trace[i].addr) << label;
-    EXPECT_EQ(a.io_trace[i].value, b.io_trace[i].value) << label;
-    EXPECT_EQ(a.io_trace[i].pc, b.io_trace[i].pc) << label;
-    EXPECT_EQ(a.io_trace[i].tainted, b.io_trace[i].tainted) << label;
   }
 }
 

@@ -15,8 +15,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <random>
 #include <set>
@@ -256,21 +258,74 @@ TEST(net_http, incomplete_and_oversized) {
 // Loopback integration
 // ---------------------------------------------------------------------------
 
+/// A hub_like that forwards to a real hub but holds every verify_batch
+/// until the test opens the gate: the dispatcher stalls on its first
+/// batch, so ingest backs up behind it no matter how fast verify is.
+class gated_hub final : public fleet::hub_like {
+ public:
+  explicit gated_hub(fleet::hub_like& inner) : inner_(inner) {}
+
+  void open() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  fleet::challenge_grant challenge(fleet::device_id id) override {
+    return inner_.challenge(id);
+  }
+  fleet::attest_result submit(std::span<const std::uint8_t> f) override {
+    return inner_.submit(f);
+  }
+  std::vector<fleet::attest_result> verify_batch(
+      std::span<const byte_vec> frames) override {
+    {
+      std::unique_lock<std::mutex> lk(mu_);
+      cv_.wait(lk, [&] { return open_; });
+    }
+    return inner_.verify_batch(frames);
+  }
+  using hub_like::tick;
+  void tick(std::uint64_t n) override { inner_.tick(n); }
+  std::uint64_t now() const override { return inner_.now(); }
+  std::size_t outstanding(fleet::device_id id) const override {
+    return inner_.outstanding(id);
+  }
+  std::size_t batch_workers() const override {
+    return inner_.batch_workers();
+  }
+  fleet::hub_stats stats(bool include_per_device) const override {
+    return inner_.stats(include_per_device);
+  }
+
+ private:
+  fleet::hub_like& inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
 /// Registry + hub + running attest_server on ephemeral loopback ports.
+/// With `gated`, the server talks to the hub through a closed gated_hub.
 struct harness {
-  explicit harness(server_config cfg = {}, std::uint32_t hub_workers = 1)
+  explicit harness(server_config cfg = {}, std::uint32_t hub_workers = 1,
+                   bool gated = false)
       : registry(master_key()) {
     fleet::hub_config hc;
     hc.workers = hub_workers;
     hc.max_outstanding = 256;
     hub.emplace(registry, hc);
+    if (gated) gate.emplace(*hub);
     cfg.bind_addr = "127.0.0.1";
     cfg.tcp_port = 0;
     cfg.udp_port = 0;
-    server.emplace(*hub, cfg);
+    server.emplace(gate ? static_cast<fleet::hub_like&>(*gate) : *hub, cfg);
     server->start();
   }
   ~harness() {
+    if (gate) gate->open();  // never strand the dispatcher on stop
     if (server) server->stop();
   }
 
@@ -283,6 +338,7 @@ struct harness {
 
   fleet::device_registry registry;
   std::optional<fleet::verifier_hub> hub;
+  std::optional<gated_hub> gate;
   std::optional<attest_server> server;
 };
 
@@ -526,7 +582,7 @@ TEST(net_serve, global_backlog_cap_pauses_ingest) {
   server_config cfg;
   cfg.max_pending_frames = 4;
   cfg.batching.batch_max = 2;
-  harness h(cfg);
+  harness h(cfg, 1, /*gated=*/true);
   const auto prog = adder_prog();
   const auto id = h.provision(prog);
   proto::prover_device dev(prog, h.key(id));
@@ -543,8 +599,14 @@ TEST(net_serve, global_backlog_cap_pauses_ingest) {
     const auto rep = dev.invoke(grant.nonce, args(k, 1));
     frames.push_back(full_frame(id, grant.seq, rep));
   }
-  // Phase 2: fire the whole burst, then collect every result.
+  // Phase 2: fire the whole burst. The gate holds the dispatcher on its
+  // first batch, so the backlog must reach the cap and pause ingest (the
+  // periodic sweep folds the pause into the server stats).
   for (const auto& f : frames) client.send_report(f);
+  EXPECT_TRUE(wait_until(
+      [&] { return h.server->stats().backpressure_pauses > 0; }));
+  // Phase 3: release the dispatcher and collect every result.
+  h.gate->open();
   std::set<std::uint32_t> seen;
   for (int k = 0; k < n; ++k) {
     const auto r = client.recv_result();
@@ -552,8 +614,6 @@ TEST(net_serve, global_backlog_cap_pauses_ingest) {
     seen.insert(r.seq);
   }
   EXPECT_EQ(seen.size(), static_cast<std::size_t>(n));
-  (void)http_get("127.0.0.1", h.port(), "/metrics");  // fold pauses
-  EXPECT_GT(h.server->stats().backpressure_pauses, 0u);
 }
 
 TEST(net_serve, mid_stream_disconnect_cleans_up) {

@@ -2,8 +2,9 @@
 // and the reuse of a device's last accepted round must produce verdicts
 // FIELD-IDENTICAL to the legacy live-decode loop — over the four
 // evaluation apps, the attack/forged/CFA rounds and the wire fuzz corpus
-// — plus the reuse rule's security invariants and the
-// top-of-address-space fail-closed behavior.
+// — plus the reuse rule's security invariants, the capture differential
+// (a replay with a forensics sink decides exactly like one without) and
+// the top-of-address-space fail-closed behavior.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -465,6 +466,98 @@ TEST(reuse, artifact_checks_artifact_policies_acceptance_and_bytes) {
   EXPECT_EQ(path_with({fw->id(), flipped, v0}, none), replay_path::replayed);
   const byte_vec shorter(rep.or_bytes.begin(), rep.or_bytes.end() - 2);
   EXPECT_EQ(path_with({fw->id(), shorter, v0}, none), replay_path::replayed);
+}
+
+// ---------------------------------------------------------------------------
+// Capture differential: forensics on demand never change a decision
+// ---------------------------------------------------------------------------
+
+/// Replay `rep` with and without a forensics sink; require the decision
+/// fields — outcome, final registers, instruction count and findings in
+/// order — to be identical. Returns the captured forensics.
+forensics expect_capture_neutral(const firmware_artifact& fw,
+                                 const report_view& rep,
+                                 const std::string& label) {
+  const replay_result off = replay_operation(fw, rep, {});
+  forensics fx;
+  const replay_result on = replay_operation(fw, rep, {}, &fx);
+  EXPECT_EQ(off.completed, on.completed) << label;
+  EXPECT_EQ(off.final_r15, on.final_r15) << label;
+  EXPECT_EQ(off.final_r4, on.final_r4) << label;
+  EXPECT_EQ(off.instructions, on.instructions) << label;
+  EXPECT_EQ(off.findings.size(), on.findings.size()) << label;
+  for (std::size_t i = 0;
+       i < std::min(off.findings.size(), on.findings.size()); ++i) {
+    EXPECT_EQ(off.findings[i].kind, on.findings[i].kind) << label;
+    EXPECT_EQ(off.findings[i].detail, on.findings[i].detail) << label;
+    EXPECT_EQ(off.findings[i].pc, on.findings[i].pc) << label;
+    EXPECT_EQ(off.findings[i].addr, on.findings[i].addr) << label;
+  }
+  return fx;
+}
+
+TEST(capture, forensics_sink_leaves_app_rounds_unchanged) {
+  struct round {
+    std::string label;
+    apps::app_spec app;
+    proto::invocation inv;
+    bool fig1 = false;  ///< inv is built against the program below
+  };
+  std::vector<round> rounds;
+  for (const auto& app : four_apps()) {
+    rounds.push_back({app.name, app, app.representative_input});
+  }
+  rounds.push_back({"DoorLock-attack", apps::door_lock_app(),
+                    apps::door_lock_attack({1, 2, 3, 4, 5, 6})});
+  rounds.push_back({"fig1-benign", apps::fig1_app(), apps::fig1_benign(5)});
+  rounds.push_back({"fig1-attack", apps::fig1_app(), {}, true});
+  rounds.push_back({"fig2-benign", apps::fig2_app(), apps::fig2_benign(1, 3)});
+  rounds.push_back({"fig2-attack", apps::fig2_app(), apps::fig2_attack()});
+
+  std::array<std::uint8_t, 16> chal{};
+  chal.fill(0x5d);
+  for (const auto& r : rounds) {
+    const auto prog = apps::build_app(r.app, instr::instrumentation::dialed);
+    const auto fw = firmware_artifact::build(prog);
+    proto::prover_device dev(prog, test::test_key());
+    const auto rep =
+        dev.invoke(chal, r.fig1 ? apps::fig1_attack(prog, 15) : r.inv);
+    const auto fx = expect_capture_neutral(*fw, rep, r.label);
+    EXPECT_FALSE(fx.annotated_log.empty()) << r.label;
+
+    // Logs that disagree with the binary: one OR byte flipped at a time
+    // (re-signing is moot — replay never reads the MAC), including the
+    // consumed tail that the in-place OR compare covers.
+    const std::size_t n = rep.or_bytes.size();
+    for (const std::size_t at : {n - 1, n - 3, n - 20, n / 2, std::size_t{0}}) {
+      auto flipped = rep;
+      flipped.or_bytes[at] ^= 0x01;
+      expect_capture_neutral(*fw, flipped,
+                             r.label + " flip@" + std::to_string(at));
+    }
+  }
+}
+
+TEST(capture, forensics_sink_leaves_fuzz_corpus_unchanged) {
+  // Every decodable corpus frame replayed against the adder artifact:
+  // both arms must agree whatever the frame's bounds and OR length.
+  const auto fw = firmware_artifact::build(
+      build_op("int op(int a, int b) { return a + b; }", "op",
+               instr::instrumentation::dialed));
+  const fs::path dir = DIALED_FUZZ_CORPUS_DIR;
+  ASSERT_TRUE(fs::exists(dir)) << dir << " missing";
+  std::size_t replayed = 0;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    if (e.path().extension() != ".bin") continue;
+    std::ifstream in(e.path(), std::ios::binary);
+    const byte_vec bytes((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+    const auto d = proto::decode_frame(bytes);
+    if (!d.ok()) continue;
+    expect_capture_neutral(*fw, d.frame.report, e.path().filename());
+    ++replayed;
+  }
+  EXPECT_GT(replayed, 3u);
 }
 
 // ---------------------------------------------------------------------------

@@ -42,6 +42,22 @@ proto::invocation args(std::uint16_t a0 = 0, std::uint16_t a1 = 0) {
 
 constexpr const char* adder = "int op(int a, int b) { return a + b; }";
 
+/// Re-MAC `rep` under `key`, as an attacker holding a MAC oracle would.
+void resign(attestation_report& rep, const instr::linked_program& prog,
+            std::span<const std::uint8_t> key) {
+  rot::attest_input in;
+  in.er_min = rep.er_min;
+  in.er_max = rep.er_max;
+  in.or_min = rep.or_min;
+  in.or_max = rep.or_max;
+  in.exec = true;
+  in.challenge = rep.challenge;
+  const auto er = prog.er_bytes();
+  in.er_bytes = er;
+  in.or_bytes = rep.or_bytes;
+  rep.mac = rot::compute_attestation_mac(key, in);
+}
+
 // ---------------------------------------------------------------------------
 // Happy path
 // ---------------------------------------------------------------------------
@@ -60,10 +76,13 @@ TEST(verify, annotated_log_classifies_entries) {
   bench_rig rig(
       "int g = 5;"
       "int op(int a, int b) { return g + a; }");
-  const auto v = rig.vrf->verify(rig.invoke(args(1, 2)));
+  const auto rep = rig.invoke(args(1, 2));
+  const auto v = rig.vrf->verify(rep);
   ASSERT_TRUE(v.accepted);
+  forensics fx;
+  replay_operation(*rig.vrf->artifact(), rep, {}, &fx);
   int saved_sp = 0, entry_args = 0, cf = 0, inputs = 0;
-  for (const auto& e : v.annotated_log) {
+  for (const auto& e : fx.annotated_log) {
     switch (e.kind) {
       case logfmt::entry_kind::saved_sp: ++saved_sp; break;
       case logfmt::entry_kind::entry_arg: ++entry_args; break;
@@ -119,22 +138,40 @@ TEST(attack, forged_logs_with_valid_mac_caught_by_replay) {
   bench_rig rig(adder);
   auto rep = rig.invoke(args(1, 2));
   rep.or_bytes[rep.or_bytes.size() - 20] ^= 0x01;  // inside consumed slots
-  rot::attest_input in;
-  in.er_min = rep.er_min;
-  in.er_max = rep.er_max;
-  in.or_min = rep.or_min;
-  in.or_max = rep.or_max;
-  in.exec = true;
-  in.challenge = rep.challenge;
-  const auto er = rig.prog.er_bytes();
-  in.er_bytes = er;
-  in.or_bytes = rep.or_bytes;
-  rep.mac = rot::compute_attestation_mac(test_key(), in);
+  resign(rep, rig.prog, test_key());
   const auto v = rig.vrf->verify(rep);
   EXPECT_FALSE(v.accepted);
   EXPECT_TRUE(v.has(attack_kind::replay_divergence) ||
               v.has(attack_kind::control_flow_attack) ||
               v.has(attack_kind::uninitialized_read));
+}
+
+TEST(attack, consumed_or_tail_is_compared_byte_for_byte) {
+  // Flip each byte of the consumed region [final_r4+2, or_max+1] in turn:
+  // wherever the replay re-produces the original byte, the in-place OR
+  // compare must name exactly that address, as the last finding.
+  bench_rig rig(adder);
+  const auto rep = rig.invoke(args(1, 2));
+  const auto v = rig.vrf->verify(rep);
+  ASSERT_TRUE(v.accepted);
+  const std::size_t first = rep.or_bytes.size() - v.log_bytes;
+  int pinpointed = 0;
+  for (std::size_t i = first; i < rep.or_bytes.size(); ++i) {
+    auto bad = rep;
+    bad.or_bytes[i] ^= 0x80;
+    const auto r = replay_operation(*rig.vrf->artifact(), bad, {});
+    const auto at = static_cast<std::uint16_t>(rep.or_min + i);
+    if (r.completed && !r.findings.empty() && r.findings.back().addr == at) {
+      const auto& f = r.findings.back();
+      EXPECT_EQ(f.kind, attack_kind::replay_divergence) << i;
+      EXPECT_EQ(f.detail,
+                "attested OR differs from the replayed OR at " + hex16(at))
+          << i;
+      EXPECT_EQ(f.pc, 0) << i;
+      ++pinpointed;
+    }
+  }
+  EXPECT_GT(pinpointed, 0);
 }
 
 TEST(attack, modified_code_rejected_via_mac) {
@@ -213,6 +250,52 @@ TEST(attack, wrong_bounds_rejected_before_anything_else) {
   const auto v = rig.vrf->verify(rep);
   EXPECT_FALSE(v.accepted);
   EXPECT_TRUE(v.has(attack_kind::bounds_mismatch));
+}
+
+TEST(attack, or_length_mismatch_rejected_before_the_mac) {
+  // An OR two bytes longer or shorter than its bounds, under a valid MAC:
+  // a bounds_mismatch verdict, never an exception.
+  bench_rig rig(adder);
+  const std::size_t n = rig.invoke(args(1, 2)).or_bytes.size();
+  for (const std::size_t len : {n + 2, n - 2}) {
+    auto rep = rig.invoke(args(1, 2));
+    rep.or_bytes.resize(len);
+    resign(rep, rig.prog, test_key());
+    verdict v;
+    ASSERT_NO_THROW(v = rig.vrf->verify(rep)) << len;
+    EXPECT_FALSE(v.accepted) << len;
+    EXPECT_EQ(v.replay, replay_path::none) << len;  // step 1, never replayed
+    ASSERT_EQ(v.findings.size(), 1u) << len;
+    EXPECT_EQ(v.findings[0].kind, attack_kind::bounds_mismatch) << len;
+
+    // The pure replay entry point fails closed with the same finding.
+    replay_result r;
+    ASSERT_NO_THROW(r = replay_operation(*rig.vrf->artifact(), rep, {}))
+        << len;
+    EXPECT_FALSE(r.completed) << len;
+    ASSERT_EQ(r.findings.size(), 1u) << len;
+    EXPECT_EQ(r.findings[0].kind, attack_kind::bounds_mismatch) << len;
+    EXPECT_EQ(r.findings[0].detail, v.findings[0].detail) << len;
+  }
+}
+
+TEST(attack, or_length_mismatch_rejected_through_the_hub) {
+  const auto prog = build_op(adder, "op", instr::instrumentation::dialed);
+  test::hub_device d(prog);
+  const auto key = d.registry.derive_key(d.id);
+  const std::size_t n = d.dev.invoke({}, args(1, 2)).or_bytes.size();
+  for (const std::size_t len : {n + 2, n - 2}) {
+    fleet::attest_result r;
+    ASSERT_NO_THROW(r = d.round(args(1, 2), [&](attestation_report& rep) {
+      rep.or_bytes.resize(len);
+      resign(rep, prog, key);
+    })) << len;
+    EXPECT_EQ(r.error, proto::proto_error::none) << len;
+    EXPECT_FALSE(r.accepted()) << len;
+    EXPECT_TRUE(r.verdict.has(attack_kind::bounds_mismatch)) << len;
+    EXPECT_EQ(r.verdict.replay, replay_path::none) << len;
+  }
+  EXPECT_TRUE(d.round(args(1, 2)).accepted());  // the hub keeps serving
 }
 
 TEST(attack, wrong_key_rejected) {
@@ -328,8 +411,10 @@ TEST(policy, custom_policy_evaluated_over_replay) {
 TEST(render, verdict_report_mentions_status_findings_and_provenance) {
   bench_rig rig(
       "int op(int v) { __mmio_w8(25, v); __mmio_w8(25, 0); return v; }");
-  const auto good = rig.vrf->verify(rig.invoke(args(3)));
-  const auto text = render(good);
+  const auto rep_good = rig.invoke(args(3));
+  forensics fx;
+  replay_operation(*rig.vrf->artifact(), rep_good, {}, &fx);
+  const auto text = render(rig.vrf->verify(rep_good), &fx);
   EXPECT_NE(text.find("ACCEPTED"), std::string::npos);
   EXPECT_NE(text.find("replayed result: 0x0003"), std::string::npos);
   EXPECT_NE(text.find("input-derived"), std::string::npos);

@@ -485,24 +485,41 @@ TEST(wire_v21, baseline_hash_is_sequence_stamped) {
 // Taint provenance over the replay
 // ---------------------------------------------------------------------------
 
+/// One hub round plus the forensic replay of the same report: the hub's
+/// verdict decides, `fx` explains it.
+struct forensic_round {
+  fleet::attest_result r;
+  verifier::forensics fx;
+};
+
+forensic_round round_with_forensics(test::hub_device& d,
+                                    const invocation& inv) {
+  const auto grant = d.hub.challenge(d.id);
+  const auto rep = d.dev.invoke(grant.nonce, inv);
+  forensic_round out{d.submit(grant, rep), {}};
+  verifier::replay_operation(*d.registry.find(d.id)->firmware, rep, {},
+                             &out.fx);
+  return out;
+}
+
 TEST(taint, argument_derived_result_is_tainted) {
   const auto prog = build_op("int op(int a, int b) { return a + b; }", "op",
                              instr::instrumentation::dialed);
   test::hub_device d(prog);
   invocation inv;
   inv.args = {1, 2, 0, 0, 0, 0, 0, 0};
-  const auto r = d.round(inv);
+  const auto [r, fx] = round_with_forensics(d, inv);
   ASSERT_TRUE(r.accepted());
-  EXPECT_TRUE(r.verdict.result_tainted);
+  EXPECT_TRUE(fx.result_tainted);
 }
 
 TEST(taint, constant_result_is_untainted) {
   const auto prog = build_op("int op(int a) { return 1234; }", "op",
                              instr::instrumentation::dialed);
   test::hub_device d(prog);
-  const auto r = d.round({});
+  const auto [r, fx] = round_with_forensics(d, {});
   ASSERT_TRUE(r.accepted());
-  EXPECT_FALSE(r.verdict.result_tainted);
+  EXPECT_FALSE(fx.result_tainted);
 }
 
 TEST(taint, mmio_write_of_constant_untainted_of_input_tainted) {
@@ -512,11 +529,11 @@ TEST(taint, mmio_write_of_constant_untainted_of_input_tainted) {
   test::hub_device d(prog);
   invocation inv;
   inv.args = {0, 0, 0, 0, 0, 0, 0, 0};
-  const auto r = d.round(inv);
+  const auto [r, fx] = round_with_forensics(d, inv);
   ASSERT_TRUE(r.accepted());
   // Collect the P3OUT writes from the io trace.
   std::vector<verifier::io_event> p3;
-  for (const auto& e : r.verdict.io_trace) {
+  for (const auto& e : fx.io_trace) {
     if (e.addr == 0x0019) p3.push_back(e);
   }
   ASSERT_EQ(p3.size(), 2u);
@@ -533,15 +550,15 @@ TEST(taint, flows_through_globals_and_arithmetic) {
   test::hub_device d(prog);
   invocation inv;
   inv.args = {2, 0, 0, 0, 0, 0, 0, 0};
-  const auto r = d.round(inv);
+  const auto [r, fx] = round_with_forensics(d, inv);
   ASSERT_TRUE(r.accepted());
-  ASSERT_FALSE(r.verdict.io_trace.empty());
+  ASSERT_FALSE(fx.io_trace.empty());
   bool any_tainted_p3 = false;
-  for (const auto& e : r.verdict.io_trace) {
+  for (const auto& e : fx.io_trace) {
     if (e.addr == 0x0019 && e.tainted) any_tainted_p3 = true;
   }
   EXPECT_TRUE(any_tainted_p3);
-  EXPECT_FALSE(r.verdict.result_tainted);  // returns the constant 7
+  EXPECT_FALSE(fx.result_tainted);  // returns the constant 7
 }
 
 TEST(taint, fig2_attack_actuation_is_input_tainted) {
@@ -550,11 +567,11 @@ TEST(taint, fig2_attack_actuation_is_input_tainted) {
   const auto prog =
       apps::build_app(apps::fig2_app(), instr::instrumentation::dialed);
   test::hub_device d(prog);
-  const auto r = d.round(apps::fig2_attack());
+  const auto [r, fx] = round_with_forensics(d, apps::fig2_attack());
   ASSERT_EQ(r.error, proto_error::none);
   EXPECT_FALSE(r.accepted());
   bool tainted_actuation = false;
-  for (const auto& e : r.verdict.io_trace) {
+  for (const auto& e : fx.io_trace) {
     if (e.addr == 0x0019 && e.tainted) tainted_actuation = true;
   }
   EXPECT_TRUE(tainted_actuation);

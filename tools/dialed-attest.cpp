@@ -36,6 +36,9 @@
 // accept/reject/replay breakdown) as JSON on exit — the minimal
 // exportable metrics endpoint.
 //
+// --trace replays the first report once more with a forensic sink and
+// prints its peripheral writes with input-taint provenance.
+//
 // Exit code 0 = every report verified, 1 = any rejected, 2 = usage error.
 #include <chrono>
 #include <cstdio>
@@ -52,6 +55,7 @@
 #include "proto/wire.h"
 #include "store/fleet_store.h"
 #include "verifier/firmware_artifact.h"
+#include "verifier/replay.h"
 
 namespace {
 
@@ -423,6 +427,7 @@ int main(int argc, char** argv) {
     proto::prover_device dev(prog, registry.find(device_id)->key);
 
     std::vector<fleet::attest_result> results;
+    std::optional<verifier::attestation_report> first_rep;  // for --trace
     // Wall time spent verifying (the --repeat reports/s figure): the
     // batch path times verify_batch alone; the delta path is strictly
     // sequential rounds, so the whole invoke+encode+submit loop is timed
@@ -449,6 +454,7 @@ int main(int argc, char** argv) {
         emitter.note_result(device_id, grant.seq, rep, res.error,
                             res.accepted());
         results.push_back(res);
+        if (k == 0) first_rep = rep;
         if (k == 0 || k + 1 == repeat) {
           std::printf(
               "device:   id=%u result=%u, EXEC=%d, op=%llu cycles, "
@@ -494,6 +500,7 @@ int main(int argc, char** argv) {
         info.seq = grant.seq;
         frames.push_back(proto::encode_frame(info, rep));
         if (k == 0) {
+          first_rep = rep;
           std::printf("device:   id=%u result=%u, EXEC=%d, op=%llu cycles, "
                       "log=%dB, frame=%zuB (wire v2, seq %u)\n",
                       device_id, rep.claimed_result, rep.exec ? 1 : 0,
@@ -534,7 +541,12 @@ int main(int argc, char** argv) {
       }
       if (trace) {
         std::printf("peripheral writes (replayed, with provenance):\n");
-        for (const auto& e : v.io_trace) {
+        verifier::forensics fx;
+        if (v.replay != verifier::replay_path::none) {
+          verifier::replay_operation(*registry.find(device_id)->firmware,
+                                     *first_rep, {}, &fx);
+        }
+        for (const auto& e : fx.io_trace) {
           std::printf("  pc=0x%04x [0x%04x] <- 0x%04x %s\n", e.pc, e.addr,
                       e.value,
                       e.tainted ? "(input-derived)" : "(constant)");
