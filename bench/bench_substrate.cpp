@@ -339,11 +339,9 @@ BENCHMARK(BM_fleet_verify_batch_memoized)
     ->Unit(benchmark::kMillisecond);
 
 void BM_verifier_replay_dispatch(benchmark::State& state) {
-  // Direct A/B of the replay loop's two dispatch paths on one report:
-  // range(1) == 0 pins the legacy live-decode loop, 1 the predecoded
-  // fast path. Same bytes, same verdict — only the loop differs.
+  // The pure replay loop on one report of an n-trip loop: predecoded
+  // dispatch, no MAC, no hub — instructions per second of the loop alone.
   const auto n = static_cast<std::uint16_t>(state.range(0));
-  const bool fast = state.range(1) != 0;
   dialed::instr::link_options lo;
   lo.entry = "op";
   lo.mode = dialed::instr::instrumentation::dialed;
@@ -358,28 +356,21 @@ void BM_verifier_replay_dispatch(benchmark::State& state) {
   inv.args[0] = n;
   const auto rep = dev.invoke(chal, inv);
   const auto fw = dialed::verifier::firmware_artifact::build(prog);
-  dialed::verifier::replay_force_dispatch(
-      fast ? dialed::verifier::replay_dispatch::fast
-           : dialed::verifier::replay_dispatch::legacy);
   double instructions = 0;
   for (auto _ : state) {
     const auto r = dialed::verifier::replay_operation(*fw, rep, {});
     instructions = static_cast<double>(r.instructions);
     benchmark::DoNotOptimize(r);
   }
-  dialed::verifier::replay_force_dispatch(
-      dialed::verifier::replay_dispatch::fast);
   state.counters["replayed_instr"] = instructions;
   state.counters["instr_per_s"] = benchmark::Counter(
       instructions * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_verifier_replay_dispatch)
-    ->ArgNames({"n", "fast"})
-    ->Args({64, 0})
-    ->Args({64, 1})
-    ->Args({256, 0})
-    ->Args({256, 1})
+    ->ArgName("n")
+    ->Arg(64)
+    ->Arg(256)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_fleet_obs_overhead(benchmark::State& state) {

@@ -4,10 +4,6 @@
 
 namespace dialed::fleet {
 
-namespace {
-
-/// One Prometheus family header + sample. Prometheus text format:
-/// `name{label="v"} value\n`, families introduced once by HELP/TYPE.
 void family(std::string& out, const char* name, const char* type,
             const char* help) {
   out += "# HELP ";
@@ -22,15 +18,13 @@ void family(std::string& out, const char* name, const char* type,
 }
 
 void sample(std::string& out, const char* name, std::uint64_t value,
-            const std::string& labels = {}) {
+            const std::string& labels) {
   out += name;
   out += labels;
   out += ' ';
   out += std::to_string(value);
   out += '\n';
 }
-
-}  // namespace
 
 std::string escape_label_value(const std::string& v) {
   std::string out;

@@ -26,6 +26,15 @@ std::string render_stats_json(const hub_stats& s);
 /// assembling their own labels should too.
 std::string escape_label_value(const std::string& v);
 
+/// Prometheus text exposition primitives every renderer here (and the
+/// net server's own families) writes through: `family` introduces a
+/// family with its HELP/TYPE header, `sample` appends one
+/// `name{labels} value` line (`labels` braced, or empty).
+void family(std::string& out, const char* name, const char* type,
+            const char* help);
+void sample(std::string& out, const char* name, std::uint64_t value,
+            const std::string& labels = {});
+
 /// Append the hub counters to `out` in Prometheus text exposition format
 /// (one HELP/TYPE header per family, `dialed_hub_` prefix). Appends —
 /// callers with their own metrics (the net server) concatenate families

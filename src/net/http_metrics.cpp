@@ -8,27 +8,8 @@ namespace dialed::net {
 
 namespace {
 
-void family(std::string& out, const char* name, const char* type,
-            const char* help) {
-  out += "# HELP ";
-  out += name;
-  out += ' ';
-  out += help;
-  out += "\n# TYPE ";
-  out += name;
-  out += ' ';
-  out += type;
-  out += '\n';
-}
-
-void sample(std::string& out, const char* name, std::uint64_t value,
-            const std::string& labels = {}) {
-  out += name;
-  out += labels;
-  out += ' ';
-  out += std::to_string(value);
-  out += '\n';
-}
+using fleet::family;
+using fleet::sample;
 
 const char* status_text(int status) {
   switch (status) {

@@ -188,7 +188,6 @@ firmware_artifact::firmware_artifact(instr::linked_program prog,
         static_cast<std::size_t>(prog_.er_max - prog_.er_min) / 2 + 1;
     decoded_.resize(n);
     decoded_valid_.assign(n, 0);
-    decoded_flags_.assign(n, 0);
     site_index_.assign(n, nullptr);
     for (std::size_t i = 0; i < n; ++i) {
       const auto pc =
@@ -199,10 +198,6 @@ firmware_artifact::firmware_artifact(instr::linked_program prog,
       try {
         decoded_[i] = isa::decode(words, pc);
         decoded_valid_[i] = 1;
-        if (is_ret_instruction(decoded_[i].ins)) decoded_flags_[i] |= df_ret;
-        if (decoded_[i].ins.op == isa::opcode::call) {
-          decoded_flags_[i] |= df_call;
-        }
       } catch (const error&) {
         // Not every even address is an instruction boundary; callers that
         // land here decode live and get the identical error.
@@ -456,7 +451,6 @@ std::size_t firmware_artifact::footprint_bytes() const {
   n += flat_.capacity();
   n += decoded_.capacity() * sizeof(isa::decoded);
   n += decoded_valid_.capacity();
-  n += decoded_flags_.capacity();
   n += site_index_.capacity() * sizeof(const bounds_site*);
   n += taken_labels_.capacity() * sizeof(std::uint16_t);
   for (const auto& [pc, s] : sites_) {

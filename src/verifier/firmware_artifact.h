@@ -59,18 +59,6 @@ struct accepted_round {
   std::optional<verdict> outcome;
 };
 
-/// The instrumented `ret` idiom (`mov @SP+, PC`) — the pattern both the
-/// replay loop's return-address witness and the artifact's predecoded
-/// flags classify by. One definition so the cached and live-decode paths
-/// can never disagree.
-constexpr bool is_ret_instruction(const isa::instruction& ins) {
-  return ins.op == isa::opcode::mov &&
-         ins.src.mode == isa::addr_mode::indirect_inc &&
-         ins.src.base == isa::REG_SP &&
-         ins.dst.mode == isa::addr_mode::reg &&
-         ins.dst.base == isa::REG_PC;
-}
-
 /// One compiler-recorded array access, resolved to its code address: at
 /// this site r15 holds the effective address of an access into `object`,
 /// whose extent the abstract executor checks (paper Fig. 2 detection).
@@ -130,11 +118,12 @@ class firmware_artifact {
 
   /// Predecoded instruction at `pc`, or nullptr when pc is outside
   /// [er_min, er_max] / unaligned / not decodable as laid out in the
-  /// image. Callers fall back to a live decode (identical bytes, so
-  /// identical result or identical error) — and MUST do so for every pc
-  /// once replayed code has been overwritten (see replay.cpp's dirty
-  /// tracking). Header-inline: this sits on the replay loop's
-  /// per-instruction path.
+  /// image: exactly isa::decode of flat_image() at pc, which the tests'
+  /// decode-cache oracle checks at every pc (docs/REPLAY.md). Callers
+  /// fall back to a live decode (identical bytes, so identical result or
+  /// identical error) — and MUST do so for every pc once replayed code
+  /// has been overwritten (see replay.cpp's dirty tracking).
+  /// Header-inline: this sits on the replay loop's per-instruction path.
   const isa::decoded* decoded_at(std::uint16_t pc) const {
     if (pc < prog_.er_min || pc > prog_.er_max ||
         ((pc - prog_.er_min) & 1) != 0) {
@@ -142,13 +131,6 @@ class firmware_artifact {
     }
     const std::size_t i = static_cast<std::size_t>(pc - prog_.er_min) / 2;
     return decoded_valid_[i] ? &decoded_[i] : nullptr;
-  }
-
-  /// Classification bits precomputed alongside the decode cache; only
-  /// meaningful where decoded_at(pc) is non-null.
-  enum : std::uint8_t { df_ret = 1, df_call = 2 };
-  std::uint8_t decoded_flags(std::uint16_t pc) const {
-    return decoded_flags_[static_cast<std::size_t>(pc - prog_.er_min) / 2];
   }
 
   /// Access-site lookup for one code address, O(1) for sites inside ER
@@ -214,12 +196,10 @@ class firmware_artifact {
   std::map<std::uint16_t, bounds_site> sites_;
   std::vector<std::uint16_t> taken_labels_;  ///< sorted
   /// Decode cache over [er_min, er_max]: entry (pc - er_min)/2; a parallel
-  /// validity bitmap marks addresses that do not decode as laid out, a
-  /// parallel flags array carries df_* classification bits, and a parallel
-  /// pointer array resolves access sites without the map.
+  /// validity bitmap marks addresses that do not decode as laid out, and a
+  /// parallel pointer array resolves access sites without the map.
   std::vector<isa::decoded> decoded_;
   std::vector<std::uint8_t> decoded_valid_;
-  std::vector<std::uint8_t> decoded_flags_;
   std::vector<const bounds_site*> site_index_;
   bool sites_outside_er_ = false;
 };

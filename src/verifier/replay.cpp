@@ -1,6 +1,5 @@
 #include "verifier/replay.h"
 
-#include <atomic>
 #include <bitset>
 #include <optional>
 
@@ -9,18 +8,6 @@
 #include "verifier/firmware_artifact.h"
 
 namespace dialed::verifier {
-
-namespace {
-std::atomic<replay_dispatch> forced_dispatch{replay_dispatch::fast};
-}  // namespace
-
-void replay_force_dispatch(replay_dispatch d) {
-  forced_dispatch.store(d, std::memory_order_relaxed);
-}
-
-replay_dispatch replay_forced_dispatch() {
-  return forced_dispatch.load(std::memory_order_relaxed);
-}
 
 std::uint16_t replay_state::global(const std::string& name) const {
   const auto it = prog_.global_addrs.find(name);
@@ -33,6 +20,17 @@ std::uint16_t replay_state::global(const std::string& name) const {
 namespace {
 
 constexpr std::uint64_t max_replay_instructions = 20'000'000;
+
+/// The instrumented `ret` idiom (`mov @SP+, PC`) the return-address
+/// witness classifies by — on the decode in hand, cached or live, so the
+/// two decode paths cannot disagree about it.
+constexpr bool is_ret_instruction(const isa::instruction& ins) {
+  return ins.op == isa::opcode::mov &&
+         ins.src.mode == isa::addr_mode::indirect_inc &&
+         ins.src.base == isa::REG_SP &&
+         ins.dst.mode == isa::addr_mode::reg &&
+         ins.dst.base == isa::REG_PC;
+}
 
 // ---------------------------------------------------------------------------
 // Per-thread reusable replay machine. Constructing an emu::machine per
@@ -459,10 +457,6 @@ class replay_engine final : public emu::watcher {
   /// Replayed code overwrote bytes the decode cache covers; decode live
   /// from the bus for the rest of the run.
   bool code_dirty_ = false;
-  /// Sampled once per replay so a mid-run flip of the test hook cannot
-  /// mix dispatch paths within one execution.
-  const bool legacy_decode_ =
-      replay_forced_dispatch() == replay_dispatch::legacy;
   std::uint16_t saved_sp_ = 0;
   std::uint16_t current_pc_ = 0;
   std::vector<std::pair<std::uint16_t, std::uint16_t>> ra_stack_;
@@ -535,12 +529,10 @@ replay_result replay_engine::run() {
     try {
       // Decode (for feeding) without executing — through the artifact's
       // predecoded index while the code bytes are pristine, live from the
-      // bus once an attack overwrote them (identical bytes -> identical
-      // decode, so the cache can never change a verdict). The legacy pin
-      // (test hook) forces the live path for every instruction.
-      const isa::decoded* dp = (legacy_decode_ || code_dirty_)
-                                   ? nullptr
-                                   : fw_.decoded_at(pc);
+      // bus once an attack overwrote them or outside the index (identical
+      // bytes -> identical decode, so the cache can never change a
+      // verdict).
+      const isa::decoded* dp = code_dirty_ ? nullptr : fw_.decoded_at(pc);
       isa::decoded live;
       if (dp == nullptr) {
         if (pc > 0xfffa) {
@@ -565,13 +557,8 @@ replay_result replay_engine::run() {
       feed_for(d.ins, pc);
       if (fx_) propagate_taint(d.ins);
 
-      // Return-address witness: `ret` must pop what the call pushed. The
-      // predecoded index carries the classification as a flag; the live
-      // path computes the same shared predicate.
-      const bool is_ret =
-          dp != &live
-              ? (fw_.decoded_flags(pc) & firmware_artifact::df_ret) != 0
-              : is_ret_instruction(d.ins);
+      // Return-address witness: `ret` must pop what the call pushed.
+      const bool is_ret = is_ret_instruction(d.ins);
       if (is_ret) {
         const std::uint16_t sp = reg(isa::REG_SP);
         const std::uint16_t actual = m_.get_bus().peek16(sp);

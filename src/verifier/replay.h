@@ -87,22 +87,13 @@ struct replay_result {
 /// between reports, constructed only when a thread first replays — or
 /// replays a firmware with a different memory map), and decodes through
 /// the artifact's predecoded instruction index, falling back to live
-/// decode once replayed code has been overwritten. Safe to call from many
+/// decode outside the index or once replayed code has been overwritten
+/// (docs/REPLAY.md, "Live-decode fallback"). Safe to call from many
 /// threads concurrently; each thread has its own machine.
 replay_result replay_operation(
     const firmware_artifact& fw, const report_view& report,
     const std::vector<std::shared_ptr<policy>>& policies,
     forensics* fx = nullptr);
-
-/// Test hook: pin the replay main loop to one dispatch path. `fast` (the
-/// default) decodes through the artifact's predecoded index and skips the
-/// CPU's re-fetch via step(pre); `legacy` re-decodes every instruction
-/// live from the bus and re-fetches inside step() — the historical loop,
-/// kept selectable so the differential suite can assert the two produce
-/// field-identical verdicts. Process-global, like sha256_force_backend.
-enum class replay_dispatch : std::uint8_t { fast, legacy };
-void replay_force_dispatch(replay_dispatch d);
-replay_dispatch replay_forced_dispatch();
 
 }  // namespace dialed::verifier
 

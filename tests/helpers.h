@@ -5,15 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "apps/apps.h"
+#include "common/error.h"
 #include "emu/machine.h"
 #include "fleet/verifier_hub.h"
 #include "instr/oplink.h"
+#include "isa/isa.h"
 #include "masm/masm.h"
 #include "proto/prover.h"
 #include "proto/wire.h"
+#include "verifier/firmware_artifact.h"
+#include "verifier/replay.h"
 
 namespace dialed::test {
 
@@ -85,6 +90,60 @@ inline void expect_same_verdict(const verifier::verdict& a,
     EXPECT_EQ(a.findings[i].detail, b.findings[i].detail) << label;
     EXPECT_EQ(a.findings[i].pc, b.findings[i].pc) << label;
     EXPECT_EQ(a.findings[i].addr, b.findings[i].addr) << label;
+  }
+}
+
+/// Replay `rep` with and without a forensics sink; require the decision
+/// fields — outcome, final registers, instruction count and findings in
+/// order — to be identical. Returns the captured forensics.
+inline verifier::forensics expect_capture_neutral(
+    const verifier::firmware_artifact& fw, const verifier::report_view& rep,
+    const std::string& label) {
+  const auto off = verifier::replay_operation(fw, rep, {});
+  verifier::forensics fx;
+  const auto on = verifier::replay_operation(fw, rep, {}, &fx);
+  EXPECT_EQ(off.completed, on.completed) << label;
+  EXPECT_EQ(off.final_r15, on.final_r15) << label;
+  EXPECT_EQ(off.final_r4, on.final_r4) << label;
+  EXPECT_EQ(off.instructions, on.instructions) << label;
+  EXPECT_EQ(off.findings.size(), on.findings.size()) << label;
+  for (std::size_t i = 0;
+       i < std::min(off.findings.size(), on.findings.size()); ++i) {
+    EXPECT_EQ(off.findings[i].kind, on.findings[i].kind) << label;
+    EXPECT_EQ(off.findings[i].detail, on.findings[i].detail) << label;
+    EXPECT_EQ(off.findings[i].pc, on.findings[i].pc) << label;
+    EXPECT_EQ(off.findings[i].addr, on.findings[i].addr) << label;
+  }
+  return fx;
+}
+
+/// Decode-cache oracle: at every even pc in [er_min, er_max] the
+/// artifact's predecoded entry must be exactly isa::decode of the flat
+/// image's words there — null where that decode throws, field-identical
+/// (ins, words, cg_src) otherwise. Stops at the first mismatch.
+inline void expect_decode_cache_matches_image(
+    const verifier::firmware_artifact& fw, const std::string& label) {
+  const auto& img = fw.flat_image();
+  const auto word = [&](std::uint32_t a) {
+    return static_cast<std::uint16_t>(img[a & 0xffff] |
+                                      img[(a + 1) & 0xffff] << 8);
+  };
+  const auto& prog = fw.program();
+  for (std::uint32_t pc = prog.er_min; pc <= prog.er_max; pc += 2) {
+    const std::array<std::uint16_t, 3> words = {word(pc), word(pc + 2),
+                                                word(pc + 4)};
+    std::optional<isa::decoded> want;
+    try {
+      want = isa::decode(words, static_cast<std::uint16_t>(pc));
+    } catch (const error&) {
+    }
+    const isa::decoded* got = fw.decoded_at(static_cast<std::uint16_t>(pc));
+    const std::string at = label + " pc " + std::to_string(pc);
+    ASSERT_EQ(got != nullptr, want.has_value()) << at;
+    if (got == nullptr) continue;
+    ASSERT_EQ(got->ins, want->ins) << at;
+    ASSERT_EQ(got->words, want->words) << at;
+    ASSERT_EQ(got->cg_src, want->cg_src) << at;
   }
 }
 

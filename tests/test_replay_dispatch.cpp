@@ -1,10 +1,16 @@
-// Replay fast-path differential suite: the direct-dispatch replay loop
-// and the reuse of a device's last accepted round must produce verdicts
-// FIELD-IDENTICAL to the legacy live-decode loop — over the four
-// evaluation apps, the attack/forged/CFA rounds and the wire fuzz corpus
-// — plus the reuse rule's security invariants, the capture differential
-// (a replay with a forensics sink decides exactly like one without) and
-// the top-of-address-space fail-closed behavior.
+// Replay decode-path suite. The replay loop has one decode rule — the
+// artifact's predecoded index while the code window is pristine, a live
+// decode once replayed code overwrote it or outside the index — and it is
+// judged by oracles that share no code with the loop: the decode-cache
+// oracle (every cached entry is isa::decode of the flat image), the
+// prover (benign rounds replay to the result the device returned, also
+// through self-modifying code) and the detectors' findings on attack
+// rounds. Around that: reuse of a device's last accepted round must give
+// field-identical verdicts, plus the reuse rule's security invariants,
+// the capture differential (a replay with a forensics sink decides
+// exactly like one without) and the top-of-address-space fail-closed
+// behavior. test_differential runs both decode paths on generated
+// programs.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -29,60 +35,35 @@ using test::build_op;
 
 byte_vec master_key() { return byte_vec(32, 0x42); }
 
-/// Pins the process-global dispatch mode for one scope and always
-/// restores the fast default.
-struct dispatch_guard {
-  explicit dispatch_guard(replay_dispatch d) { replay_force_dispatch(d); }
-  ~dispatch_guard() { replay_force_dispatch(replay_dispatch::fast); }
-};
-
-void expect_result_eq(const fleet::attest_result& a,
-                      const fleet::attest_result& b,
-                      const std::string& label) {
-  EXPECT_EQ(a.error, b.error) << label;
-  EXPECT_EQ(a.device, b.device) << label;
-  EXPECT_EQ(a.seq, b.seq) << label;
-  test::expect_same_verdict(a.verdict, b.verdict, label);
-}
-
 std::vector<apps::app_spec> four_apps() {
   auto specs = apps::evaluation_apps();  // SyringePump, FireSensor, Ranger
   specs.push_back(apps::door_lock_app());
   return specs;
 }
 
-/// Verify one report on the legacy loop, on the fast loop, and with the
-/// fast verdict offered back as the device's prior round (reused when it
-/// was accepted); require field-identical verdicts throughout. Returns
-/// the legacy verdict.
-verdict expect_all_paths_equal(const firmware_artifact& fw,
-                               const attestation_report& rep,
-                               const std::array<std::uint8_t, 16>& chal,
-                               const std::string& label) {
+/// Verify one report, then offer the verdict back as the device's prior
+/// round (reused when it was accepted); require the reused verdict to be
+/// field-identical to the replayed one. Returns the replayed verdict.
+verdict verify_then_reuse(const firmware_artifact& fw,
+                          const attestation_report& rep,
+                          const std::array<std::uint8_t, 16>& chal,
+                          const std::string& label) {
   const auto ks = crypto::hmac_keystate::derive(test::test_key());
   const std::vector<std::shared_ptr<policy>> no_policies;
 
-  verdict legacy;
-  {
-    dispatch_guard pin(replay_dispatch::legacy);
-    legacy = fw.verify(rep, ks, no_policies, chal);
-  }
-  const verdict fast = fw.verify(rep, ks, no_policies, chal);
-  test::expect_same_verdict(legacy, fast, label + "/fast-vs-legacy");
-
-  const accepted_round prior{fw.id(), rep.or_bytes, fast};
+  const verdict v = fw.verify(rep, ks, no_policies, chal);
+  const accepted_round prior{fw.id(), rep.or_bytes, v};
   const verdict again =
       fw.verify(rep, ks, no_policies, chal, nullptr, &prior);
-  const bool reusable =
-      fast.accepted && fast.replay == replay_path::replayed;
-  EXPECT_EQ(again.replay, reusable ? replay_path::reused : fast.replay)
+  const bool reusable = v.accepted && v.replay == replay_path::replayed;
+  EXPECT_EQ(again.replay, reusable ? replay_path::reused : v.replay)
       << label;
-  test::expect_same_verdict(legacy, again, label + "/prior-vs-legacy");
-  return legacy;
+  test::expect_same_verdict(v, again, label + "/reused-vs-replayed");
+  return v;
 }
 
 // ---------------------------------------------------------------------------
-// Differential: legacy vs fast vs reused
+// The prover as judge: replayed vs device, then reused vs replayed
 // ---------------------------------------------------------------------------
 
 TEST(dispatch, all_apps_benign_rounds_identical) {
@@ -94,8 +75,9 @@ TEST(dispatch, all_apps_benign_rounds_identical) {
     chal.fill(0x7e);
     const auto rep = dev.invoke(chal, app.representative_input);
     const auto fw = firmware_artifact::build(prog);
-    const auto v = expect_all_paths_equal(*fw, rep, chal, app.name);
+    const auto v = verify_then_reuse(*fw, rep, chal, app.name);
     EXPECT_TRUE(v.accepted) << app.name;
+    EXPECT_EQ(v.replayed_result, rep.claimed_result) << app.name;
   }
 }
 
@@ -106,43 +88,44 @@ TEST(dispatch, attack_and_forged_rounds_identical) {
   std::array<std::uint8_t, 16> chal{};
   const auto fw = firmware_artifact::build(prog);
 
-  // Fig. 2 data-only attack: the bounds detector's finding must be
-  // identical on every path.
+  // Fig. 2 data-only attack: the bounds detector fires, and the replay
+  // still reproduces what the device returned.
   const auto attack = dev.invoke(chal, apps::fig2_attack());
-  const auto v_attack = expect_all_paths_equal(*fw, attack, chal, "fig2");
+  const auto v_attack = verify_then_reuse(*fw, attack, chal, "fig2");
   EXPECT_TRUE(v_attack.has(attack_kind::data_only_attack));
+  EXPECT_EQ(v_attack.replayed_result, attack.claimed_result);
 
   // Forged claimed result: caught by the replayed-result comparison.
   auto forged = dev.invoke(chal, apps::fig2_benign(1, 3));
+  const std::uint16_t honest = forged.claimed_result;
   forged.claimed_result = 0xbeef;
-  const auto v_forged =
-      expect_all_paths_equal(*fw, forged, chal, "fig2-forged");
+  const auto v_forged = verify_then_reuse(*fw, forged, chal, "fig2-forged");
   EXPECT_TRUE(v_forged.has(attack_kind::result_forged));
+  EXPECT_EQ(v_forged.replayed_result, honest);
 }
 
 TEST(dispatch, cfa_rounds_identical) {
-  // Tiny-CFA mode never replays (no I-Log), but it must still verify
-  // identically regardless of the dispatch pin or an offered prior round.
+  // Tiny-CFA mode never replays (no I-Log), but an offered prior round
+  // must not change its verdict either.
   const auto prog =
       apps::build_app(apps::fig1_app(), instr::instrumentation::tinycfa);
   proto::prover_device dev(prog, test::test_key());
   std::array<std::uint8_t, 16> chal{};
   const auto fw = firmware_artifact::build(prog);
 
-  for (const auto& [label, inv] :
-       {std::pair{"benign", apps::fig1_benign(5)},
-        std::pair{"attack", apps::fig1_attack(prog, 15)}}) {
-    const auto rep = dev.invoke(chal, inv);
-    expect_all_paths_equal(*fw, rep, chal, std::string("fig1-") + label);
-  }
+  const auto benign =
+      verify_then_reuse(*fw, dev.invoke(chal, apps::fig1_benign(5)), chal,
+                        "fig1-benign");
+  EXPECT_TRUE(benign.accepted);
+  const auto attack = verify_then_reuse(
+      *fw, dev.invoke(chal, apps::fig1_attack(prog, 15)), chal,
+      "fig1-attack");
+  EXPECT_FALSE(attack.accepted);
 }
 
-TEST(dispatch, hub_legacy_vs_fast_over_fuzz_corpus) {
-  // Two identically-seeded hubs, one pinned to the legacy loop, replay
-  // the checked-in wire fuzz corpus plus a valid round; every frame must
-  // produce a field-identical attest_result. One valid round only: a
-  // repeated identical round would be reused on both hubs, and the
-  // legacy loop would never run.
+TEST(dispatch, hub_over_fuzz_corpus) {
+  // One hub: a valid round is accepted with the prover's result, then
+  // every checked-in wire fuzz corpus frame gets an answer, not a throw.
   device_registry reg(master_key());
   const auto prog = build_op("int op(int a, int b) { return a + b; }",
                              "op", instr::instrumentation::dialed);
@@ -150,45 +133,91 @@ TEST(dispatch, hub_legacy_vs_fast_over_fuzz_corpus) {
 
   fleet::hub_config cfg;
   cfg.sequential_batch = true;
-  verifier_hub hub_fast(reg, cfg);
-  verifier_hub hub_legacy(reg, cfg);
+  verifier_hub hub(reg, cfg);
   proto::prover_device dev(prog, reg.derive_key(id));
-
-  std::vector<std::pair<std::string, byte_vec>> frames;
-  // A well-formed accepted round (same nonce on both hubs: same seed).
   {
-    const auto grant_f = hub_fast.challenge(id);
-    const auto grant_l = hub_legacy.challenge(id);
-    ASSERT_EQ(grant_f.nonce, grant_l.nonce);
+    const auto grant = hub.challenge(id);
     proto::invocation inv;
     inv.args[0] = 20;
     inv.args[1] = 22;
-    const auto rep = dev.invoke(grant_f.nonce, inv);
-    proto::frame_info info;
-    info.device_id = id;
-    info.seq = grant_f.seq;
-    frames.emplace_back("valid-round", proto::encode_frame(info, rep));
+    const auto rep = dev.invoke(grant.nonce, inv);
+    ASSERT_EQ(rep.claimed_result, 42);
+    const auto r = hub.submit(proto::encode_frame(
+        proto::frame_info{.device_id = id, .seq = grant.seq}, rep));
+    EXPECT_TRUE(r.accepted());
+    EXPECT_EQ(r.verdict.replayed_result, rep.claimed_result);
   }
+
   const fs::path dir = DIALED_FUZZ_CORPUS_DIR;
   ASSERT_TRUE(fs::exists(dir)) << dir << " missing";
+  std::size_t frames = 0;
   for (const auto& e : fs::directory_iterator(dir)) {
     if (e.path().extension() != ".bin") continue;
     std::ifstream in(e.path(), std::ios::binary);
-    byte_vec bytes((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-    frames.emplace_back(e.path().filename().string(), std::move(bytes));
+    const byte_vec bytes((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+    EXPECT_NO_THROW(hub.submit(bytes)) << e.path().filename();
+    ++frames;
   }
-  ASSERT_GT(frames.size(), 10u);
+  EXPECT_GT(frames, 10u);
+}
 
-  for (const auto& [name, frame] : frames) {
-    const auto r_fast = hub_fast.submit(frame);
-    fleet::attest_result r_legacy;
-    {
-      dispatch_guard pin(replay_dispatch::legacy);
-      r_legacy = hub_legacy.submit(frame);
+// ---------------------------------------------------------------------------
+// Decode-path oracles
+// ---------------------------------------------------------------------------
+
+TEST(decode_paths, cache_matches_image_on_apps_in_both_modes) {
+  auto specs = four_apps();
+  specs.push_back(apps::fig1_app());
+  specs.push_back(apps::fig2_app());
+  for (const auto mode : {instr::instrumentation::dialed,
+                          instr::instrumentation::tinycfa}) {
+    for (const auto& app : specs) {
+      const auto fw = firmware_artifact::build(apps::build_app(app, mode));
+      test::expect_decode_cache_matches_image(
+          *fw, app.name + (mode == instr::instrumentation::dialed
+                               ? "/dialed"
+                               : "/tinycfa"));
     }
-    expect_result_eq(r_fast, r_legacy, name);
   }
+}
+
+TEST(decode_paths, self_modifying_op_replays_what_the_device_ran) {
+  // The op overwrites its own `mov #1, r15` with `mov #2, r15` before
+  // reaching it. The device returns 2; only a replay that decodes live
+  // after the store does too. APEX clears EXEC on the ER write, so the
+  // full verify still rejects the round.
+  const auto prog =
+      build_op("int op(int a, int b) { __mmio_w16(a, b); return 1; }", "op",
+               instr::instrumentation::dialed);
+  const auto fw = firmware_artifact::build(prog);
+  std::vector<std::uint16_t> mov1_at;
+  for (std::uint32_t pc = prog.er_min; pc <= prog.er_max; pc += 2) {
+    const isa::decoded* d = fw->decoded_at(static_cast<std::uint16_t>(pc));
+    if (d != nullptr && d->words == 1 &&
+        (fw->flat_image()[pc] | fw->flat_image()[pc + 1] << 8) == 0x431f) {
+      mov1_at.push_back(static_cast<std::uint16_t>(pc));
+    }
+  }
+  ASSERT_EQ(mov1_at.size(), 1u);
+
+  proto::prover_device dev(prog, test::test_key());
+  std::array<std::uint8_t, 16> chal{};
+  proto::invocation inv;
+  inv.args[0] = mov1_at[0];
+  inv.args[1] = 0x432f;  // mov #2, r15
+  const auto rep = dev.invoke(chal, inv);
+  ASSERT_EQ(rep.claimed_result, 2);
+
+  const auto r = replay_operation(*fw, rep, {});
+  EXPECT_TRUE(r.completed);
+  EXPECT_EQ(r.final_r15, 2);
+  EXPECT_TRUE(r.findings.empty());
+
+  const auto v = fw->verify(
+      rep, crypto::hmac_keystate::derive(test::test_key()), {}, chal);
+  EXPECT_FALSE(v.accepted);
+  EXPECT_TRUE(v.has(attack_kind::mac_invalid));
 }
 
 // ---------------------------------------------------------------------------
@@ -472,30 +501,6 @@ TEST(reuse, artifact_checks_artifact_policies_acceptance_and_bytes) {
 // Capture differential: forensics on demand never change a decision
 // ---------------------------------------------------------------------------
 
-/// Replay `rep` with and without a forensics sink; require the decision
-/// fields — outcome, final registers, instruction count and findings in
-/// order — to be identical. Returns the captured forensics.
-forensics expect_capture_neutral(const firmware_artifact& fw,
-                                 const report_view& rep,
-                                 const std::string& label) {
-  const replay_result off = replay_operation(fw, rep, {});
-  forensics fx;
-  const replay_result on = replay_operation(fw, rep, {}, &fx);
-  EXPECT_EQ(off.completed, on.completed) << label;
-  EXPECT_EQ(off.final_r15, on.final_r15) << label;
-  EXPECT_EQ(off.final_r4, on.final_r4) << label;
-  EXPECT_EQ(off.instructions, on.instructions) << label;
-  EXPECT_EQ(off.findings.size(), on.findings.size()) << label;
-  for (std::size_t i = 0;
-       i < std::min(off.findings.size(), on.findings.size()); ++i) {
-    EXPECT_EQ(off.findings[i].kind, on.findings[i].kind) << label;
-    EXPECT_EQ(off.findings[i].detail, on.findings[i].detail) << label;
-    EXPECT_EQ(off.findings[i].pc, on.findings[i].pc) << label;
-    EXPECT_EQ(off.findings[i].addr, on.findings[i].addr) << label;
-  }
-  return fx;
-}
-
 TEST(capture, forensics_sink_leaves_app_rounds_unchanged) {
   struct round {
     std::string label;
@@ -522,7 +527,7 @@ TEST(capture, forensics_sink_leaves_app_rounds_unchanged) {
     proto::prover_device dev(prog, test::test_key());
     const auto rep =
         dev.invoke(chal, r.fig1 ? apps::fig1_attack(prog, 15) : r.inv);
-    const auto fx = expect_capture_neutral(*fw, rep, r.label);
+    const auto fx = test::expect_capture_neutral(*fw, rep, r.label);
     EXPECT_FALSE(fx.annotated_log.empty()) << r.label;
 
     // Logs that disagree with the binary: one OR byte flipped at a time
@@ -532,7 +537,7 @@ TEST(capture, forensics_sink_leaves_app_rounds_unchanged) {
     for (const std::size_t at : {n - 1, n - 3, n - 20, n / 2, std::size_t{0}}) {
       auto flipped = rep;
       flipped.or_bytes[at] ^= 0x01;
-      expect_capture_neutral(*fw, flipped,
+      test::expect_capture_neutral(*fw, flipped,
                              r.label + " flip@" + std::to_string(at));
     }
   }
@@ -554,7 +559,7 @@ TEST(capture, forensics_sink_leaves_fuzz_corpus_unchanged) {
                          std::istreambuf_iterator<char>());
     const auto d = proto::decode_frame(bytes);
     if (!d.ok()) continue;
-    expect_capture_neutral(*fw, d.frame.report, e.path().filename());
+    test::expect_capture_neutral(*fw, d.frame.report, e.path().filename());
     ++replayed;
   }
   EXPECT_GT(replayed, 3u);
