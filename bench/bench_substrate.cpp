@@ -791,9 +791,9 @@ BENCHMARK(BM_partition_router_overhead)->Arg(0)->Arg(1)->Arg(4)->Arg(16);
 void BM_wal_ship_apply(benchmark::State& state) {
   // Follower apply throughput: records/s a warm standby validates,
   // applies to its image, and appends to its own WAL. The stream is one
-  // real attestation round's records (challenge, retire, baseline,
-  // verdict) captured off a live store and replayed in a loop — each
-  // cycle is a legal continuation, so the follower never desyncs.
+  // real attestation round's records (challenge, retire, verdict)
+  // captured off a live store and replayed in a loop — each cycle is a
+  // legal continuation, so the follower never desyncs.
   namespace fs = std::filesystem;
   struct capture_sink final : dialed::store::ship_sink {
     std::uint64_t gen = 0;

@@ -18,14 +18,15 @@
 //   on_verdict    — a submission's outcome, for the stats counters only
 //                   (the security-relevant consumption already traveled
 //                   in on_retire).
-//   on_baseline   — an ACCEPTED report's OR became the device's wire
-//                   v2.1 delta baseline. Security state: a hub restarted
-//                   without it would reconstruct the next delta frame
-//                   against the wrong bytes (caught by the baseline hash
-//                   and answered with baseline_mismatch — correct but
-//                   needlessly forcing a full-frame round) or, worse,
-//                   accept nothing until the prover resyncs.
 //   on_tick       — the monotonic clock advanced (challenge expiry).
+//
+// Deliberately NOT an event: the wire v2.1 delta baseline (each device's
+// last accepted OR). It is soft state. A hub that lacks it answers a
+// delta frame with baseline_mismatch WITHOUT burning the nonce, and the
+// prover resends a full frame on the same challenge — the path a fresh
+// device or a desynced prover already takes. So after a restart or a
+// standby promotion, each device's first delta frame costs one extra
+// round trip, and no accepted OR is ever journaled.
 //
 // Threading: on_challenge/on_retire arrive under a shard lock and
 // on_provision under the registry's writer lock, possibly concurrently
@@ -81,8 +82,8 @@ struct device_counters {
   }
 };
 
-/// Snapshot of one device's anti-replay state, as dumped by
-/// verifier_hub::dump_devices and re-injected by verifier_hub::restore.
+/// Snapshot of one device's anti-replay state, as a store persists it and
+/// verifier_hub::restore re-injects it.
 struct device_restore {
   struct outstanding_challenge {
     nonce16 nonce{};
@@ -94,21 +95,11 @@ struct device_restore {
     nonce_fate fate = nonce_fate::consumed;
   };
 
-  /// The wire v2.1 delta baseline: the OR snapshot of the last ACCEPTED
-  /// report (sequence-stamped). `valid == false` means the device has no
-  /// baseline yet and every delta frame is answered baseline_mismatch.
-  struct or_baseline {
-    bool valid = false;
-    std::uint32_t seq = 0;
-    byte_vec bytes;
-  };
-
   device_id id = 0;
   std::uint32_t next_seq = 1;
   std::vector<outstanding_challenge> outstanding;  ///< oldest first
   std::vector<retired_nonce> retired;              ///< oldest first
   device_counters counters;
-  or_baseline baseline;
 };
 
 struct device_record;  // registry.h
@@ -144,14 +135,6 @@ class persist_sink {
   /// frames must not buy a disk append per frame.
   virtual void on_verdict(device_id id, proto::proto_error error,
                           bool accepted) = 0;
-
-  /// Under the owning shard lock, only for ACCEPTED verdicts: `or_bytes`
-  /// is the full reconstructed OR that round attested, now the device's
-  /// delta baseline for round seq+1 onwards. Emitted BEFORE the matching
-  /// on_verdict (same thread), so replay never sees a baseline-less
-  /// accept.
-  virtual void on_baseline(device_id id, std::uint32_t seq,
-                           std::span<const std::uint8_t> or_bytes) = 0;
 
   /// From tick(); `now` is the post-increment clock value.
   virtual void on_tick(std::uint64_t now) = 0;

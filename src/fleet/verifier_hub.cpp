@@ -308,8 +308,7 @@ attest_result verifier_hub::verify_impl(device_id id, std::uint32_t seq,
     // This round is now the proven device state: the delta baseline and
     // the reuse source (accepted verdicts ONLY). A reused verdict matched
     // `prior` byte for byte, so that round stays; otherwise the OR is
-    // copied out of the (possibly borrowed) frame. Re-takes the shard
-    // lock and journals before the verdict record below.
+    // copied out of the (possibly borrowed) frame. Re-takes the shard lock.
     auto round =
         r.verdict.replay == verifier::replay_path::reused
             ? std::move(prior)
@@ -399,9 +398,6 @@ void verifier_hub::adopt_round(
   // Newest accepted round wins; with concurrent accepts for one device
   // the table converges on the max seq no matter the interleaving.
   if (st.baseline.round != nullptr && seq <= st.baseline.seq) return;
-  // Journal BEFORE mutating (like retire): a throwing sink leaves the
-  // in-memory baseline consistent with what the log can replay.
-  if (cfg_.sink != nullptr) cfg_.sink->on_baseline(id, seq, round->or_bytes);
   st.baseline.seq = seq;
   st.baseline.hash = proto::or_baseline_hash(seq, round->or_bytes);
   // Swap, so the displaced round is freed after the lock is released.
@@ -520,18 +516,6 @@ void verifier_hub::restore(std::uint64_t now,
       st.retired.push_back({d.retired[i].nonce, d.retired[i].fate});
     }
     st.next_seq = d.next_seq;
-    st.baseline = {};
-    if (d.baseline.valid) {
-      // Bytes only: the verdict is not persisted, so the restored round
-      // serves delta frames but the device's next round replays. The
-      // hash is derived state: recompute instead of persisting, so the
-      // on-disk format stays independent of the hash construction.
-      st.baseline.seq = d.baseline.seq;
-      st.baseline.hash =
-          proto::or_baseline_hash(d.baseline.seq, d.baseline.bytes);
-      st.baseline.round = std::make_shared<const verifier::accepted_round>(
-          verifier::accepted_round{{}, d.baseline.bytes, std::nullopt});
-    }
     st.counters.accepted.store(d.counters.accepted,
                                std::memory_order_relaxed);
     st.counters.rejected_verdict.store(d.counters.rejected_verdict,
@@ -541,39 +525,6 @@ void verifier_hub::restore(std::uint64_t now,
     st.counters.rejected_protocol.store(d.counters.rejected_protocol,
                                         std::memory_order_relaxed);
   }
-}
-
-std::vector<device_restore> verifier_hub::dump_devices() const {
-  std::vector<device_restore> out;
-  for (const auto& shp : shards_) {
-    std::lock_guard<std::mutex> lk(shp->mu);
-    for (const auto& [id, st] : shp->states) {
-      device_restore d;
-      d.id = id;
-      d.next_seq = st.next_seq;
-      d.outstanding.reserve(st.outstanding.size());
-      for (const auto& e : st.outstanding) {
-        d.outstanding.push_back({e.nonce, e.seq, e.issued_at});
-      }
-      d.retired.reserve(st.retired.size());
-      for (const auto& e : st.retired) {
-        d.retired.push_back({e.nonce, e.fate});
-      }
-      if (st.baseline.round != nullptr) {
-        d.baseline.valid = true;
-        d.baseline.seq = st.baseline.seq;
-        d.baseline.bytes = st.baseline.round->or_bytes;
-      }
-      d.counters = st.counters.snapshot();
-      out.push_back(std::move(d));
-    }
-  }
-  // Shard iteration order is hash order; snapshots should be canonical.
-  std::sort(out.begin(), out.end(),
-            [](const device_restore& a, const device_restore& b) {
-              return a.id < b.id;
-            });
-  return out;
 }
 
 std::size_t verifier_hub::outstanding(device_id id) const {

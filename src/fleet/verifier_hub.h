@@ -34,15 +34,17 @@
 // A v2.1 frame carries the OR as a sparse delta against the OR of the
 // last report the hub ACCEPTED for that device — the per-device
 // `or_baseline` (sequence-stamped hash + bytes, updated only on an
-// accepted verdict, journaled through the persist sink so it survives
-// restarts). submit() resolves the baseline under the shard lock,
-// reconstructs the full OR OUTSIDE it, and then verifies exactly as if a
-// full frame had arrived — the MAC covers the reconstructed OR, so a
-// delta that reconstructs the wrong bytes is rejected like any forgery.
+// accepted verdict). It lives in memory only: it is soft state, never
+// journaled, snapshotted or shipped (fleet/persist.h). submit() resolves
+// the baseline under the shard lock, reconstructs the full OR OUTSIDE
+// it, and then verifies exactly as if a full frame had arrived — the MAC
+// covers the reconstructed OR, so a delta that reconstructs the wrong
+// bytes is rejected like any forgery.
 // A delta naming a baseline the hub does not hold (fresh device, stale
-// seq, hash desync, restart that lost state) is answered with the typed
-// baseline_mismatch error WITHOUT consuming the frame's nonce: the
-// prover falls back to a full frame for the same challenge.
+// seq, hash desync, or any delta after a restart or standby promotion)
+// is answered with the typed baseline_mismatch error WITHOUT consuming
+// the frame's nonce: the prover falls back to a full frame for the same
+// challenge.
 //
 // Replay reuse
 // ------------
@@ -51,9 +53,9 @@
 // verifier::accepted_round, swapped whole under the shard lock). A report
 // — full or delta — whose OR is byte-identical to it reuses that verdict
 // instead of replaying, after its own MAC verified; the claimed result is
-// still checked per report (firmware_artifact::verify). A restored
-// baseline carries bytes only, so each device's first round after a
-// restart replays.
+// still checked per report (firmware_artifact::verify). A restarted hub
+// holds no baselines, so each device's first round after a restart
+// arrives as a full frame and replays.
 //
 // Challenge lifecycle: issued -> (consumed | superseded | expired), with a
 // bounded per-device memory of retired nonces so a late report gets the
@@ -211,7 +213,7 @@ class verifier_hub : public hub_like {
   /// fields are lock-free, the per-device breakdown briefly takes each
   /// shard lock in turn. Pass include_per_device = false for the cheap
   /// lock-free hub-level scalars only (the store's snapshot writer does —
-  /// it gets the per-device rows from dump_devices() anyway).
+  /// its per-device rows come from the journal it mirrors).
   hub_stats stats(bool include_per_device = true) const override;
 
   /// Per-stage latency histograms for every report this hub verified.
@@ -225,7 +227,8 @@ class verifier_hub : public hub_like {
   /// Re-inject persisted state: the clock, hub-level counters, and every
   /// device's challenge table / retired-nonce history / per-device
   /// counters (retired histories longer than cfg.retired_memory keep only
-  /// the newest entries). Call once, before serving traffic — NOT
+  /// the newest entries). Delta baselines are not restored: every
+  /// device starts without one. Call once, before serving traffic — NOT
   /// thread-safe against concurrent hub use, and never journals to the
   /// sink. Also reseeds each shard's nonce stream with
   /// `counters.challenges_issued` as an epoch, so a restarted hub never
@@ -233,11 +236,6 @@ class verifier_hub : public hub_like {
   void restore(std::uint64_t now,
                std::span<const device_restore> devices,
                const hub_stats& counters);
-
-  /// Dump every device's anti-replay state for a snapshot (shard locks
-  /// taken one at a time; concurrent traffic lands in the WAL instead —
-  /// see fleet_store::compact's quiescence contract).
-  std::vector<device_restore> dump_devices() const;
 
  private:
   struct challenge_entry {
@@ -253,7 +251,7 @@ class verifier_hub : public hub_like {
 
   /// Per-device counters, written with relaxed atomics: the accept/reject
   /// bumps happen AFTER the shard lock is dropped (phase 2 of
-  /// verify_impl), racing only with stats()/dump_devices readers.
+  /// verify_impl), racing only with stats() readers.
   struct atomic_device_counters {
     std::atomic<std::uint64_t> accepted{0};
     std::atomic<std::uint64_t> rejected_verdict{0};
@@ -273,14 +271,14 @@ class verifier_hub : public hub_like {
   };
 
   /// The device's last accepted round: wire v2.1 delta baseline and
-  /// replay-reuse source in one. Guarded by the owning shard's mutex:
-  /// written only under the lock (accepted verdicts, restore); readers
-  /// copy the shared_ptr out under it and use the immutable round
-  /// unlocked.
+  /// replay-reuse source in one, in memory only. Guarded by the owning
+  /// shard's mutex: written only under the lock (accepted verdicts);
+  /// readers copy the shared_ptr out under it and use the immutable
+  /// round unlocked.
   struct or_baseline {
     std::uint32_t seq = 0;
     std::array<std::uint8_t, 8> hash{};  ///< proto::or_baseline_hash
-    /// null until the first accepted round (or a restored one)
+    /// null until this process accepts the device's first round
     std::shared_ptr<const verifier::accepted_round> round;
   };
 
@@ -350,8 +348,8 @@ class verifier_hub : public hub_like {
       device_id id, std::uint32_t seq, const proto::or_delta& delta,
       verifier::attestation_report& report);
   /// Make `round` the device's baseline for round `seq` if it is newer
-  /// than the current one (accepted verdicts only; takes the shard lock;
-  /// journals under it). The round is built outside the lock.
+  /// than the current one (accepted verdicts only; takes the shard
+  /// lock). The round is built outside the lock.
   void adopt_round(device_id id, std::uint32_t seq,
                    std::shared_ptr<const verifier::accepted_round> round);
 

@@ -341,16 +341,6 @@ void fleet_store::on_verdict(fleet::device_id id,
   journal(w.data());
 }
 
-void fleet_store::on_baseline(fleet::device_id id, std::uint32_t seq,
-                              std::span<const std::uint8_t> or_bytes) {
-  writer w;
-  w.u8(static_cast<std::uint8_t>(rec::baseline));
-  w.u32(id);
-  w.u32(seq);
-  w.bytes(or_bytes);
-  journal(w.data());
-}
-
 void fleet_store::on_tick(std::uint64_t now) {
   writer w;
   w.u8(static_cast<std::uint8_t>(rec::tick));

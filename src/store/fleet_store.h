@@ -21,6 +21,14 @@
 //     a pre-crash report as replayed_report instead of accepting it;
 //   * hub-level and per-device stats counters.
 //
+// Not persisted: each device's wire v2.1 delta baseline (its last
+// accepted OR). It is soft state (see fleet/persist.h): after a reopen
+// or a standby promotion, a device's first delta frame is answered
+// baseline_mismatch with its challenge kept, and the full-frame resend
+// on that challenge replays. Files written by older builds still load:
+// the baseline section of a v2 snapshot and type-7 baseline records in
+// the WAL are checked and dropped.
+//
 // Files in the state directory
 // ----------------------------
 //   snapshot.dls   versioned, CRC-32-guarded binary snapshot ("DLFS"
@@ -157,8 +165,6 @@ class fleet_store final : public fleet::persist_sink {
                  fleet::nonce_fate fate) override;
   void on_verdict(fleet::device_id id, proto::proto_error error,
                   bool accepted) override;
-  void on_baseline(fleet::device_id id, std::uint32_t seq,
-                   std::span<const std::uint8_t> or_bytes) override;
   void on_tick(std::uint64_t now) override;
   /// The hub's phase-1/phase-2 durability barrier. Under wal_sync::group
   /// this is where concurrent verifiers park and one batch fsync covers

@@ -219,21 +219,15 @@ void apply_record(state_image& img, std::span<const std::uint8_t> payload,
       break;
     }
     case rec::baseline: {
+      // An older build's delta baseline: checked like any record, then
+      // dropped (baselines are soft state, see fleet/persist.h).
       const fleet::device_id id = r.u32();
-      const std::uint32_t seq = r.u32();
-      byte_vec bytes = r.bytes();
+      (void)r.u32();    // seq
+      (void)r.bytes();  // OR bytes
       if (img.devices.count(id) == 0) {
         throw store_error(store_error_kind::bad_record,
                           "wal: baseline for unprovisioned device " +
                               std::to_string(id));
-      }
-      auto& b = state_for(img, id).baseline;
-      // Concurrent accepts journal in lock order per shard, but keep the
-      // max-seq rule anyway — it is the live hub's adoption rule too.
-      if (!b.valid || seq > b.seq) {
-        b.valid = true;
-        b.seq = seq;
-        b.bytes = std::move(bytes);
       }
       break;
     }
@@ -274,12 +268,6 @@ void write_device_state(writer& w, const fleet::device_restore& d) {
   w.u64(d.counters.rejected_verdict);
   w.u64(d.counters.replayed);
   w.u64(d.counters.rejected_protocol);
-  // v2: the wire v2.1 delta baseline (absent flag + seq + OR bytes).
-  w.boolean(d.baseline.valid);
-  if (d.baseline.valid) {
-    w.u32(d.baseline.seq);
-    w.bytes(d.baseline.bytes);
-  }
 }
 
 fleet::device_restore read_device_state(reader& r,
@@ -311,10 +299,11 @@ fleet::device_restore read_device_state(reader& r,
   d.counters.rejected_verdict = r.u64();
   d.counters.replayed = r.u64();
   d.counters.rejected_protocol = r.u64();
-  if (version >= 2 && r.boolean()) {
-    d.baseline.valid = true;
-    d.baseline.seq = r.u32();
-    d.baseline.bytes = r.bytes();
+  // v2 rows end with the delta baseline (flag, then seq + OR bytes):
+  // read under the same bounds checks, then dropped.
+  if (version == snapshot_version_v2 && r.boolean()) {
+    (void)r.u32();
+    (void)r.bytes();
   }
   return d;
 }
@@ -330,12 +319,12 @@ state_image parse_snapshot(std::span<const std::uint8_t> data,
                       path + ": not a DIALED fleet snapshot");
   }
   const std::uint32_t version = load_le32(data, 4);
-  if (version != snapshot_version_v1 && version != snapshot_version) {
+  if (version != snapshot_version_v2 && version != snapshot_version) {
     throw store_error(store_error_kind::bad_version,
                       path + ": snapshot version " +
                           std::to_string(version) +
                           " (this build speaks " +
-                          std::to_string(snapshot_version_v1) + ".." +
+                          std::to_string(snapshot_version_v2) + ".." +
                           std::to_string(snapshot_version) + ")");
   }
   const std::uint32_t stored_crc = load_le32(data, data.size() - 4);
@@ -358,19 +347,13 @@ state_image parse_snapshot(std::span<const std::uint8_t> data,
   img.stats.challenges_superseded = r.u64();
   img.stats.reports_accepted = r.u64();
   img.stats.reports_rejected_verdict = r.u64();
-  // v1 snapshots predate baseline_mismatch: their histogram is one
-  // bucket short, and the missing (newest) bucket starts at zero.
   const std::uint32_t nerr = r.count(8);
-  const std::uint32_t expected_err =
-      version == snapshot_version_v1
-          ? v1_error_buckets
-          : static_cast<std::uint32_t>(img.stats.rejected_by_error.size());
-  if (nerr != expected_err ||
-      nerr > img.stats.rejected_by_error.size()) {
+  if (nerr != img.stats.rejected_by_error.size()) {
     throw store_error(store_error_kind::bad_record,
                       path + ": error histogram has " +
                           std::to_string(nerr) + " buckets, expected " +
-                          std::to_string(expected_err));
+                          std::to_string(
+                              img.stats.rejected_by_error.size()));
   }
   for (std::uint32_t i = 0; i < nerr; ++i) {
     img.stats.rejected_by_error[i] = r.u64();

@@ -47,15 +47,14 @@ namespace dialed::store {
 
 inline constexpr std::array<std::uint8_t, 4> snapshot_magic = {'D', 'L',
                                                                'F', 'S'};
-/// v1: PR 4's original format. v2 (wire v2.1) appends a per-device delta
-/// baseline to each hub-state row and grows the proto_error histogram by
-/// the baseline_mismatch bucket. v1 snapshots still load (no baselines,
-/// the new bucket zero); this build always WRITES v2.
-inline constexpr std::uint32_t snapshot_version_v1 = 1;
-inline constexpr std::uint32_t snapshot_version = 2;
-/// proto_error_count at the time v1 snapshots were written — their
-/// histogram has exactly this many buckets.
-inline constexpr std::uint32_t v1_error_buckets = 12;
+/// v1 (a histogram one bucket short, no baselines) is retired: it is
+/// refused as bad_version. v2 appended each device's wire v2.1 delta
+/// baseline to its hub-state row; v2 snapshots still load, and that
+/// section is bounds-checked and dropped (baselines are soft state, see
+/// fleet/persist.h). v3 rows end at the counters; this build always
+/// WRITES v3.
+inline constexpr std::uint32_t snapshot_version_v2 = 2;
+inline constexpr std::uint32_t snapshot_version = 3;
 
 /// WAL record types (first payload byte).
 enum class rec : std::uint8_t {
@@ -65,7 +64,9 @@ enum class rec : std::uint8_t {
   retire = 4,     ///< device id, nonce, fate
   verdict = 5,    ///< device id, proto_error byte, accepted flag
   tick = 6,       ///< new clock value
-  baseline = 7,   ///< device id, seq, accepted round's full OR bytes
+  /// Reserved: device id, seq, accepted OR bytes. Written by older
+  /// builds only; replay checks it and drops it.
+  baseline = 7,
 };
 
 // ---------------------------------------------------------------------------

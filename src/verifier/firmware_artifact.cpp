@@ -367,10 +367,10 @@ verdict firmware_artifact::verify(
   // stands in for it when its OR bytes are identical. Policies may carry
   // state outside that pair, so they always replay. Reached only after
   // this report's MAC verified.
-  if (prior != nullptr && policies.empty() && prior->outcome &&
-      prior->outcome->accepted && prior->fw == id() &&
+  if (prior != nullptr && policies.empty() && prior->outcome.accepted &&
+      prior->fw == id() &&
       std::ranges::equal(prior->or_bytes, report.or_bytes)) {
-    v = *prior->outcome;
+    v = prior->outcome;
     v.replay = replay_path::reused;
     check_claimed_result(report, v);
     stamp_replay();

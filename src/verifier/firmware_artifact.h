@@ -46,17 +46,15 @@ class policy;  // replay.h
 /// Content address of a firmware image (SHA-256).
 using firmware_id = std::array<std::uint8_t, 32>;
 
-/// A device's last accepted round, as the fleet hub keeps it: the full OR
-/// that round attested and, when this process verified it, the accepted
-/// verdict it got under firmware `fw`. Immutable once built — the hub
-/// shares it as shared_ptr<const accepted_round> and swaps the whole
-/// object, so the bytes and the verdict always come from one round.
+/// A device's last accepted round, as the fleet hub keeps it in memory:
+/// the full OR that round attested and the accepted verdict it got under
+/// firmware `fw`. Immutable once built — the hub shares it as
+/// shared_ptr<const accepted_round> and swaps the whole object, so the
+/// bytes and the verdict always come from one round.
 struct accepted_round {
   firmware_id fw{};
   byte_vec or_bytes;
-  /// nullopt for a round restored from disk (bytes only): it serves as
-  /// the v2.1 delta baseline but is never reused.
-  std::optional<verdict> outcome;
+  verdict outcome;
 };
 
 /// One compiler-recorded array access, resolved to its code address: at

@@ -666,40 +666,35 @@ TEST(hub_concurrency, delta_submit_hammer_keeps_baselines_untorn) {
   ASSERT_EQ(failures.load(), 0);
 
   // Accepted-verdict-only + newest-wins: the surviving baseline is the
-  // max accepted seq's OR, byte for byte.
-  std::uint32_t max_seq = 0;
-  std::size_t n_accepted = 0;
+  // max accepted seq's OR, byte for byte (a torn write or an adopted
+  // tampered round would fail the delta against it), and nothing older:
+  // a delta against the previous accepted round is the typed mismatch,
+  // with the challenge kept for the delta that does reconstruct.
+  std::vector<std::uint32_t> seqs;
   for (const auto& per_thread : accepted_seqs) {
-    n_accepted += per_thread.size();
-    for (const auto s : per_thread) max_seq = std::max(max_seq, s);
+    seqs.insert(seqs.end(), per_thread.begin(), per_thread.end());
   }
-  ASSERT_GT(n_accepted, 0u);
-  const auto dump = hub.dump_devices();
-  ASSERT_EQ(dump.size(), 1u);
-  const auto& baseline = dump[0].baseline;
-  ASSERT_TRUE(baseline.valid);
-  EXPECT_EQ(baseline.seq, max_seq);
-  const auto by_seq = std::find_if(
-      rounds.begin(), rounds.end(), [&](const round_data& rd) {
-        return rd.grant.seq == max_seq;
-      });
-  ASSERT_NE(by_seq, rounds.end());
-  EXPECT_EQ(baseline.bytes, by_seq->rep.or_bytes)
-      << "baseline bytes match no accepted round: torn write";
-  // Tampered rounds (seq % ... the r % 5 == 4 rounds) were never adopted.
-  for (int r = 4; r < total_rounds; r += 5) {
-    EXPECT_NE(baseline.seq, rounds[r].grant.seq);
-  }
+  ASSERT_GT(seqs.size(), 1u);
+  std::sort(seqs.begin(), seqs.end());
+  const std::uint32_t max_seq = seqs.back();
+  const std::uint32_t prev_seq = seqs[seqs.size() - 2];
+  // Grants were drawn in round order, so round r holds seq r + 1.
+  const auto& newest = rounds[max_seq - 1];
+  const auto& previous = rounds[prev_seq - 1];
+  ASSERT_EQ(newest.grant.seq, max_seq);
+  ASSERT_EQ(previous.grant.seq, prev_seq);
 
-  // The post-hammer fleet still polls in lockstep: one more delta round
-  // against the final baseline.
   const auto g = hub.challenge(id);
   const auto rep = dev.invoke(g.nonce, args(500, 1));
   proto::frame_info info;
   info.device_id = id;
   info.seq = g.seq;
-  const auto r = hub.submit(proto::encode_delta_frame(
-      info, rep, baseline.seq, baseline.bytes));
+  const auto stale = hub.submit(proto::encode_delta_frame(
+      info, rep, prev_seq, previous.rep.or_bytes));
+  EXPECT_EQ(stale.error, proto_error::baseline_mismatch);
+  EXPECT_EQ(hub.outstanding(id), 1u);
+  const auto r = hub.submit(
+      proto::encode_delta_frame(info, rep, max_seq, newest.rep.or_bytes));
   ASSERT_TRUE(r.accepted());
   EXPECT_EQ(r.verdict.replayed_result, 501);
 }
@@ -875,8 +870,6 @@ class count_after_journal_sink : public persist_sink {
   void on_challenge(device_id, std::uint32_t, const nonce16&,
                     std::uint64_t) override {}
   void on_retire(device_id, const nonce16&, nonce_fate) override {}
-  void on_baseline(device_id, std::uint32_t,
-                   std::span<const std::uint8_t>) override {}
   void on_tick(std::uint64_t) override {}
   void on_verdict(device_id, proto_error error, bool ok) override {
     const auto s = hub->stats(/*include_per_device=*/false);

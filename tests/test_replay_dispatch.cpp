@@ -368,7 +368,6 @@ TEST(reuse, reopened_store_replays_the_first_round_then_reuses) {
   opts.hub.sequential_batch = true;
 
   fleet::device_id id = 0;
-  std::uint32_t seq = 0;
   byte_vec or_bytes;
   {
     auto st = store::fleet_store::open(dir.string(), opts);
@@ -380,12 +379,11 @@ TEST(reuse, reopened_store_replays_the_first_round_then_reuses) {
     ASSERT_TRUE(st.hub->submit(proto::encode_frame(
                                    {.device_id = id, .seq = g.seq}, rep))
                     .accepted());
-    seq = g.seq;
     or_bytes = rep.or_bytes;
   }  // "crash"
 
-  // The restored baseline holds the bytes but no verdict: it still
-  // serves delta frames, and the first round after the restart replays.
+  // The restarted hub holds no accepted round for the device: the first
+  // identical round replays, and the one after it reuses that replay.
   {
     auto st = store::fleet_store::open(dir.string(), opts);
     proto::prover_device dev(*st.registry->find(id)->program,
@@ -394,11 +392,10 @@ TEST(reuse, reopened_store_replays_the_first_round_then_reuses) {
       const auto g = st.hub->challenge(id);
       const auto rep = dev.invoke(g.nonce, args(20, 22));
       ASSERT_EQ(rep.or_bytes, or_bytes);
-      const auto r = st.hub->submit(proto::encode_delta_frame(
-          {.device_id = id, .seq = g.seq}, rep, seq, or_bytes));
+      const auto r = st.hub->submit(
+          proto::encode_frame({.device_id = id, .seq = g.seq}, rep));
       ASSERT_TRUE(r.accepted());
       EXPECT_EQ(r.verdict.replay, want);
-      seq = g.seq;
     }
     const auto s = st.hub->stats();
     EXPECT_EQ(s.replay_memo_misses, 1u);
@@ -438,13 +435,21 @@ TEST(reuse, concurrent_rounds_of_one_device) {
   const auto s = dut.hub.stats();
   EXPECT_EQ(s.replay_memo_hits + s.replay_memo_misses, 25u);
 
-  // The baseline is the newest round (inputs 1, 2), and its verdict
-  // matches its bytes.
-  const auto dump = dut.hub.dump_devices();
-  ASSERT_EQ(dump.size(), 1u);
-  EXPECT_EQ(dump[0].baseline.seq, results.back().seq);
-  EXPECT_EQ(dump[0].baseline.bytes, reps.back().or_bytes);
-  const auto [rep, r] = round_on(dut, args(1, 2));
+  // The baseline is the newest round (inputs 1, 2): a delta against the
+  // previous round is the typed mismatch, one against the newest
+  // reconstructs — and reuses, so its verdict matches its bytes.
+  const auto grant = dut.hub.challenge(dut.id);
+  const auto rep = dut.dev.invoke(grant.nonce, args(1, 2));
+  const proto::frame_info info{.device_id = dut.id, .seq = grant.seq};
+  const auto n = results.size();
+  EXPECT_EQ(dut.hub
+                .submit(proto::encode_delta_frame(info, rep,
+                                                  results[n - 2].seq,
+                                                  reps[n - 2].or_bytes))
+                .error,
+            proto::proto_error::baseline_mismatch);
+  const auto r = dut.hub.submit(proto::encode_delta_frame(
+      info, rep, results.back().seq, reps.back().or_bytes));
   EXPECT_TRUE(r.accepted());
   EXPECT_EQ(r.verdict.replay, replay_path::reused);
   EXPECT_EQ(r.verdict.replayed_result, 3);
@@ -487,8 +492,6 @@ TEST(reuse, artifact_checks_artifact_policies_acceptance_and_bytes) {
   auto rejected = v0;
   rejected.accepted = false;
   EXPECT_EQ(path_with({fw->id(), rep.or_bytes, rejected}, none),
-            replay_path::replayed);
-  EXPECT_EQ(path_with({fw->id(), rep.or_bytes, std::nullopt}, none),
             replay_path::replayed);
   auto flipped = rep.or_bytes;
   flipped.back() ^= 0x01;

@@ -217,8 +217,9 @@ TEST_F(store_test, accepted_report_is_replay_after_reopen) {
     ASSERT_TRUE(r.accepted());
     EXPECT_EQ(r.verdict.replayed_result, 42);
     // The store saw every event (2 firmware + 2 provision + 1 challenge
-    // + 1 retire + 1 baseline + 1 verdict).
-    EXPECT_EQ(st.store->wal_records(), 8u);
+    // + 1 retire + 1 verdict). The accepted OR is not journaled: delta
+    // baselines are soft state.
+    EXPECT_EQ(st.store->wal_records(), 7u);
   }  // "crash": drop every in-memory object
 
   auto st = fleet_store::open(dir(), opts());
@@ -250,104 +251,132 @@ TEST_F(store_test, accepted_report_is_replay_after_reopen) {
   }
 }
 
-TEST_F(store_test, delta_baseline_survives_kill_and_reopen) {
-  // Wire v2.1 crash-recovery property: accept a DELTA round, kill the
-  // process (drop every in-memory object), reopen — the next delta
-  // frame still verifies, while a baseline-desynced frame is rejected
-  // with the typed baseline_mismatch (and its challenge survives for
-  // the full-frame fallback), never accepted.
-  fleet::device_id id = 0;
-  std::uint32_t baseline_seq = 0;
-  byte_vec baseline_bytes;
-  {
-    auto st = fleet_store::open(dir(), opts());
-    id = st.registry->provision(prog_for(adder));
+TEST_F(store_test, restart_forgets_delta_baseline) {
+  // Wire v2.1 baselines are soft state: accept a DELTA round, kill the
+  // process (drop every in-memory object), reopen — on the snapshot path
+  // and on the WAL-only path. After the reopen every delta is
+  // baseline_mismatch with its challenge kept, the pre-crash round
+  // included; the full-frame resend on that challenge is accepted and
+  // becomes the new baseline.
+  for (const bool snapshot_path : {true, false}) {
+    SCOPED_TRACE(snapshot_path ? "snapshot" : "wal-only");
+    fs::remove_all(dir_);
+    auto o = opts();
+    o.compact_on_open = snapshot_path;
+    fleet::device_id id = 0;
+    std::uint32_t pre_crash_seq = 0;
+    byte_vec pre_crash_bytes;
+    {
+      auto st = fleet_store::open(dir(), o);
+      id = st.registry->provision(prog_for(adder));
+      proto::prover_device dev(*st.registry->find(id)->program,
+                               st.registry->find(id)->key);
+      // Round 1: full frame, establishes the baseline.
+      const auto g1 = st.hub->challenge(id);
+      const auto rep1 = dev.invoke(g1.nonce, args(20, 22));
+      ASSERT_TRUE(st.hub->submit(frame_for(id, g1, rep1)).accepted());
+      // Round 2: a DELTA round, accepted — its OR is the live baseline.
+      const auto g2 = st.hub->challenge(id);
+      const auto rep2 = dev.invoke(g2.nonce, args(7, 8));
+      proto::frame_info info;
+      info.device_id = id;
+      info.seq = g2.seq;
+      const auto r2 = st.hub->submit(
+          proto::encode_delta_frame(info, rep2, g1.seq, rep1.or_bytes));
+      ASSERT_TRUE(r2.accepted());
+      EXPECT_EQ(r2.verdict.replayed_result, 15);
+      pre_crash_seq = g2.seq;
+      pre_crash_bytes = rep2.or_bytes;
+      if (snapshot_path) st.store->compact();
+    }  // "crash"
+
+    auto st = fleet_store::open(dir(), o);
     proto::prover_device dev(*st.registry->find(id)->program,
                              st.registry->find(id)->key);
-    // Round 1: full frame, establishes the baseline.
-    const auto g1 = st.hub->challenge(id);
-    const auto rep1 = dev.invoke(g1.nonce, args(20, 22));
-    ASSERT_TRUE(st.hub->submit(frame_for(id, g1, rep1)).accepted());
-    // Round 2: a DELTA round, accepted — its OR is now the baseline
-    // that must survive the crash.
-    const auto g2 = st.hub->challenge(id);
-    const auto rep2 = dev.invoke(g2.nonce, args(7, 8));
+    const auto g3 = st.hub->challenge(id);
+    const auto rep3 = dev.invoke(g3.nonce, args(2, 3));
     proto::frame_info info;
     info.device_id = id;
-    info.seq = g2.seq;
-    const auto r2 = st.hub->submit(
-        proto::encode_delta_frame(info, rep2, g1.seq, rep1.or_bytes));
-    ASSERT_TRUE(r2.accepted());
-    EXPECT_EQ(r2.verdict.replayed_result, 15);
-    baseline_seq = g2.seq;
-    baseline_bytes = rep2.or_bytes;
-  }  // "crash"
+    info.seq = g3.seq;
+    // A baseline-DESYNCED delta (stale seq, wrong bytes) is the typed
+    // error, not an acceptance — and not a burned nonce.
+    const auto desynced = st.hub->submit(proto::encode_delta_frame(
+        info, rep3, pre_crash_seq + 17, byte_vec(64, 0xcc)));
+    EXPECT_EQ(desynced.error, proto::proto_error::baseline_mismatch);
+    EXPECT_EQ(st.hub->outstanding(id), 1u);
+    // A delta against the pre-crash round: the restarted hub never held
+    // that baseline, so it is the same typed error.
+    const auto stale = st.hub->submit(proto::encode_delta_frame(
+        info, rep3, pre_crash_seq, pre_crash_bytes));
+    EXPECT_EQ(stale.error, proto::proto_error::baseline_mismatch);
+    EXPECT_EQ(st.hub->outstanding(id), 1u);  // challenge survived
 
-  auto st = fleet_store::open(dir(), opts());
-  proto::prover_device dev(*st.registry->find(id)->program,
-                           st.registry->find(id)->key);
-  // A baseline-DESYNCED delta (stale seq, wrong bytes) is the typed
-  // error, not an acceptance — and not a burned nonce.
-  const auto g3 = st.hub->challenge(id);
-  const auto rep3 = dev.invoke(g3.nonce, args(2, 3));
-  proto::frame_info info;
-  info.device_id = id;
-  info.seq = g3.seq;
-  const auto desynced = st.hub->submit(proto::encode_delta_frame(
-      info, rep3, baseline_seq + 17, byte_vec(64, 0xcc)));
-  EXPECT_EQ(desynced.error, proto::proto_error::baseline_mismatch);
-  EXPECT_FALSE(desynced.accepted());
-  EXPECT_EQ(st.hub->outstanding(id), 1u);  // challenge survived
+    // The full resend on the same challenge is accepted...
+    const auto full = st.hub->submit(frame_for(id, g3, rep3));
+    ASSERT_TRUE(full.accepted());
+    EXPECT_EQ(full.verdict.replayed_result, 5);
 
-  // The RESTORED baseline still reconstructs: the same report as a
-  // delta against the pre-crash round verifies...
-  const auto resent = st.hub->submit(
-      proto::encode_delta_frame(info, rep3, baseline_seq, baseline_bytes));
-  ASSERT_TRUE(resent.accepted());
-  EXPECT_EQ(resent.verdict.replayed_result, 5);
-
-  // ...and the freshly-accepted delta round advanced the baseline: the
-  // next round deltas against ROUND 3, not the pre-crash state.
-  const auto g4 = st.hub->challenge(id);
-  const auto rep4 = dev.invoke(g4.nonce, args(30, 12));
-  info.seq = g4.seq;
-  const auto r4 = st.hub->submit(
-      proto::encode_delta_frame(info, rep4, g3.seq, rep3.or_bytes));
-  ASSERT_TRUE(r4.accepted());
-  EXPECT_EQ(r4.verdict.replayed_result, 42);
+    // ...and is the new baseline: the next round deltas against it.
+    const auto g4 = st.hub->challenge(id);
+    const auto rep4 = dev.invoke(g4.nonce, args(30, 12));
+    info.seq = g4.seq;
+    const auto r4 = st.hub->submit(
+        proto::encode_delta_frame(info, rep4, g3.seq, rep3.or_bytes));
+    ASSERT_TRUE(r4.accepted());
+    EXPECT_EQ(r4.verdict.replayed_result, 42);
+  }
 }
 
-TEST_F(store_test, delta_baseline_survives_wal_only_recovery) {
-  // Same property with compact_on_open disabled: the baseline must
-  // replay from the WAL record alone, not just the snapshot section.
+TEST_F(store_test, v2_store_with_persisted_baselines_loads_and_rewrites_v3) {
+  // tests/fuzz_corpus/store_v2 was written by a build that persisted
+  // delta baselines: a v2 snapshot whose one device (id 1, the adder)
+  // carries the baseline section for round (20, 22) at seq 1, and a
+  // wal-1.log holding round (7, 8) at seq 2 with its type-7 baseline
+  // record. Both load; the baselines are checked and dropped.
+  const fs::path fixture = fs::path(DIALED_FUZZ_CORPUS_DIR) / "store_v2";
+  fs::create_directories(dir_);
+  for (const char* f : {"snapshot.dls", "wal-1.log"}) {
+    fs::copy_file(fixture / f, dir_ / f);
+  }
+  ASSERT_EQ(load_le32(*read_file(snapshot()), 4), snapshot_version_v2);
   auto o = opts();
+  o.hub.shards = 1;
   o.compact_on_open = false;
-  fleet::device_id id = 0;
-  fleet::challenge_grant g1;
-  byte_vec or1;
+  const fleet::device_id id = 1;
   {
     auto st = fleet_store::open(dir(), o);
-    id = st.registry->provision(prog_for(adder));
+    ASSERT_EQ(st.registry->size(), 1u);
+    ASSERT_NE(st.registry->find(id), nullptr);
+    EXPECT_EQ(st.hub->stats().reports_accepted, 2u);
+    EXPECT_EQ(st.hub->outstanding(id), 0u);
+
     proto::prover_device dev(*st.registry->find(id)->program,
                              st.registry->find(id)->key);
-    g1 = st.hub->challenge(id);
-    const auto rep1 = dev.invoke(g1.nonce, args(1, 2));
-    or1 = rep1.or_bytes;
-    ASSERT_TRUE(st.hub->submit(frame_for(id, g1, rep1)).accepted());
-  }  // crash with the baseline only in wal-0.log
+    const auto g = st.hub->challenge(id);
+    EXPECT_EQ(g.seq, 3u);
+    // Same inputs as the persisted round 2, so the same OR bytes: a delta
+    // against the baseline the old build journaled.
+    const auto rep = dev.invoke(g.nonce, args(7, 8));
+    proto::frame_info info;
+    info.device_id = id;
+    info.seq = g.seq;
+    const auto delta = st.hub->submit(
+        proto::encode_delta_frame(info, rep, 2, rep.or_bytes));
+    EXPECT_EQ(delta.error, proto::proto_error::baseline_mismatch);
+    EXPECT_EQ(st.hub->outstanding(id), 1u);
 
+    const auto full = st.hub->submit(frame_for(id, g, rep));
+    ASSERT_TRUE(full.accepted());
+    EXPECT_EQ(full.verdict.replayed_result, 15);
+    EXPECT_EQ(full.verdict.replay, verifier::replay_path::replayed);
+    st.store->compact();
+  }
+  EXPECT_EQ(snapshot_version, 3u);
+  EXPECT_EQ(load_le32(*read_file(snapshot()), 4), snapshot_version);
   auto st = fleet_store::open(dir(), o);
-  proto::prover_device dev(*st.registry->find(id)->program,
-                           st.registry->find(id)->key);
-  const auto g2 = st.hub->challenge(id);
-  const auto rep2 = dev.invoke(g2.nonce, args(3, 4));
-  proto::frame_info info;
-  info.device_id = id;
-  info.seq = g2.seq;
-  const auto r = st.hub->submit(
-      proto::encode_delta_frame(info, rep2, g1.seq, or1));
-  ASSERT_TRUE(r.accepted());
-  EXPECT_EQ(r.verdict.replayed_result, 7);
+  EXPECT_EQ(st.registry->size(), 1u);
+  EXPECT_EQ(st.hub->stats().reports_accepted, 3u);
+  EXPECT_EQ(st.hub->stats().per_device.at(id).accepted, 3u);
 }
 
 TEST_F(store_test, auto_provision_after_reopen_never_reuses_ids) {
@@ -410,7 +439,7 @@ TEST_F(store_test, kill_after_k_wal_records_recovers_prefix_state) {
     const auto r = st.hub->submit(
         frame_for(id, g, dev.invoke(g.nonce, args(20, 22))));
     ASSERT_TRUE(r.accepted());
-    ASSERT_EQ(st.store->wal_records(), 6u);
+    ASSERT_EQ(st.store->wal_records(), 5u);
   }
   const auto full = [&] {
     std::ifstream in(wal_file(0), std::ios::binary);
@@ -420,7 +449,7 @@ TEST_F(store_test, kill_after_k_wal_records_recovers_prefix_state) {
 
   // Record boundaries from the framing itself.
   const auto parsed = read_wal(full);
-  ASSERT_EQ(parsed.records.size(), 6u);
+  ASSERT_EQ(parsed.records.size(), 5u);
   std::vector<std::size_t> ends;
   std::size_t pos = 0;
   for (const auto& rec : parsed.records) {
@@ -428,8 +457,8 @@ TEST_F(store_test, kill_after_k_wal_records_recovers_prefix_state) {
     ends.push_back(pos);
   }
 
-  const std::size_t outstanding_after[] = {0, 0, 0, 1, 0, 0, 0};
-  for (std::size_t k = 0; k <= 6; ++k) {
+  const std::size_t outstanding_after[] = {0, 0, 0, 1, 0, 0};
+  for (std::size_t k = 0; k <= 5; ++k) {
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     const std::size_t bytes = k == 0 ? 0 : ends[k - 1];
@@ -439,8 +468,7 @@ TEST_F(store_test, kill_after_k_wal_records_recovers_prefix_state) {
     out.close();
 
     auto st = fleet_store::open(dir(), o);
-    // Records: [firmware, provision, challenge, retire, baseline,
-    // verdict].
+    // Records: [firmware, provision, challenge, retire, verdict].
     EXPECT_EQ(st.registry->size(), k >= 2 ? 1u : 0u) << "k=" << k;
     EXPECT_EQ(st.catalog->size(), k >= 1 ? 1u : 0u) << "k=" << k;
     if (k >= 2) {
@@ -449,7 +477,7 @@ TEST_F(store_test, kill_after_k_wal_records_recovers_prefix_state) {
     }
     const auto stats = st.hub->stats();
     EXPECT_EQ(stats.challenges_issued, k >= 3 ? 1u : 0u) << "k=" << k;
-    EXPECT_EQ(stats.reports_accepted, k >= 6 ? 1u : 0u) << "k=" << k;
+    EXPECT_EQ(stats.reports_accepted, k >= 5 ? 1u : 0u) << "k=" << k;
   }
 }
 
@@ -572,29 +600,25 @@ TEST_F(store_test, corrupt_state_fails_closed_with_typed_errors) {
     EXPECT_EQ(e.kind(), store_error_kind::bad_magic);
   }
 
-  // Future version: refuse, do not guess.
+  // A future version, and the retired v1: refuse, do not guess.
   {
     auto st = fleet_store::open(dir() + "-v2", opts());
     st.store->compact();
-    auto data = [&] {
-      std::ifstream in(fs::path(dir() + "-v2") /
-                           fleet_store::snapshot_file,
-                       std::ios::binary);
-      return byte_vec((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    }();
-    data[4] = 0x63;  // version byte
+  }
+  const auto pristine = *read_file(fs::path(dir() + "-v2") /
+                                   fleet_store::snapshot_file);
+  for (const std::uint8_t version : {std::uint8_t{0x63}, std::uint8_t{1}}) {
+    auto data = pristine;
+    data[4] = version;  // version byte
     store_le32(data, data.size() - 4,
                crc32(std::span(data).subspan(0, data.size() - 4)));
-    std::ofstream out(snapshot(), std::ios::binary);
-    out.write(reinterpret_cast<const char*>(data.data()),
-              static_cast<std::streamsize>(data.size()));
-  }
-  try {
-    (void)fleet_store::open(dir(), opts());
-    FAIL() << "future version loaded";
-  } catch (const store_error& e) {
-    EXPECT_EQ(e.kind(), store_error_kind::bad_version);
+    write_file_atomic(snapshot(), data);
+    try {
+      (void)fleet_store::open(dir(), opts());
+      FAIL() << "snapshot version " << int{version} << " loaded";
+    } catch (const store_error& e) {
+      EXPECT_EQ(e.kind(), store_error_kind::bad_version);
+    }
   }
   fs::remove_all(dir() + "-v2");
 }
@@ -702,11 +726,11 @@ TEST_F(store_test, interrupted_compaction_chain_replays_both_logs) {
     const auto g = st.hub->challenge(id);
     frame = frame_for(id, g, dev.invoke(g.nonce, args(20, 22)));
     ASSERT_TRUE(st.hub->submit(frame).accepted());
-    ASSERT_EQ(st.store->wal_records(), 6u);
+    ASSERT_EQ(st.store->wal_records(), 5u);
   }
   const auto bytes = *read_file(wal_file(0));
   const auto parsed = read_wal(bytes);
-  ASSERT_EQ(parsed.records.size(), 6u);
+  ASSERT_EQ(parsed.records.size(), 5u);
   const auto rewrite = [&](std::uint64_t gen, std::size_t from,
                            std::size_t to) {
     fs::remove(wal_file(gen));
@@ -716,7 +740,7 @@ TEST_F(store_test, interrupted_compaction_chain_replays_both_logs) {
     }
   };
   rewrite(0, 0, 4);
-  rewrite(1, 4, 6);
+  rewrite(1, 4, 5);
 
   {
     // The chain replays in order: full pre-crash state, generation
@@ -726,14 +750,14 @@ TEST_F(store_test, interrupted_compaction_chain_replays_both_logs) {
     EXPECT_EQ(st.hub->submit(frame).error,
               proto::proto_error::replayed_report);
     (void)st.hub->challenge(id);
-    // 2 replayed in wal-1 + the journaled replay rejection + 1 challenge.
-    EXPECT_EQ(st.store->wal_records(), 4u);
+    // 1 replayed in wal-1 + the journaled replay rejection + 1 challenge.
+    EXPECT_EQ(st.store->wal_records(), 3u);
   }
 
   // compact_on_open folds a multi-file chain back into one snapshot +
   // one fresh log even when the tail generation alone looks compact.
   rewrite(0, 0, 4);
-  rewrite(1, 4, 6);
+  rewrite(1, 4, 5);
   {
     auto st = fleet_store::open(dir(), opts());
     EXPECT_EQ(st.store->generation(), 2u);
@@ -774,7 +798,7 @@ TEST_F(store_test, damaged_wal_chain_fails_closed) {
 
   // Torn mid-chain: truncate wal-0's final record while wal-1 exists.
   rewrite(0, 0, 4);
-  rewrite(1, 4, 6);
+  rewrite(1, 4, 5);
   fs::resize_file(wal_file(0), fs::file_size(wal_file(0)) - 1);
   try {
     auto st = fleet_store::open(dir(), o);

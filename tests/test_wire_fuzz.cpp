@@ -677,9 +677,12 @@ TEST(wire_fuzz, wal_images_parse_or_throw_typed_errors) {
 }
 
 TEST(wire_fuzz, mutated_store_dirs_load_exactly_or_fail_closed) {
-  // One real store with real history (including a v2.1 baseline in the
-  // snapshot), then every iteration mutates its bytes into a fresh dir
-  // and reopens: open() must load a coherent fleet or throw typed.
+  // Two seed stores: one real store with real history written by this
+  // build (snapshot v3), and the checked-in v2 fixture from a build that
+  // persisted delta baselines (the v2 baseline section and a type-7 WAL
+  // record, both checked and dropped on load). Every iteration mutates
+  // one seed's bytes into a fresh dir and reopens: open() must load a
+  // coherent fleet or throw typed.
   const fs::path root =
       fs::path(::testing::TempDir()) / "dialed-wire-fuzz-store";
   fs::remove_all(root);
@@ -706,7 +709,7 @@ TEST(wire_fuzz, mutated_store_dirs_load_exactly_or_fail_closed) {
           proto::encode_frame(info, dev.invoke(g.nonce, inv)));
       ASSERT_TRUE(r.accepted());
     }
-    st.store->compact();          // snapshot carries the baseline section
+    st.store->compact();          // snapshot with hub state
     (void)st.hub->challenge(id);  // plus a live WAL record on top
   }
   const auto read_all = [](const fs::path& p) {
@@ -714,19 +717,30 @@ TEST(wire_fuzz, mutated_store_dirs_load_exactly_or_fail_closed) {
     return byte_vec((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
   };
-  const byte_vec snap = read_all(pristine / "snapshot.dls");
-  const byte_vec wal = read_all(pristine / "wal-1.log");
-  ASSERT_FALSE(snap.empty());
-  ASSERT_FALSE(wal.empty());
+  struct store_seed {
+    byte_vec snap;
+    byte_vec wal;
+  };
+  const fs::path v2 = fs::path(corpus_dir()) / "store_v2";
+  const store_seed seeds[] = {
+      {read_all(pristine / "snapshot.dls"), read_all(pristine / "wal-1.log")},
+      {read_all(v2 / "snapshot.dls"), read_all(v2 / "wal-1.log")},
+  };
+  for (const auto& seed : seeds) {
+    ASSERT_FALSE(seed.snap.empty());
+    ASSERT_FALSE(seed.wal.empty());
+  }
 
   std::mt19937_64 rng(0x5707ef0220005ull);
-  const std::uint64_t iters = scaled(200);
+  const std::uint64_t iters = scaled(400);  // 200 per seed
   const fs::path work = root / "mutated";
+  std::size_t loaded[2] = {0, 0};
   for (std::uint64_t i = 0; i < iters; ++i) {
     fs::remove_all(work);
     fs::create_directories(work);
-    byte_vec s = snap;
-    byte_vec w = wal;
+    const auto& seed = seeds[i % 2];
+    byte_vec s = seed.snap;
+    byte_vec w = seed.wal;
     for (byte_vec* f : {&s, &w}) {
       if (rng() % 3 == 0 || f->empty()) continue;
       switch (rng() % 3) {
@@ -767,6 +781,7 @@ TEST(wire_fuzz, mutated_store_dirs_load_exactly_or_fail_closed) {
         ASSERT_NE(st.registry->find(did), nullptr);
         ASSERT_NE(st.registry->find(did)->firmware, nullptr);
       }
+      ++loaded[i % 2];
     } catch (const store_error&) {
       // the typed fail-closed path — the expected answer to corruption
     } catch (const error&) {
@@ -774,6 +789,9 @@ TEST(wire_fuzz, mutated_store_dirs_load_exactly_or_fail_closed) {
       // program image failing artifact construction) are fail-closed too
     }
   }
+  // Both seeds really load when left intact or mutated harmlessly.
+  EXPECT_GT(loaded[0], 0u);
+  EXPECT_GT(loaded[1], 0u);
   fs::remove_all(root);
 }
 

@@ -21,9 +21,10 @@
 // round after the first ships a sparse OR delta against the last
 // ACCEPTED report (with the full-frame fallback when the hub answers
 // baseline_mismatch), and the per-round/total byte savings are printed.
-// Combined with --state-dir the hub's baseline survives across runs —
-// the first round of a SECOND process run is full (the emitter's mirror
-// is per process) but re-syncs the lockstep immediately.
+// Baselines live in memory on both sides: with --state-dir, a SECOND
+// process run starts without one (the hub does not persist baselines and
+// the emitter's mirror is per process), so its first round ships a full
+// frame and re-syncs the lockstep immediately.
 //
 // --state-dir DIR opens (or initializes) a durable fleet store there and
 // resumes it: the device registry, firmware catalog, anti-replay history
