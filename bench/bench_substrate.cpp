@@ -631,7 +631,7 @@ BENCHMARK(BM_fleet_delta_submit)->Unit(benchmark::kMillisecond);
 
 void BM_fleet_store_wal_append(benchmark::State& state) {
   // Durability tax on the hot path, swept across the sync policies: one
-  // journaled verdict per iteration (the retire+verdict pair every
+  // journaled round per iteration (the challenge+retire pair every
   // verified report appends) followed by the hub's sync_barrier — a
   // no-op under none, already-durable under per_record, and the
   // group-commit protocol under group. The threaded rows are where
@@ -670,8 +670,6 @@ void BM_fleet_store_wal_append(benchmark::State& state) {
                                 /*issued_at=*/0);
     shared->store->on_retire(shared_id, nonce,
                              dialed::fleet::nonce_fate::consumed);
-    shared->store->on_verdict(shared_id,
-                              dialed::proto::proto_error::none, true);
     shared->store->sync_barrier();
   }
   state.counters["journaled_reports_per_s"] = benchmark::Counter(
@@ -690,7 +688,7 @@ void BM_fleet_store_wal_append(benchmark::State& state) {
     state.counters["wal_bytes_per_report"] =
         static_cast<double>(shared->store->wal_bytes()) /
         static_cast<double>(std::max<std::uint64_t>(
-            1, shared->store->wal_records() / 3));
+            1, shared->store->wal_records() / 2));
     shared.reset();
     fs::remove_all(dir);
   }

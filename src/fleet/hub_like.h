@@ -50,11 +50,34 @@ struct challenge_grant {
   bool ok() const { return error == proto_error::none; }
 };
 
+/// Per-device accept/reject/replay counters (the ROADMAP "per-device
+/// breakdown" metrics item). Process-local like every hub_stats field:
+/// a restarted or promoted hub starts them at zero.
+struct device_counters {
+  std::uint64_t accepted = 0;
+  /// Reached full verification but failed the §III verdict.
+  std::uint64_t rejected_verdict = 0;
+  /// Classified as replayed_report — the interesting security signal.
+  std::uint64_t replayed = 0;
+  /// Every other protocol rejection attributable to this (provisioned)
+  /// device: stale/expired/superseded nonces, sequence mismatches.
+  std::uint64_t rejected_protocol = 0;
+
+  std::uint64_t total() const {
+    return accepted + rejected_verdict + replayed + rejected_protocol;
+  }
+};
+
 /// Monotonic per-hub counters (the ROADMAP "hub metrics" item): a
 /// consistent-enough snapshot assembled from relaxed atomics — counts
 /// never go backwards, but a snapshot taken while traffic is in flight
 /// may be mid-update across fields. The per_device breakdown is gathered
 /// under the shard locks (briefly, one shard at a time).
+///
+/// Every field is process-local: nothing here is journaled, snapshotted
+/// or shipped, so after a restart or a standby promotion all of them
+/// start again at zero (Prometheus rate() treats that as a counter
+/// reset). The store persists only what the hub needs to stay sound.
 struct hub_stats {
   std::uint64_t challenges_issued = 0;
   std::uint64_t challenges_expired = 0;    ///< retired past their TTL
@@ -68,9 +91,7 @@ struct hub_stats {
   /// Index 0 (proto_error::none) is always 0.
   std::array<std::uint64_t, proto::proto_error_count> rejected_by_error{};
   /// verify_batch instrumentation — the gauges the service front-end's
-  /// adaptive batching is observed (and tuned) through. Process-local:
-  /// batching behavior since THIS boot is what an operator wants, so
-  /// restore() deliberately leaves them at zero.
+  /// adaptive batching is observed (and tuned) through.
   std::uint64_t verify_batches = 0;       ///< verify_batch calls completed
   std::uint64_t verify_batch_frames = 0;  ///< frames fanned out, total
   std::uint64_t last_batch_frames = 0;    ///< size of the newest batch
@@ -78,14 +99,13 @@ struct hub_stats {
   /// Replay outcomes of DIALED-mode verdicts that passed the MAC: hits
   /// reused the device's last accepted round (byte-identical OR), misses
   /// ran the replay. The names predate the per-device reuse and are kept
-  /// for the dashboards and the perf ledger. Process-local like the batch
-  /// gauges: restore() leaves them at zero.
+  /// for the dashboards and the perf ledger.
   std::uint64_t replay_memo_hits = 0;
   std::uint64_t replay_memo_misses = 0;
   /// Per-device accept/reject/replay breakdown. Only devices that have
   /// hub state appear; submissions for unknown device ids are deliberately
   /// NOT attributed (an attacker spraying bogus ids must not grow this
-  /// map). Persisted through the fleet store snapshot.
+  /// map).
   std::map<device_id, device_counters> per_device;
 
   /// Mean verify_batch size since boot (0 before the first batch).

@@ -15,18 +15,27 @@
 //                   expensive verification runs — so a report accepted an
 //                   instant before a crash is already consumed on disk
 //                   and replays as consumed, never as fresh.
-//   on_verdict    — a submission's outcome, for the stats counters only
-//                   (the security-relevant consumption already traveled
-//                   in on_retire).
 //   on_tick       — the monotonic clock advanced (challenge expiry).
 //
-// Deliberately NOT an event: the wire v2.1 delta baseline (each device's
-// last accepted OR). It is soft state. A hub that lacks it answers a
-// delta frame with baseline_mismatch WITHOUT burning the nonce, and the
-// prover resends a full frame on the same challenge — the path a fresh
-// device or a desynced prover already takes. So after a restart or a
-// standby promotion, each device's first delta frame costs one extra
-// round trip, and no accepted OR is ever journaled.
+// Deliberately NOT events:
+//
+//   * a submission's outcome. The counters in hub_stats are process-local
+//     and start at zero after a restart or a standby promotion; the
+//     security-relevant consumption already traveled in on_retire. So a
+//     report costs the journal at most its retire record, and a frame
+//     that matches no outstanding challenge (a made-up or stale nonce)
+//     costs none.
+//   * the wire v2.1 delta baseline (each device's last accepted OR). It
+//     is soft state. A hub that lacks it answers a delta frame with
+//     baseline_mismatch WITHOUT burning the nonce, and the prover resends
+//     a full frame on the same challenge — the path a fresh device or a
+//     desynced prover already takes. So after a restart or a standby
+//     promotion, each device's first delta frame costs one extra round
+//     trip, and no accepted OR is ever journaled.
+//   * the nonce generator. Nonces are a keyed PRF of (device, seq) under
+//     a per-hub key that is never persisted (fleet/verifier_hub.h); the
+//     journaled seq high-water mark is what keeps a restarted hub from
+//     re-issuing a pre-crash (device, seq) pair.
 //
 // Threading: on_challenge/on_retire arrive under a shard lock and
 // on_provision under the registry's writer lock, possibly concurrently
@@ -38,11 +47,7 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <vector>
-
-#include "common/bytes.h"
-#include "proto/errors.h"
 
 namespace dialed::fleet {
 
@@ -64,24 +69,6 @@ constexpr bool nonce_fate_from_u8(std::uint8_t v, nonce_fate& out) {
   return true;
 }
 
-/// Per-device accept/reject/replay counters (the ROADMAP "per-device
-/// breakdown" metrics item). Persisted through the snapshot and rebuilt
-/// by WAL verdict replay.
-struct device_counters {
-  std::uint64_t accepted = 0;
-  /// Reached full verification but failed the §III verdict.
-  std::uint64_t rejected_verdict = 0;
-  /// Classified as replayed_report — the interesting security signal.
-  std::uint64_t replayed = 0;
-  /// Every other protocol rejection attributable to this (provisioned)
-  /// device: stale/expired/superseded nonces, sequence mismatches.
-  std::uint64_t rejected_protocol = 0;
-
-  std::uint64_t total() const {
-    return accepted + rejected_verdict + replayed + rejected_protocol;
-  }
-};
-
 /// Snapshot of one device's anti-replay state, as a store persists it and
 /// verifier_hub::restore re-injects it.
 struct device_restore {
@@ -99,7 +86,6 @@ struct device_restore {
   std::uint32_t next_seq = 1;
   std::vector<outstanding_challenge> outstanding;  ///< oldest first
   std::vector<retired_nonce> retired;              ///< oldest first
-  device_counters counters;
 };
 
 struct device_record;  // registry.h
@@ -124,17 +110,6 @@ class persist_sink {
   /// Under the owning shard lock.
   virtual void on_retire(device_id id, const nonce16& nonce,
                          nonce_fate fate) = 0;
-
-  /// Stats only; the security-relevant consumption already traveled in
-  /// on_retire (same thread, earlier). May arrive WITH or WITHOUT the
-  /// shard lock held (reject paths journal under it, accept paths after
-  /// dropping it) — implementations must not call back into the hub.
-  /// Only fires for devices with hub state: rejections of
-  /// unauthenticated garbage (transport damage, unknown ids) are counted
-  /// in memory and persist at snapshot time — an attacker spraying junk
-  /// frames must not buy a disk append per frame.
-  virtual void on_verdict(device_id id, proto::proto_error error,
-                          bool accepted) = 0;
 
   /// From tick(); `now` is the post-increment clock value.
   virtual void on_tick(std::uint64_t now) = 0;

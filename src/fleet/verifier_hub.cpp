@@ -1,15 +1,21 @@
 #include "fleet/verifier_hub.h"
 
-#include <algorithm>
+#include <sys/random.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
+#include <string_view>
+
+#include "common/error.h"
 #include "obs/event_log.h"
 
 namespace dialed::fleet {
 
 namespace {
 
-/// splitmix64 finalizer — decorrelates per-shard RNG seeds and spreads
-/// (typically sequential) device ids across shards.
+/// splitmix64 finalizer — spreads (typically sequential) device ids
+/// across shards.
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -19,17 +25,44 @@ std::uint64_t mix64(std::uint64_t x) {
 
 constexpr std::uint32_t default_shards = 16;
 
+/// K_hub: 32 bytes from getrandom(2), or SHA-256(label || LE64(seed)) when
+/// the config pins a seed for reproducibility.
+crypto::hmac_keystate nonce_key(const std::optional<std::uint64_t>& seed) {
+  std::array<std::uint8_t, 32> key{};
+  if (seed) {
+    constexpr std::string_view label = "dialed/hub-nonce-key/v1";
+    byte_vec msg(label.begin(), label.end());
+    for (int i = 0; i < 8; ++i) {
+      msg.push_back(static_cast<std::uint8_t>(*seed >> (8 * i)));
+    }
+    key = crypto::sha256::hash(msg);
+  } else {
+    std::size_t got = 0;
+    while (got < key.size()) {
+      const ssize_t n = ::getrandom(key.data() + got, key.size() - got, 0);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        throw error(std::string("verifier_hub: getrandom: ") +
+                    std::strerror(errno));
+      }
+      got += static_cast<std::size_t>(n);
+    }
+  }
+  return crypto::hmac_keystate::derive(key);
+}
+
 }  // namespace
 
 verifier_hub::verifier_hub(const device_registry& registry, hub_config cfg)
-    : registry_(registry), cfg_(cfg), obs_(cfg.obs) {
+    : registry_(registry),
+      cfg_(cfg),
+      nonce_key_(nonce_key(cfg.seed)),
+      obs_(cfg.obs) {
   if (cfg_.max_outstanding == 0) cfg_.max_outstanding = 1;
   if (cfg_.shards == 0) cfg_.shards = default_shards;
   shards_.reserve(cfg_.shards);
   for (std::uint32_t s = 0; s < cfg_.shards; ++s) {
-    auto sh = std::make_unique<shard>();
-    sh->rng.seed(cfg_.seed ^ mix64(s));
-    shards_.push_back(std::move(sh));
+    shards_.push_back(std::make_unique<shard>());
   }
   if (!cfg_.sequential_batch) {
     const std::size_t workers = cfg_.workers != 0
@@ -68,15 +101,6 @@ void verifier_hub::retire(device_id id, device_state& st,
 }
 
 attest_result verifier_hub::rejected(attest_result r, device_state* st) {
-  // Journal only rejections attributable to a provisioned device: a
-  // garbage frame (bad magic, unknown id) must cost the attacker a
-  // decode, not a serialized disk append — unauthenticated traffic gets
-  // no write amplification. The in-memory histogram still counts these;
-  // they persist at snapshot time rather than per event. Journal BEFORE
-  // counting (see verify_impl).
-  if (cfg_.sink != nullptr && st != nullptr) {
-    cfg_.sink->on_verdict(r.device, r.error, false);
-  }
   stats_.rejected_by_error[static_cast<std::size_t>(r.error)].fetch_add(
       1, std::memory_order_relaxed);
   if (st != nullptr) {
@@ -160,16 +184,15 @@ challenge_grant verifier_hub::challenge(device_id id) {
     grant.note = proto_error::challenge_superseded;
   }
   challenge_entry entry;
-  // Fill the 16-byte nonce from two full 64-bit draws of the shard's own
-  // generator (word-at-a-time; no cross-shard RNG sharing to race on).
-  for (std::size_t w = 0; w < entry.nonce.size(); w += 8) {
-    std::uint64_t v = sh.rng();
-    for (std::size_t b = 0; b < 8; ++b) {
-      entry.nonce[w + b] = static_cast<std::uint8_t>(v & 0xff);
-      v >>= 8;
-    }
-  }
   entry.seq = st.next_seq++;
+  // nonce = HMAC(K_hub, LE32(device) || LE32(seq))[0..16): fresh for as
+  // long as seq never repeats for the device, which the journal's seq
+  // high-water mark guarantees across restarts.
+  std::array<std::uint8_t, 8> msg{};
+  store_le32(msg, 0, id);
+  store_le32(msg, 4, entry.seq);
+  const auto mac = crypto::hmac_sha256::compute(nonce_key_, msg);
+  std::copy_n(mac.begin(), entry.nonce.size(), entry.nonce.begin());
   entry.issued_at = now();
   // Journal the issuance before handing the nonce out (still under the
   // shard lock): a grant the store never heard of could not be classified
@@ -320,15 +343,8 @@ attest_result verifier_hub::verify_impl(device_id id, std::uint32_t seq,
                       r.verdict});
     adopt_round(id, r.seq, std::move(round));
   }
-  if (cfg_.sink != nullptr) {
-    cfg_.sink->on_verdict(id, proto_error::none, accepted);
-  }
-  // Count only after the verdict is journaled. A compaction landing
-  // between a count and its append would fold the verdict into the
-  // snapshot (merge_live_stats) AND leave its record for the next WAL
-  // generation — counted twice on recovery. stp stays valid unlocked:
-  // std::map nodes are address-stable and device states are never
-  // erased; the counters are atomics.
+  // stp stays valid unlocked: std::map nodes are address-stable and
+  // device states are never erased; the counters are atomics.
   if (accepted) {
     stats_.reports_accepted.fetch_add(1, std::memory_order_relaxed);
     stp->counters.accepted.fetch_add(1, std::memory_order_relaxed);
@@ -344,7 +360,7 @@ attest_result verifier_hub::verify_impl(device_id id, std::uint32_t seq,
     stats_.replays_run.fetch_add(1, std::memory_order_relaxed);
   }
   // Everything since the journal mark that was not MAC or replay work:
-  // baseline adoption, the verdict journal entry, counters.
+  // baseline adoption and counters.
   sp.mark_excluding(obs::stage::verdict, vt.mac_ns + vt.replay_ns);
   return r;
 }
@@ -474,30 +490,8 @@ std::vector<attest_result> verifier_hub::verify_batch(
 }
 
 void verifier_hub::restore(std::uint64_t now,
-                           std::span<const device_restore> devices,
-                           const hub_stats& counters) {
+                           std::span<const device_restore> devices) {
   now_.store(now, std::memory_order_relaxed);
-  stats_.challenges_issued.store(counters.challenges_issued,
-                                 std::memory_order_relaxed);
-  stats_.challenges_expired.store(counters.challenges_expired,
-                                  std::memory_order_relaxed);
-  stats_.challenges_superseded.store(counters.challenges_superseded,
-                                     std::memory_order_relaxed);
-  stats_.reports_accepted.store(counters.reports_accepted,
-                                std::memory_order_relaxed);
-  stats_.reports_rejected_verdict.store(counters.reports_rejected_verdict,
-                                        std::memory_order_relaxed);
-  for (std::size_t i = 0; i < counters.rejected_by_error.size(); ++i) {
-    stats_.rejected_by_error[i].store(counters.rejected_by_error[i],
-                                      std::memory_order_relaxed);
-  }
-  // Reseed the nonce streams against the restored issuance epoch: with a
-  // fixed cfg.seed, a plainly-reseeded restart would re-draw exactly the
-  // pre-crash nonce sequence.
-  const std::uint64_t epoch = counters.challenges_issued;
-  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    shards_[s]->rng.seed(cfg_.seed ^ mix64(s) ^ mix64(~epoch));
-  }
   for (const auto& d : devices) {
     shard& sh = shard_for(d.id);
     std::lock_guard<std::mutex> lk(sh.mu);
@@ -516,14 +510,6 @@ void verifier_hub::restore(std::uint64_t now,
       st.retired.push_back({d.retired[i].nonce, d.retired[i].fate});
     }
     st.next_seq = d.next_seq;
-    st.counters.accepted.store(d.counters.accepted,
-                               std::memory_order_relaxed);
-    st.counters.rejected_verdict.store(d.counters.rejected_verdict,
-                                       std::memory_order_relaxed);
-    st.counters.replayed.store(d.counters.replayed,
-                               std::memory_order_relaxed);
-    st.counters.rejected_protocol.store(d.counters.rejected_protocol,
-                                        std::memory_order_relaxed);
   }
 }
 

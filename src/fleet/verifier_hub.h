@@ -61,6 +61,17 @@
 // bounded per-device memory of retired nonces so a late report gets the
 // precise typed error instead of a generic rejection.
 //
+// Challenge nonces
+// ----------------
+// nonce = HMAC-SHA256(K_hub, LE32(device) || LE32(seq))[0..16), where seq
+// is the device's strictly increasing challenge sequence number. K_hub is
+// 32 bytes from getrandom(2) drawn when the hub is built (or, for
+// reproducible tests and benches, derived from hub_config::seed); it is
+// never persisted, so nonces differ from one process to the next. The
+// journal restores each device's seq high-water mark, so even a fixed
+// seed never re-issues a pre-crash (device, seq) pair, and no counter
+// plays a part in nonce freshness.
+//
 // Firmware sharing (the catalog refactor)
 // ---------------------------------------
 // The hub holds NO per-device verifier state on the hot path: each
@@ -77,8 +88,8 @@
 // The hub is internally sharded: per-device state (challenge table,
 // retired-nonce history, delta baseline) lives in one of
 // `hub_config::shards` shards selected by a hash of the device id, each
-// with its own mutex and its own challenge-nonce RNG stream. All public
-// entry points are safe to call concurrently from any number of threads:
+// with its own mutex. All public entry points are safe to call
+// concurrently from any number of threads:
 //
 //   - `challenge` / `submit` take only the owning shard's lock, so
 //     traffic for different shards never contends.
@@ -106,9 +117,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <random>
 
 #include "common/thread_pool.h"
+#include "crypto/hmac.h"
 #include "fleet/hub_like.h"
 #include "fleet/persist.h"
 #include "fleet/registry.h"
@@ -128,10 +139,17 @@ struct hub_config {
   /// Retired nonces remembered per device (replay/supersede/expiry
   /// classification window).
   std::size_t retired_memory = 64;
-  /// Makes challenge generation reproducible in tests. Shard s draws its
-  /// nonces from an independent stream seeded with `seed ^ splitmix(s)`.
-  std::uint64_t seed = 0x1a2b3c4d5e6f7788ull;
-  /// Device-state shards (each its own lock + RNG). 0 = pick a default.
+  /// Makes challenge nonces reproducible in tests and benches. Unset (the
+  /// default), the nonce key K_hub is 32 bytes from getrandom(2), fresh
+  /// for every hub; set, K_hub = SHA-256(label || LE64(seed)), so hubs
+  /// built with the same seed issue the same nonce for the same (device,
+  /// seq). Either way a nonce never repeats for a device, across
+  /// restarts included: seq is restored from the journal. (Under a pinned
+  /// seed that holds for every grant whose challenge record survived the
+  /// crash; a record the sync policy let a crash lose takes its seq with
+  /// it, and the seq is issued again with the same nonce.)
+  std::optional<std::uint64_t> seed;
+  /// Device-state shards (each its own lock). 0 = pick a default.
   /// 1 reproduces the old fully-serialized hub.
   std::uint32_t shards = 0;
   /// Worker threads for verify_batch fan-out; the calling thread always
@@ -142,11 +160,11 @@ struct hub_config {
   /// Forces verify_batch to run inline on the calling thread (no pool is
   /// created).
   bool sequential_batch = false;
-  /// Durability sink (src/store/fleet_store): challenge issuance, nonce
-  /// retirement and verdicts are journaled through it — issuance and
-  /// retirement UNDER the owning shard lock, so the on-disk order matches
-  /// the order the hub committed to. nullptr = no persistence. Must
-  /// outlive the hub.
+  /// Durability sink (src/store/fleet_store): challenge issuance and
+  /// nonce retirement are journaled through it UNDER the owning shard
+  /// lock, so the on-disk order matches the order the hub committed to.
+  /// Verdicts and counters are not journaled. nullptr = no persistence.
+  /// Must outlive the hub.
   persist_sink* sink = nullptr;
   /// Pipeline observability (src/obs): per-stage latency histograms and
   /// the slow/rejected flight recorder. `obs.enabled = false` removes
@@ -159,6 +177,8 @@ struct hub_config {
 
 class verifier_hub : public hub_like {
  public:
+  /// Throws dialed::error when cfg.seed is unset and getrandom(2) fails:
+  /// a hub that cannot draw its nonce key must not serve.
   explicit verifier_hub(const device_registry& registry,
                         hub_config cfg = {});
   ~verifier_hub() override;
@@ -209,11 +229,11 @@ class verifier_hub : public hub_like {
     return pool_ ? pool_->workers() : 0;
   }
 
-  /// Snapshot of the hub's monotonic counters. Thread-safe; the hub-level
-  /// fields are lock-free, the per-device breakdown briefly takes each
-  /// shard lock in turn. Pass include_per_device = false for the cheap
-  /// lock-free hub-level scalars only (the store's snapshot writer does —
-  /// its per-device rows come from the journal it mirrors).
+  /// Snapshot of the hub's monotonic, process-local counters.
+  /// Thread-safe; the hub-level fields are lock-free, the per-device
+  /// breakdown briefly takes each shard lock in turn. Pass
+  /// include_per_device = false for the cheap lock-free hub-level scalars
+  /// only.
   hub_stats stats(bool include_per_device = true) const override;
 
   /// Per-stage latency histograms for every report this hub verified.
@@ -224,18 +244,17 @@ class verifier_hub : public hub_like {
 
   // ---- persistence surface (src/store/fleet_store) --------------------
 
-  /// Re-inject persisted state: the clock, hub-level counters, and every
-  /// device's challenge table / retired-nonce history / per-device
-  /// counters (retired histories longer than cfg.retired_memory keep only
-  /// the newest entries). Delta baselines are not restored: every
-  /// device starts without one. Call once, before serving traffic — NOT
-  /// thread-safe against concurrent hub use, and never journals to the
-  /// sink. Also reseeds each shard's nonce stream with
-  /// `counters.challenges_issued` as an epoch, so a restarted hub never
-  /// re-draws the pre-crash nonce sequence a fixed seed would repeat.
+  /// Re-inject persisted anti-replay state: the clock and every device's
+  /// challenge table, retired-nonce history and seq high-water mark
+  /// (retired histories longer than cfg.retired_memory keep only the
+  /// newest entries). Counters are not restored: they start at zero.
+  /// Delta baselines are not restored either: every device starts
+  /// without one. The restored seq is what keeps nonces fresh, since the
+  /// nonce is a PRF of (device, seq). Call once, before serving traffic —
+  /// NOT thread-safe against concurrent hub use, and never journals to
+  /// the sink.
   void restore(std::uint64_t now,
-               std::span<const device_restore> devices,
-               const hub_stats& counters);
+               std::span<const device_restore> devices);
 
  private:
   struct challenge_entry {
@@ -290,12 +309,10 @@ class verifier_hub : public hub_like {
     std::uint32_t next_seq = 1;
   };
 
-  /// One lock domain: a slice of the fleet's devices plus the RNG stream
-  /// their nonces are drawn from.
+  /// One lock domain: a slice of the fleet's devices.
   struct shard {
     mutable std::mutex mu;
     std::map<device_id, device_state> states;
-    std::mt19937_64 rng;
   };
 
   /// Relaxed atomics behind stats(); written from any verify/challenge
@@ -308,10 +325,10 @@ class verifier_hub : public hub_like {
     std::atomic<std::uint64_t> reports_rejected_verdict{0};
     std::array<std::atomic<std::uint64_t>, proto::proto_error_count>
         rejected_by_error{};
-    // Replay outcomes of DIALED-mode verdicts (process-local).
+    // Replay outcomes of DIALED-mode verdicts.
     std::atomic<std::uint64_t> replays_reused{0};
     std::atomic<std::uint64_t> replays_run{0};
-    // verify_batch gauges (never restored — process-local by design).
+    // verify_batch gauges.
     std::atomic<std::uint64_t> verify_batches{0};
     std::atomic<std::uint64_t> verify_batch_frames{0};
     std::atomic<std::uint64_t> last_batch_frames{0};
@@ -323,9 +340,9 @@ class verifier_hub : public hub_like {
   void retire(device_id id, device_state& st, std::size_t index,
               nonce_fate fate);
   void expire_stale(device_id id, device_state& st, std::uint64_t now);
-  /// Journal the verdict (when `st` is known), then bump the hub
-  /// histogram and the per-device protocol/replay counter. Returns `r` so
-  /// reject paths read `return rejected(...)`.
+  /// Bump the hub histogram and, when `st` is known, the per-device
+  /// protocol/replay counter. Returns `r` so reject paths read
+  /// `return rejected(...)`.
   attest_result rejected(attest_result r, device_state* st);
   /// The common verification core. Takes a report VIEW: `report.or_bytes`
   /// may borrow the caller's frame buffer (submit's zero-copy path) and is
@@ -355,6 +372,8 @@ class verifier_hub : public hub_like {
 
   const device_registry& registry_;
   hub_config cfg_;
+  /// K_hub's HMAC key schedule: the nonce PRF key (see file comment).
+  crypto::hmac_keystate nonce_key_;
   std::atomic<std::uint64_t> now_{0};
   std::vector<std::unique_ptr<shard>> shards_;
   std::unique_ptr<thread_pool> pool_;  ///< null when sequential_batch

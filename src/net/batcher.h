@@ -45,8 +45,7 @@ struct batcher_config {
   std::uint32_t batch_latency_ms = 5;
 };
 
-/// One verified frame's way home: which connection gets the response
-/// (conn_id 0 = fire-and-forget ingest, no response owed).
+/// One verified frame's way home: which connection gets the response.
 struct completion {
   std::uint64_t conn_id = 0;
   fleet::attest_result result;

@@ -98,8 +98,6 @@ std::string render_metrics_body(
          "Report frames ingested, by transport.");
   sample(out, "dialed_net_frames_total", net.tcp_frames,
          "{transport=\"tcp\"}");
-  sample(out, "dialed_net_frames_total", net.udp_datagrams,
-         "{transport=\"udp\"}");
   family(out, "dialed_net_challenge_requests_total", "counter",
          "Challenge requests served.");
   sample(out, "dialed_net_challenge_requests_total", net.challenge_reqs);

@@ -49,7 +49,6 @@ struct server_stats {
   std::uint64_t connections_closed = 0;
   std::uint64_t connections_open = 0;  ///< gauge
   std::uint64_t tcp_frames = 0;        ///< report frames ingested via TCP
-  std::uint64_t udp_datagrams = 0;     ///< datagrams ingested via UDP
   std::uint64_t challenge_reqs = 0;
   std::uint64_t http_requests = 0;
   std::uint64_t responses_sent = 0;    ///< attest/challenge responses

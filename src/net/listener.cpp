@@ -68,23 +68,6 @@ int listen_tcp(const std::string& addr, std::uint16_t port, int backlog) {
   return fd;
 }
 
-int bind_udp(const std::string& addr, std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) throw_errno("socket(udp)");
-  const auto sa = make_addr(addr, port);
-  if (bind(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof sa) != 0) {
-    ::close(fd);
-    throw_errno("bind udp " + addr + ":" + std::to_string(port));
-  }
-  try {
-    set_nonblocking(fd);
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  return fd;
-}
-
 std::uint16_t local_port(int fd) {
   sockaddr_in sa{};
   socklen_t len = sizeof sa;
@@ -165,23 +148,6 @@ void set_io_timeout(int fd, int timeout_ms) {
   if (setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv) != 0 ||
       setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv) != 0) {
     throw_errno("setsockopt(SO_RCVTIMEO/SO_SNDTIMEO)");
-  }
-}
-
-int udp_socket() {
-  const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) throw_errno("socket(udp)");
-  return fd;
-}
-
-void send_udp_to(int fd, const std::string& host, std::uint16_t port,
-                 std::span<const std::uint8_t> datagram) {
-  const auto sa = make_addr(host, port);
-  const auto n =
-      sendto(fd, datagram.data(), datagram.size(), 0,
-             reinterpret_cast<const sockaddr*>(&sa), sizeof sa);
-  if (n < 0 || static_cast<std::size_t>(n) != datagram.size()) {
-    throw_errno("sendto " + host + ":" + std::to_string(port));
   }
 }
 

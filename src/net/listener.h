@@ -1,6 +1,6 @@
 // Socket plumbing for the attestation service: non-blocking TCP listen
-// sockets, the connectionless UDP ingest socket, and the small helpers
-// (local port discovery, full-write loops) the rest of src/net leans on.
+// sockets and the small helpers (local port discovery, full-write loops)
+// the rest of src/net leans on.
 // Everything throws dialed::error with the errno string on failure —
 // socket setup problems are configuration errors, not traffic.
 #ifndef DIALED_NET_LISTENER_H
@@ -28,10 +28,6 @@ class timeout_error : public error {
 int listen_tcp(const std::string& addr, std::uint16_t port,
                int backlog = 128);
 
-/// Create a non-blocking, CLOEXEC UDP socket bound to addr:port
-/// (port 0 = ephemeral).
-int bind_udp(const std::string& addr, std::uint16_t port);
-
 /// The port a bound socket actually landed on (resolves ephemeral 0).
 std::uint16_t local_port(int fd);
 
@@ -50,13 +46,6 @@ int connect_tcp(const std::string& host, std::uint16_t port,
 /// (SO_RCVTIMEO/SO_SNDTIMEO). 0 clears the bound. Reads and writes that
 /// expire surface as timeout_error from recv paths and write_all.
 void set_io_timeout(int fd, int timeout_ms);
-
-/// Create an unconnected UDP socket for send_udp_to (client side).
-int udp_socket();
-
-/// Send one datagram to host:port (fire-and-forget ingest).
-void send_udp_to(int fd, const std::string& host, std::uint16_t port,
-                 std::span<const std::uint8_t> datagram);
 
 /// Write the whole buffer to a BLOCKING fd (client side; loops over
 /// partial writes, throws on error — timeout_error when an fd bounded by

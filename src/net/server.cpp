@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 
 #include "common/error.h"
 #include "common/version.h"
@@ -37,14 +36,8 @@ attest_server::attest_server(fleet::hub_like& hub, server_config cfg,
       batcher_(hub, cfg.batching, loop_) {
   listen_fd_ = listen_tcp(cfg_.bind_addr, cfg_.tcp_port);
   tcp_port_ = local_port(listen_fd_);
-  if (cfg_.enable_udp) {
-    udp_fd_ = bind_udp(cfg_.bind_addr, cfg_.udp_port);
-    udp_port_ = local_port(udp_fd_);
-  }
   accept_handler_.srv = this;
   accept_handler_.fn = &attest_server::on_accept;
-  udp_handler_.srv = this;
-  udp_handler_.fn = &attest_server::on_udp;
   sweeps_enabled_ =
       cfg_.limits.write_stall_ms != 0 || cfg_.limits.idle_timeout_ms != 0;
 }
@@ -54,16 +47,13 @@ attest_server::~attest_server() {
   conns_by_id_.clear();
   conns_.clear();  // destructors deregister + close
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (udp_fd_ >= 0) ::close(udp_fd_);
 }
 
 void attest_server::run() {
   loop_.add(listen_fd_, EPOLLIN, &accept_handler_);
-  if (udp_fd_ >= 0) loop_.add(udp_fd_, EPOLLIN, &udp_handler_);
   last_sweep_ = std::chrono::steady_clock::now();
   obs::log().emit(obs::log_level::info, "server_started",
                   {{"tcp_port", tcp_port_},
-                   {"udp_port", udp_port_},
                    {"max_connections", cfg_.max_connections}});
   running_.store(true, std::memory_order_release);
 
@@ -96,12 +86,10 @@ void attest_server::run() {
   }
   process_doomed();
   loop_.remove(listen_fd_);
-  if (udp_fd_ >= 0) loop_.remove(udp_fd_);
   obs::log().emit(obs::log_level::info, "server_stopped",
                   {{"connections_accepted",
                     connections_accepted_.load(relaxed)},
-                   {"frames_tcp", tcp_frames_.load(relaxed)},
-                   {"frames_udp", udp_datagrams_.load(relaxed)}});
+                   {"frames_tcp", tcp_frames_.load(relaxed)}});
   running_.store(false, std::memory_order_release);
 }
 
@@ -129,7 +117,6 @@ server_stats attest_server::stats() const {
   s.connections_closed = connections_closed_.load(relaxed);
   s.connections_open = connections_open_.load(relaxed);
   s.tcp_frames = tcp_frames_.load(relaxed);
-  s.udp_datagrams = udp_datagrams_.load(relaxed);
   s.challenge_reqs = challenge_reqs_.load(relaxed);
   s.http_requests = http_requests_.load(relaxed);
   s.responses_sent = responses_sent_.load(relaxed);
@@ -298,29 +285,8 @@ void attest_server::on_accept(std::uint32_t) {
   }
 }
 
-void attest_server::on_udp(std::uint32_t) {
-  std::uint8_t buf[64 * 1024];
-  for (;;) {
-    const ssize_t n = ::recv(udp_fd_, buf, sizeof buf, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;  // EAGAIN or a transient error: wait for the next event
-    }
-    if (n == 0) continue;
-    bytes_in_.fetch_add(static_cast<std::uint64_t>(n), relaxed);
-    // One raw wire frame per datagram; the datagram boundary IS the
-    // framing. Fire-and-forget: conn_id 0 means no response is owed.
-    // Past the global cap the datagram is dropped — that is what
-    // fire-and-forget buys.
-    if (batcher_.backlog() >= cfg_.max_pending_frames) continue;
-    udp_datagrams_.fetch_add(1, relaxed);
-    batcher_.enqueue(0, byte_vec(buf, buf + n));
-  }
-}
-
 void attest_server::deliver_completions() {
   for (auto& done : batcher_.drain_completions()) {
-    if (done.conn_id == 0) continue;  // UDP fire-and-forget
     const auto it = conns_by_id_.find(done.conn_id);
     if (it == conns_by_id_.end() || it->second->close_requested()) {
       dropped_conn_gone_.fetch_add(1, relaxed);

@@ -4,9 +4,8 @@
 //   * a TCP listener for the length-prefixed binary protocol (challenge
 //     requests + report frames) AND one-shot HTTP scrapes (/metrics,
 //     /healthz, /debug/traces) — protocol sniffed per connection (see
-//     connection.h);
-//   * a UDP socket for connectionless fire-and-forget report ingest
-//     (one raw wire frame per datagram, no response);
+//     connection.h). Every report gets a typed answer on its connection;
+//     there is no fire-and-forget ingest;
 //   * the batcher's completion queue (verification happens on the
 //     batcher's dispatcher thread + the hub's worker pool — the reactor
 //     never blocks on crypto).
@@ -26,7 +25,7 @@
 //
 // Thread-safety surface: run() (or start()'s internal thread) owns all
 // connection state. request_stop() is thread- AND async-signal-safe.
-// stats(), tcp_port(), udp_port() are safe from any thread.
+// stats() and tcp_port() are safe from any thread.
 #ifndef DIALED_NET_SERVER_H
 #define DIALED_NET_SERVER_H
 
@@ -47,8 +46,6 @@ namespace dialed::net {
 struct server_config {
   std::string bind_addr = "127.0.0.1";
   std::uint16_t tcp_port = 0;  ///< 0 = ephemeral
-  bool enable_udp = true;
-  std::uint16_t udp_port = 0;  ///< 0 = ephemeral
   batcher_config batching;
   connection_limits limits;
   /// Global ingest cap: frames accepted but not yet verified before all
@@ -69,8 +66,8 @@ class attest_server final : public connection_host {
   /// persist sinks by the caller. `shippers` (optional, same indexing)
   /// powers the dialed_ship_* families and the standby half of /healthz
   /// — once any tracked follower latches ship_desync, /healthz answers
-  /// 503. All must outlive the server. Binds the sockets immediately
-  /// (throws dialed::error).
+  /// 503. All must outlive the server. Binds the listen socket
+  /// immediately (throws dialed::error).
   attest_server(fleet::hub_like& hub, server_config cfg,
                 std::vector<store::fleet_store*> stores = {},
                 std::vector<const store::wal_shipper*> shippers = {});
@@ -93,7 +90,6 @@ class attest_server final : public connection_host {
   void request_stop();
 
   std::uint16_t tcp_port() const { return tcp_port_; }
-  std::uint16_t udp_port() const { return udp_port_; }
 
   /// Snapshot of the service counters (atomics; safe from any thread).
   /// Live connections' traffic is folded in every sweep interval, so
@@ -114,7 +110,6 @@ class attest_server final : public connection_host {
   };
 
   void on_accept(std::uint32_t events);
-  void on_udp(std::uint32_t events);
   void deliver_completions();
   void check_backpressure();
   void sweep(std::chrono::steady_clock::time_point now);
@@ -127,20 +122,17 @@ class attest_server final : public connection_host {
   std::vector<const store::wal_shipper*> shippers_;
 
   int listen_fd_ = -1;
-  int udp_fd_ = -1;
   std::uint16_t tcp_port_ = 0;
-  std::uint16_t udp_port_ = 0;
 
   reactor loop_;
   batcher batcher_;  ///< after loop_: its dispatcher wakes the reactor
   member_handler accept_handler_;
-  member_handler udp_handler_;
 
   // Reactor-thread-only state.
   std::map<int, std::unique_ptr<connection>> conns_;         ///< by fd
   std::map<std::uint64_t, connection*> conns_by_id_;
   std::vector<int> doomed_;  ///< fds to tear down at end of turn
-  std::uint64_t next_conn_id_ = 1;  ///< 0 is the UDP pseudo-connection
+  std::uint64_t next_conn_id_ = 1;
   bool ingest_paused_ = false;
   bool sweeps_enabled_ = false;
   std::chrono::steady_clock::time_point last_sweep_;
@@ -150,7 +142,6 @@ class attest_server final : public connection_host {
   std::atomic<std::uint64_t> connections_closed_{0};
   std::atomic<std::uint64_t> connections_open_{0};
   std::atomic<std::uint64_t> tcp_frames_{0};
-  std::atomic<std::uint64_t> udp_datagrams_{0};
   std::atomic<std::uint64_t> challenge_reqs_{0};
   std::atomic<std::uint64_t> http_requests_{0};
   std::atomic<std::uint64_t> responses_sent_{0};

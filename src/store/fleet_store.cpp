@@ -165,12 +165,11 @@ fleet_state fleet_store::open(const std::string& dir, options opts) {
     std::vector<fleet::device_restore> devices;
     devices.reserve(img.states.size());
     for (const auto& [id, d] : img.states) devices.push_back(d);
-    st.hub->restore(img.now, devices, img.stats);
+    st.hub->restore(img.now, devices);
   }
   st.registry->set_sink(store.get());
 
   store->mirror_ = std::move(img);
-  store->hub_ = st.hub.get();
   st.store = std::move(store);
 
   // 4. Bound reopen cost: fold the replayed chain into a fresh snapshot.
@@ -197,12 +196,6 @@ fleet_state fleet_store::open(const std::string& dir, options opts) {
   return st;
 }
 
-void fleet_store::merge_live_stats_locked() {
-  if (hub_ != nullptr) {
-    merge_live_stats(mirror_, hub_->stats(/*include_per_device=*/false));
-  }
-}
-
 void fleet_store::compact() {
   std::lock_guard<std::mutex> compact_lk(compact_mu_);
 
@@ -217,7 +210,6 @@ void fleet_store::compact() {
     std::lock_guard<std::mutex> lk(log_mu_);
     old_gen = generation_.load(std::memory_order_relaxed);
     new_gen = old_gen + 1;
-    merge_live_stats_locked();
     snap = serialize_snapshot(mirror_, new_gen);
     // Roll BEFORE publishing the snapshot: a crash (or a failed write)
     // between the two leaves snapshot(G) + wal-G + wal-(G+1) — a chain
@@ -249,7 +241,6 @@ void fleet_store::attach_shipper(ship_sink* s) {
   // instant the follower starts seeing records. Named with the CURRENT
   // generation — records already in wal-<G> are inside this snapshot,
   // and the follower only appends what is shipped after it.
-  merge_live_stats_locked();
   const byte_vec snap = serialize_snapshot(
       mirror_, generation_.load(std::memory_order_relaxed));
   s->on_snapshot(generation_.load(std::memory_order_relaxed), snap);
@@ -328,16 +319,6 @@ void fleet_store::on_retire(fleet::device_id id,
   w.u32(id);
   w.raw(nonce);
   w.u8(static_cast<std::uint8_t>(fate));
-  journal(w.data());
-}
-
-void fleet_store::on_verdict(fleet::device_id id,
-                             proto::proto_error error, bool accepted) {
-  writer w;
-  w.u8(static_cast<std::uint8_t>(rec::verdict));
-  w.u32(id);
-  w.u8(static_cast<std::uint8_t>(error));
-  w.u8(accepted ? 1 : 0);
   journal(w.data());
 }
 

@@ -18,16 +18,22 @@
 //   * per-device anti-replay state: outstanding challenges (nonce, seq,
 //     issue tick), the retired-nonce history with fates, the seq
 //     high-water mark, and the hub clock — so a restarted hub classifies
-//     a pre-crash report as replayed_report instead of accepting it;
-//   * hub-level and per-device stats counters.
+//     a pre-crash report as replayed_report instead of accepting it, and
+//     never re-issues a pre-crash (device, seq) nonce.
 //
-// Not persisted: each device's wire v2.1 delta baseline (its last
-// accepted OR). It is soft state (see fleet/persist.h): after a reopen
-// or a standby promotion, a device's first delta frame is answered
-// baseline_mismatch with its challenge kept, and the full-frame resend
-// on that challenge replays. Files written by older builds still load:
-// the baseline section of a v2 snapshot and type-7 baseline records in
-// the WAL are checked and dropped.
+// Not persisted (see fleet/persist.h):
+//   * the stats counters (hub_stats). They are process-local: after a
+//     reopen or a standby promotion every counter starts at zero, and a
+//     report's outcome is never a journal record;
+//   * each device's wire v2.1 delta baseline (its last accepted OR). It
+//     is soft state: after a reopen or a standby promotion, a device's
+//     first delta frame is answered baseline_mismatch with its challenge
+//     kept, and the full-frame resend on that challenge replays;
+//   * the hub's nonce key. A reopened hub draws a new one.
+// Files written by older builds still load: the counter sections of v2
+// and v3 snapshots, the baseline section of a v2 snapshot, and type-5
+// verdict and type-7 baseline records in the WAL are checked and
+// dropped.
 //
 // Files in the state directory
 // ----------------------------
@@ -163,8 +169,6 @@ class fleet_store final : public fleet::persist_sink {
                     std::uint64_t issued_at) override;
   void on_retire(fleet::device_id id, const fleet::nonce16& nonce,
                  fleet::nonce_fate fate) override;
-  void on_verdict(fleet::device_id id, proto::proto_error error,
-                  bool accepted) override;
   void on_tick(std::uint64_t now) override;
   /// The hub's phase-1/phase-2 durability barrier. Under wal_sync::group
   /// this is where concurrent verifiers park and one batch fsync covers
@@ -185,9 +189,6 @@ class fleet_store final : public fleet::persist_sink {
   void journal_locked(std::span<const std::uint8_t> payload);
   /// Take log_mu_ and journal one record.
   void journal(std::span<const std::uint8_t> payload);
-  /// Fold the live hub's unattributed rejection counters into the
-  /// mirror (they are deliberately not journaled). Requires log_mu_.
-  void merge_live_stats_locked();
 
   std::string dir_;
   options opts_;
@@ -198,17 +199,13 @@ class fleet_store final : public fleet::persist_sink {
   /// freezes all three for compact()'s serialization point.
   mutable std::mutex log_mu_;
   /// Live replay of the journal: what a reopen RIGHT NOW would
-  /// materialize (modulo unattributed stats, merged in at compact).
+  /// materialize.
   state_image mirror_;
   ship_sink* shipper_ = nullptr;
 
   /// Serializes whole compact() bodies (two interleaved compactions
   /// would race on the snapshot tmp file and the old-log removal).
   std::mutex compact_mu_;
-
-  /// Borrowed view of the live hub, for the stats merge. Set by open();
-  /// fleet_state's member order guarantees it outlives this store.
-  const fleet::verifier_hub* hub_ = nullptr;
 };
 
 }  // namespace dialed::store

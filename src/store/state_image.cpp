@@ -8,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "proto/errors.h"
 #include "store/codec.h"
 
 namespace dialed::store {
@@ -141,7 +142,6 @@ void apply_record(state_image& img, std::span<const std::uint8_t> payload,
       // BEHIND an issue stamp — unsigned expiry math would treat the
       // challenge as ~2^64 ticks old and expire it on the spot.
       img.now = std::max(img.now, issued_at);
-      ++img.stats.challenges_issued;
       break;
     }
     case rec::retire: {
@@ -167,48 +167,22 @@ void apply_record(state_image& img, std::span<const std::uint8_t> payload,
       if (retired_memory != 0 && st.retired.size() > retired_memory) {
         st.retired.erase(st.retired.begin());
       }
-      if (fate == fleet::nonce_fate::expired) {
-        ++img.stats.challenges_expired;
-      } else if (fate == fleet::nonce_fate::superseded) {
-        ++img.stats.challenges_superseded;
-      }
       break;
     }
     case rec::verdict: {
+      // An older build's stats counter update: checked like any record,
+      // then dropped (counters are process-local, see fleet/persist.h).
       const fleet::device_id id = r.u32();
       proto::proto_error err{};
       if (!proto::proto_error_from_u8(r.u8(), err)) {
         throw store_error(store_error_kind::bad_record,
                           "wal: invalid proto_error byte");
       }
-      const bool accepted = r.boolean();
-      const bool known = img.devices.count(id) != 0;
-      if (err == proto::proto_error::none) {
-        if (!known) {
-          throw store_error(store_error_kind::bad_record,
-                            "wal: verdict for unprovisioned device " +
-                                std::to_string(id));
-        }
-        auto& c = state_for(img, id).counters;
-        if (accepted) {
-          ++img.stats.reports_accepted;
-          ++c.accepted;
-        } else {
-          ++img.stats.reports_rejected_verdict;
-          ++c.rejected_verdict;
-        }
-      } else {
-        ++img.stats.rejected_by_error[static_cast<std::size_t>(err)];
-        // Unknown device ids are deliberately not attributed (matching
-        // the live hub: an id-spraying attacker must not grow the map).
-        if (known) {
-          auto& c = state_for(img, id).counters;
-          if (err == proto::proto_error::replayed_report) {
-            ++c.replayed;
-          } else {
-            ++c.rejected_protocol;
-          }
-        }
+      (void)r.boolean();  // accepted
+      if (err == proto::proto_error::none && img.devices.count(id) == 0) {
+        throw store_error(store_error_kind::bad_record,
+                          "wal: verdict for unprovisioned device " +
+                              std::to_string(id));
       }
       break;
     }
@@ -264,10 +238,6 @@ void write_device_state(writer& w, const fleet::device_restore& d) {
     w.raw(n.nonce);
     w.u8(static_cast<std::uint8_t>(n.fate));
   }
-  w.u64(d.counters.accepted);
-  w.u64(d.counters.rejected_verdict);
-  w.u64(d.counters.replayed);
-  w.u64(d.counters.rejected_protocol);
 }
 
 fleet::device_restore read_device_state(reader& r,
@@ -295,12 +265,12 @@ fleet::device_restore read_device_state(reader& r,
     }
     d.retired.push_back(n);
   }
-  d.counters.accepted = r.u64();
-  d.counters.rejected_verdict = r.u64();
-  d.counters.replayed = r.u64();
-  d.counters.rejected_protocol = r.u64();
-  // v2 rows end with the delta baseline (flag, then seq + OR bytes):
-  // read under the same bounds checks, then dropped.
+  if (version == snapshot_version) return d;
+  // v2/v3 rows end with the device's stats counters (accepted, rejected
+  // verdict, replayed, rejected protocol), v2 rows then with the delta
+  // baseline (flag, then seq + OR bytes): read under the same bounds
+  // checks, then dropped.
+  for (int i = 0; i < 4; ++i) (void)r.u64();
   if (version == snapshot_version_v2 && r.boolean()) {
     (void)r.u32();
     (void)r.bytes();
@@ -319,7 +289,7 @@ state_image parse_snapshot(std::span<const std::uint8_t> data,
                       path + ": not a DIALED fleet snapshot");
   }
   const std::uint32_t version = load_le32(data, 4);
-  if (version != snapshot_version_v2 && version != snapshot_version) {
+  if (version < snapshot_version_v2 || version > snapshot_version) {
     throw store_error(store_error_kind::bad_version,
                       path + ": snapshot version " +
                           std::to_string(version) +
@@ -342,21 +312,19 @@ state_image parse_snapshot(std::span<const std::uint8_t> data,
   img.now = r.u64();
   img.wal_generation = r.u64();
 
-  img.stats.challenges_issued = r.u64();
-  img.stats.challenges_expired = r.u64();
-  img.stats.challenges_superseded = r.u64();
-  img.stats.reports_accepted = r.u64();
-  img.stats.reports_rejected_verdict = r.u64();
-  const std::uint32_t nerr = r.count(8);
-  if (nerr != img.stats.rejected_by_error.size()) {
-    throw store_error(store_error_kind::bad_record,
-                      path + ": error histogram has " +
-                          std::to_string(nerr) + " buckets, expected " +
-                          std::to_string(
-                              img.stats.rejected_by_error.size()));
-  }
-  for (std::uint32_t i = 0; i < nerr; ++i) {
-    img.stats.rejected_by_error[i] = r.u64();
+  if (version != snapshot_version) {
+    // v2/v3 hub-level stats counters: challenges issued, expired and
+    // superseded, reports accepted and verdict-rejected, then the
+    // per-proto_error histogram. Checked, then dropped.
+    for (int i = 0; i < 5; ++i) (void)r.u64();
+    const std::uint32_t nerr = r.count(8);
+    if (nerr != proto::proto_error_count) {
+      throw store_error(store_error_kind::bad_record,
+                        path + ": error histogram has " +
+                            std::to_string(nerr) + " buckets, expected " +
+                            std::to_string(proto::proto_error_count));
+    }
+    for (std::uint32_t i = 0; i < nerr; ++i) (void)r.u64();
   }
 
   const std::uint32_t nfw = r.count(36);
@@ -386,7 +354,8 @@ state_image parse_snapshot(std::span<const std::uint8_t> data,
     }
   }
 
-  const std::uint32_t nstate = r.count(44);
+  // A v4 row is at least 16 bytes (id, next_seq, two empty counts).
+  const std::uint32_t nstate = r.count(16);
   for (std::uint32_t i = 0; i < nstate; ++i) {
     auto d = read_device_state(r, version);
     if (img.devices.count(d.id) == 0) {
@@ -417,14 +386,6 @@ byte_vec serialize_snapshot(const state_image& img,
   w.u64(img.now);
   w.u64(generation);
 
-  w.u64(img.stats.challenges_issued);
-  w.u64(img.stats.challenges_expired);
-  w.u64(img.stats.challenges_superseded);
-  w.u64(img.stats.reports_accepted);
-  w.u64(img.stats.reports_rejected_verdict);
-  w.u32(static_cast<std::uint32_t>(img.stats.rejected_by_error.size()));
-  for (const auto v : img.stats.rejected_by_error) w.u64(v);
-
   w.u32(static_cast<std::uint32_t>(img.firmwares.size()));
   for (const auto& [id, blob] : img.firmwares) {
     w.raw(id);
@@ -443,24 +404,6 @@ byte_vec serialize_snapshot(const state_image& img,
 
   w.u32(crc32(w.data()));
   return w.take();
-}
-
-void merge_live_stats(state_image& img, const fleet::hub_stats& live) {
-  auto& s = img.stats;
-  s.challenges_issued = std::max(s.challenges_issued,
-                                 live.challenges_issued);
-  s.challenges_expired = std::max(s.challenges_expired,
-                                  live.challenges_expired);
-  s.challenges_superseded = std::max(s.challenges_superseded,
-                                     live.challenges_superseded);
-  s.reports_accepted = std::max(s.reports_accepted,
-                                live.reports_accepted);
-  s.reports_rejected_verdict = std::max(s.reports_rejected_verdict,
-                                        live.reports_rejected_verdict);
-  for (std::size_t i = 0; i < s.rejected_by_error.size(); ++i) {
-    s.rejected_by_error[i] = std::max(s.rejected_by_error[i],
-                                      live.rejected_by_error[i]);
-  }
 }
 
 }  // namespace dialed::store

@@ -35,7 +35,6 @@
 
 #include "common/bytes.h"
 #include "common/store_error.h"
-#include "fleet/hub_like.h"
 #include "fleet/persist.h"
 #include "verifier/firmware_artifact.h"
 
@@ -48,13 +47,19 @@ namespace dialed::store {
 inline constexpr std::array<std::uint8_t, 4> snapshot_magic = {'D', 'L',
                                                                'F', 'S'};
 /// v1 (a histogram one bucket short, no baselines) is retired: it is
-/// refused as bad_version. v2 appended each device's wire v2.1 delta
-/// baseline to its hub-state row; v2 snapshots still load, and that
-/// section is bounds-checked and dropped (baselines are soft state, see
-/// fleet/persist.h). v3 rows end at the counters; this build always
-/// WRITES v3.
+/// refused as bad_version. v2 and v3 carried the hub's stats counters: a
+/// hub-level section after the WAL generation and four per-device counts
+/// at the end of each hub-state row; v2 rows also ended with the device's
+/// wire v2.1 delta baseline. Both still load: those sections are read
+/// under the usual bounds checks (the histogram must have one bucket per
+/// proto_error) and dropped, since counters are process-local and
+/// baselines soft state (fleet/persist.h). v4 holds exactly the registry,
+/// the catalog, the clock and the anti-replay state: the header ends at
+/// the WAL generation and each row at the retired history. This build
+/// always WRITES v4.
 inline constexpr std::uint32_t snapshot_version_v2 = 2;
-inline constexpr std::uint32_t snapshot_version = 3;
+inline constexpr std::uint32_t snapshot_version_v3 = 3;
+inline constexpr std::uint32_t snapshot_version = 4;
 
 /// WAL record types (first payload byte).
 enum class rec : std::uint8_t {
@@ -62,7 +67,10 @@ enum class rec : std::uint8_t {
   provision = 2,  ///< device id, key, firmware content id
   challenge = 3,  ///< device id, seq, nonce, issue tick
   retire = 4,     ///< device id, nonce, fate
-  verdict = 5,    ///< device id, proto_error byte, accepted flag
+  /// Reserved: device id, proto_error byte, accepted flag (a stats
+  /// counter update). Written by older builds only; replay checks it and
+  /// drops it.
+  verdict = 5,
   tick = 6,       ///< new clock value
   /// Reserved: device id, seq, accepted OR bytes. Written by older
   /// builds only; replay checks it and drops it.
@@ -96,7 +104,6 @@ struct state_image {
   fleet::device_id next_id = 1;
   std::uint64_t now = 0;
   std::uint64_t wal_generation = 0;
-  fleet::hub_stats stats;  ///< hub-level counters (per_device unused)
   /// Serialized linked_program blobs, keyed by content id. Parse-checked
   /// on the way in; fingerprint-checked when materialized into a catalog.
   std::map<verifier::firmware_id, byte_vec> firmwares;
@@ -125,16 +132,6 @@ state_image parse_snapshot(std::span<const std::uint8_t> data,
 /// NEXT generation before rolling the log). Inverse of parse_snapshot.
 byte_vec serialize_snapshot(const state_image& img,
                             std::uint64_t generation);
-
-/// Elementwise max-merge of the persisted hub-level scalars from `live`
-/// into `img.stats`. The hub deliberately does not journal verdicts it
-/// cannot attribute to device state (an id-spraying attacker must not
-/// grow the log), so a mirror's histogram can run behind the live
-/// counters; compact() merges before serializing so snapshots keep the
-/// old "counters survive a clean compact" property. Max (not overwrite):
-/// both sides only ever grow, and max is safe regardless of which side
-/// saw a given event first.
-void merge_live_stats(state_image& img, const fleet::hub_stats& live);
 
 }  // namespace dialed::store
 

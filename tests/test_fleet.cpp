@@ -748,8 +748,10 @@ TEST(hub_concurrency, parallel_batch_verdicts_match_sequential_hub) {
   const auto id2 = reg.provision(prog);
   hub_config seq_cfg;
   seq_cfg.sequential_batch = true;
+  seq_cfg.seed = 0x5eed;
   hub_config par_cfg;
   par_cfg.workers = 4;
+  par_cfg.seed = seq_cfg.seed;
   verifier_hub seq_hub(reg, seq_cfg);
   verifier_hub par_hub(reg, par_cfg);
   proto::prover_device dev1(prog, reg.derive_key(id1));
@@ -850,91 +852,36 @@ TEST(hub_concurrency, many_devices_one_firmware_verify_in_parallel) {
 }
 
 // ---------------------------------------------------------------------------
-// Journal, then count
+// Challenge nonces: a per-hub keyed PRF over (device, seq)
 // ---------------------------------------------------------------------------
 
-/// At every verdict it is handed, checks that the hub's counters do not
-/// include that verdict yet. A store's compaction folds the live counters
-/// into its snapshot (merge_live_stats); a verdict counted before its
-/// journal append could land both in that snapshot and in the next WAL
-/// generation, and be counted twice on recovery. Reads only the
-/// lock-free hub-level stats, so calling back into the hub is safe here.
-class count_after_journal_sink : public persist_sink {
- public:
-  const verifier_hub* hub = nullptr;
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected_verdict = 0;
-  std::array<std::uint64_t, proto::proto_error_count> by_error{};
-
-  void on_provision(const device_record&) override {}
-  void on_challenge(device_id, std::uint32_t, const nonce16&,
-                    std::uint64_t) override {}
-  void on_retire(device_id, const nonce16&, nonce_fate) override {}
-  void on_tick(std::uint64_t) override {}
-  void on_verdict(device_id, proto_error error, bool ok) override {
-    const auto s = hub->stats(/*include_per_device=*/false);
-    const auto e = static_cast<std::size_t>(error);
-    if (error != proto_error::none) {
-      EXPECT_EQ(s.rejected_by_error[e], by_error[e])
-          << proto::to_string(error);
-      ++by_error[e];
-    } else if (ok) {
-      EXPECT_EQ(s.reports_accepted, accepted);
-      ++accepted;
-    } else {
-      EXPECT_EQ(s.reports_rejected_verdict, rejected_verdict);
-      ++rejected_verdict;
-    }
-  }
-};
-
-TEST(hub, verdicts_are_journaled_before_they_are_counted) {
+TEST(hub, default_config_draws_a_fresh_nonce_key_per_hub) {
+  // Two hubs with the default config serve the same registry: the same
+  // device gets seq 1 from both, but the nonce key comes from
+  // getrandom(2), so the nonces differ. A pinned seed reproduces them.
   device_registry reg(master_key());
-  const auto prog = adder_prog();
-  const auto id = reg.provision(prog);
-  count_after_journal_sink sink;
+  const auto id = reg.provision(adder_prog());
   hub_config cfg;
   cfg.sequential_batch = true;
-  cfg.sink = &sink;
-  verifier_hub hub(reg, cfg);
-  sink.hub = &hub;
-  proto::prover_device dev(prog, reg.derive_key(id));
+  verifier_hub a(reg, cfg);
+  verifier_hub b(reg, cfg);
+  const auto ga = a.challenge(id);
+  const auto gb = b.challenge(id);
+  ASSERT_TRUE(ga.ok());
+  ASSERT_TRUE(gb.ok());
+  EXPECT_EQ(ga.seq, gb.seq);
+  EXPECT_NE(ga.nonce, gb.nonce);
 
-  // Accepted, then replayed (a protocol rejection).
-  const auto g1 = hub.challenge(id);
-  const auto rep1 = dev.invoke(g1.nonce, args(20, 22));
-  EXPECT_TRUE(submit_report(hub, id, g1.seq, rep1).accepted());
-  EXPECT_EQ(submit_report(hub, id, g1.seq, rep1).error,
-            proto_error::replayed_report);
-  // A verdict rejection.
-  const auto g2 = hub.challenge(id);
-  auto forged = dev.invoke(g2.nonce, args(1, 2));
-  forged.claimed_result = 0x1234;
-  EXPECT_FALSE(submit_report(hub, id, g2.seq, forged).accepted());
-  // A delta naming a baseline the hub does not hold, then the full frame.
-  const auto g3 = hub.challenge(id);
-  const auto rep3 = dev.invoke(g3.nonce, args(3, 4));
-  proto::frame_info info;
-  info.device_id = id;
-  info.seq = g3.seq;
-  EXPECT_EQ(hub.submit(proto::encode_delta_frame(info, rep3, g1.seq + 9,
-                                                 rep1.or_bytes))
-                .error,
-            proto_error::baseline_mismatch);
-  EXPECT_TRUE(submit_report(hub, id, g3.seq, rep3).accepted());
-
-  EXPECT_EQ(sink.accepted, 2u);
-  EXPECT_EQ(sink.rejected_verdict, 1u);
-  EXPECT_EQ(sink.by_error[static_cast<std::size_t>(
-                proto_error::replayed_report)],
-            1u);
-  EXPECT_EQ(sink.by_error[static_cast<std::size_t>(
-                proto_error::baseline_mismatch)],
-            1u);
-  const auto s = hub.stats();
-  EXPECT_EQ(s.reports_accepted, 2u);
-  EXPECT_EQ(s.reports_rejected_verdict, 1u);
-  EXPECT_EQ(s.reports_rejected_protocol(), 2u);
+  cfg.seed = 7;
+  verifier_hub c(reg, cfg);
+  verifier_hub d(reg, cfg);
+  const auto gc = c.challenge(id);
+  EXPECT_EQ(gc.nonce, d.challenge(id).nonce);
+  // Same key, next seq: a different nonce.
+  EXPECT_NE(gc.nonce, c.challenge(id).nonce);
+  cfg.seed = 8;
+  verifier_hub e(reg, cfg);
+  EXPECT_NE(gc.nonce, e.challenge(id).nonce);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@
 // across all four embedded apps, interleaved v2/v2.1 multi-device
 // traffic on one connection, delta desync falling back to a full frame
 // on the same nonce, slow-reader backpressure, global ingest caps,
-// mid-stream disconnects, oversized length prefixes, UDP fire-and-forget
-// ingest, /metrics–/healthz scrapes, and a server restart from a durable
-// state dir rejecting a pre-crash replay. Run under TSan in CI.
+// mid-stream disconnects, oversized length prefixes, /metrics–/healthz
+// scrapes, and a server restart from a durable state dir rejecting a
+// pre-crash replay. Run under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -320,7 +320,6 @@ struct harness {
     if (gated) gate.emplace(*hub);
     cfg.bind_addr = "127.0.0.1";
     cfg.tcp_port = 0;
-    cfg.udp_port = 0;
     server.emplace(gate ? static_cast<fleet::hub_like&>(*gate) : *hub, cfg);
     server->start();
   }
@@ -642,28 +641,6 @@ TEST(net_serve, oversized_length_prefix_drops_connection) {
   std::uint8_t buf[64];
   EXPECT_EQ(::recv(fd, buf, sizeof buf, 0), 0);
   ::close(fd);
-}
-
-TEST(net_serve, udp_fire_and_forget_ingest) {
-  harness h;
-  const auto prog = adder_prog();
-  const auto id = h.provision(prog);
-  proto::prover_device dev(prog, h.key(id));
-
-  // Challenge over TCP, report over UDP — no response expected.
-  attest_client client("127.0.0.1", h.port());
-  const auto grant = client.get_challenge(id);
-  ASSERT_EQ(grant.error, proto::proto_error::none);
-  const auto rep = dev.invoke(grant.nonce, args(3, 4));
-  const auto frame = full_frame(id, grant.seq, rep);
-
-  const int ufd = udp_socket();
-  send_udp_to(ufd, "127.0.0.1", h.server->udp_port(), frame);
-  EXPECT_TRUE(
-      wait_until([&] { return h.hub->stats().reports_accepted == 1; }));
-  EXPECT_TRUE(
-      wait_until([&] { return h.server->stats().udp_datagrams == 1; }));
-  ::close(ufd);
 }
 
 TEST(net_serve, http_metrics_and_healthz_reflect_traffic) {

@@ -584,6 +584,12 @@ TEST_F(partition_test, promotion_mid_campaign_rejects_pre_crash_replays) {
   { auto dead = fleet.release_partition(victim); }
   fleet.install_partition(victim, follower.promote(opts()));
 
+  // The successor's counters start at zero: they are process-local and
+  // never shipped. Its anti-replay state is the dead partition's.
+  EXPECT_EQ(fleet.hub_of(victim).stats().reports_submitted(), 0u);
+  EXPECT_EQ(fleet.hub_of(victim).stats().challenges_issued, 0u);
+  EXPECT_EQ(fleet.router().outstanding(ids[victim]), 0u);
+
   // THE property, across the router: every report the dead partition
   // accepted is a replay at its successor.
   for (const auto& frame : pre_crash) {
@@ -614,7 +620,8 @@ TEST_F(partition_test, promotion_mid_campaign_rejects_pre_crash_replays) {
 TEST_F(partition_test, online_compaction_under_concurrent_traffic) {
   constexpr std::size_t devices = 3;
   constexpr std::size_t rounds = 10;
-  std::vector<byte_vec> last_frame(devices);
+  std::vector<std::vector<byte_vec>> frames(devices);
+  std::vector<device_id> ids;
   std::atomic<std::size_t> accepted{0};
   std::uint64_t compactions = 0;
 
@@ -626,7 +633,6 @@ TEST_F(partition_test, online_compaction_under_concurrent_traffic) {
     st.store->attach_shipper(&shipper);
 
     const auto prog = prog_for(adder);
-    std::vector<device_id> ids;
     for (std::size_t d = 0; d < devices; ++d) {
       ids.push_back(st.registry->provision(prog));
     }
@@ -655,7 +661,7 @@ TEST_F(partition_test, online_compaction_under_concurrent_traffic) {
           if (st.hub->submit(frame).accepted()) {
             accepted.fetch_add(1, std::memory_order_relaxed);
           }
-          last_frame[d] = frame;
+          frames[d].push_back(frame);
         }
       });
     }
@@ -672,13 +678,18 @@ TEST_F(partition_test, online_compaction_under_concurrent_traffic) {
 
   // Reopen from the primary's directory: whatever mix of snapshot
   // generation + WAL tail the compactor left behind replays to the full
-  // campaign.
+  // campaign — every accepted frame is a replay, no challenge is left
+  // over, and every device still attests.
   auto st = store::fleet_store::open(sub("primary"), opts());
   EXPECT_EQ(st.registry->size(), devices);
-  EXPECT_EQ(st.hub->stats().reports_accepted, devices * rounds);
-  for (const auto& frame : last_frame) {
-    EXPECT_EQ(st.hub->submit(frame).error,
-              proto::proto_error::replayed_report);
+  for (std::size_t d = 0; d < devices; ++d) {
+    ASSERT_EQ(frames[d].size(), rounds);
+    for (const auto& frame : frames[d]) {
+      EXPECT_EQ(st.hub->submit(frame).error,
+                proto::proto_error::replayed_report);
+    }
+    EXPECT_EQ(st.hub->outstanding(ids[d]), 0u);
+    run_round(*st.hub, *st.registry, ids[d], 4, 5);
   }
 }
 

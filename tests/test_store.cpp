@@ -8,6 +8,7 @@
 #include <array>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <thread>
 
 #include "common/store_error.h"
@@ -48,6 +49,70 @@ byte_vec frame_for(fleet::device_id id, const fleet::challenge_grant& g,
   info.device_id = id;
   info.seq = g.seq;
   return proto::encode_frame(info, rep);
+}
+
+/// One fresh round for device `id`: challenge, run the op, submit.
+fleet::attest_result fresh_round(fleet_state& st, fleet::device_id id,
+                                 std::uint16_t a0, std::uint16_t a1) {
+  const auto* rec = st.registry->find(id);
+  proto::prover_device dev(*rec->program, rec->key);
+  const auto g = st.hub->challenge(id);
+  return st.hub->submit(frame_for(id, g, dev.invoke(g.nonce, args(a0, a1))));
+}
+
+/// The anti-replay recovery oracle: every frame accepted before the
+/// crash is a replay now, and none of `ids` holds a challenge.
+void expect_replays(fleet_state& st, const std::vector<byte_vec>& frames,
+                    const std::vector<fleet::device_id>& ids) {
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(st.hub->submit(frames[i]).error,
+              proto::proto_error::replayed_report)
+        << "frame " << i;
+  }
+  for (const auto id : ids) EXPECT_EQ(st.hub->outstanding(id), 0u) << id;
+}
+
+/// Counters are process-local: a freshly opened store's hub reads zero
+/// everywhere, whatever its files held.
+void expect_zero_counters(const fleet::hub_stats& s) {
+  EXPECT_EQ(s.challenges_issued, 0u);
+  EXPECT_EQ(s.challenges_expired, 0u);
+  EXPECT_EQ(s.challenges_superseded, 0u);
+  EXPECT_EQ(s.reports_submitted(), 0u);
+  for (const auto& [id, c] : s.per_device) {
+    EXPECT_EQ(c.total(), 0u) << "device " << id;
+  }
+}
+
+/// Both checked-in store fixtures (tests/fuzz_corpus/store_v2 and
+/// store_v3) accepted two rounds for device 1, the adder: (20, 22) at
+/// seq 1 and (7, 8) at seq 2. Rebuilds those two frames from the nonces
+/// the fixture in `dir` records as consumed.
+std::vector<byte_vec> fixture_frames(const fs::path& dir,
+                                     const fleet::device_record& rec) {
+  auto img = parse_snapshot(*read_file(dir / fleet_store::snapshot_file),
+                            "fixture snapshot");
+  const auto wal = read_wal(*read_file(dir / "wal-1.log"));
+  for (std::size_t i = 0; i < wal.records.size(); ++i) {
+    apply_record(img, wal.records[i].payload, i, 0);
+  }
+  std::vector<fleet::nonce16> nonces;
+  for (const auto& n : img.states.at(rec.id).retired) {
+    if (n.fate == fleet::nonce_fate::consumed) nonces.push_back(n.nonce);
+  }
+  EXPECT_EQ(nonces.size(), 2u);
+  proto::prover_device dev(*rec.program, rec.key);
+  const std::pair<std::uint16_t, std::uint16_t> inputs[] = {{20, 22},
+                                                            {7, 8}};
+  std::vector<byte_vec> frames;
+  for (std::uint32_t k = 0; k < 2 && k < nonces.size(); ++k) {
+    fleet::challenge_grant g;
+    g.seq = k + 1;
+    frames.push_back(frame_for(
+        rec.id, g,
+        dev.invoke(nonces[k], args(inputs[k].first, inputs[k].second))));
+  }
+  return frames;
 }
 
 /// Fresh per-test state directory, removed on teardown.
@@ -217,9 +282,9 @@ TEST_F(store_test, accepted_report_is_replay_after_reopen) {
     ASSERT_TRUE(r.accepted());
     EXPECT_EQ(r.verdict.replayed_result, 42);
     // The store saw every event (2 firmware + 2 provision + 1 challenge
-    // + 1 retire + 1 verdict). The accepted OR is not journaled: delta
-    // baselines are soft state.
-    EXPECT_EQ(st.store->wal_records(), 7u);
+    // + 1 retire). Neither the verdict nor the accepted OR is journaled:
+    // counters are process-local and delta baselines soft state.
+    EXPECT_EQ(st.store->wal_records(), 6u);
   }  // "crash": drop every in-memory object
 
   auto st = fleet_store::open(dir(), opts());
@@ -327,31 +392,36 @@ TEST_F(store_test, restart_forgets_delta_baseline) {
   }
 }
 
-TEST_F(store_test, v2_store_with_persisted_baselines_loads_and_rewrites_v3) {
+TEST_F(store_test, v2_store_with_persisted_baselines_loads_and_rewrites_v4) {
   // tests/fuzz_corpus/store_v2 was written by a build that persisted
-  // delta baselines: a v2 snapshot whose one device (id 1, the adder)
-  // carries the baseline section for round (20, 22) at seq 1, and a
-  // wal-1.log holding round (7, 8) at seq 2 with its type-7 baseline
-  // record. Both load; the baselines are checked and dropped.
+  // delta baselines and counters: a v2 snapshot whose one device (id 1,
+  // the adder) carries the baseline section for round (20, 22) at seq 1,
+  // and a wal-1.log holding round (7, 8) at seq 2 with its type-7
+  // baseline and type-5 verdict records. Both load; the baselines and
+  // counters are checked and dropped.
   const fs::path fixture = fs::path(DIALED_FUZZ_CORPUS_DIR) / "store_v2";
   fs::create_directories(dir_);
   for (const char* f : {"snapshot.dls", "wal-1.log"}) {
     fs::copy_file(fixture / f, dir_ / f);
   }
   ASSERT_EQ(load_le32(*read_file(snapshot()), 4), snapshot_version_v2);
+  const fleet::device_id id = 1;
   auto o = opts();
   o.hub.shards = 1;
   o.compact_on_open = false;
-  const fleet::device_id id = 1;
+  std::vector<byte_vec> accepted;
   {
     auto st = fleet_store::open(dir(), o);
     ASSERT_EQ(st.registry->size(), 1u);
     ASSERT_NE(st.registry->find(id), nullptr);
-    EXPECT_EQ(st.hub->stats().reports_accepted, 2u);
-    EXPECT_EQ(st.hub->outstanding(id), 0u);
+    expect_zero_counters(st.hub->stats());
 
+    // The two rounds the old build accepted are replays.
+    accepted = fixture_frames(dir_, *st.registry->find(id));
+    expect_replays(st, accepted, {id});
     proto::prover_device dev(*st.registry->find(id)->program,
                              st.registry->find(id)->key);
+
     const auto g = st.hub->challenge(id);
     EXPECT_EQ(g.seq, 3u);
     // Same inputs as the persisted round 2, so the same OR bytes: a delta
@@ -365,18 +435,70 @@ TEST_F(store_test, v2_store_with_persisted_baselines_loads_and_rewrites_v3) {
     EXPECT_EQ(delta.error, proto::proto_error::baseline_mismatch);
     EXPECT_EQ(st.hub->outstanding(id), 1u);
 
-    const auto full = st.hub->submit(frame_for(id, g, rep));
+    accepted.push_back(frame_for(id, g, rep));
+    const auto full = st.hub->submit(accepted.back());
     ASSERT_TRUE(full.accepted());
     EXPECT_EQ(full.verdict.replayed_result, 15);
     EXPECT_EQ(full.verdict.replay, verifier::replay_path::replayed);
     st.store->compact();
   }
-  EXPECT_EQ(snapshot_version, 3u);
+  EXPECT_EQ(snapshot_version, 4u);
   EXPECT_EQ(load_le32(*read_file(snapshot()), 4), snapshot_version);
   auto st = fleet_store::open(dir(), o);
   EXPECT_EQ(st.registry->size(), 1u);
-  EXPECT_EQ(st.hub->stats().reports_accepted, 3u);
-  EXPECT_EQ(st.hub->stats().per_device.at(id).accepted, 3u);
+  expect_replays(st, accepted, {id});
+  EXPECT_TRUE(fresh_round(st, id, 1, 2).accepted());
+}
+
+TEST_F(store_test, v3_store_with_persisted_counters_loads_and_rewrites_v4) {
+  // tests/fuzz_corpus/store_v3 was written by a build that journaled
+  // stats counters: a v3 snapshot whose counters are nonzero (round
+  // (20, 22) accepted at seq 1 for device 1, the adder, then replayed
+  // once) and a wal-1.log holding round (7, 8) at seq 2 as challenge,
+  // retire and type-5 verdict records. The counter sections and the
+  // type-5 record are checked and dropped.
+  const fs::path fixture = fs::path(DIALED_FUZZ_CORPUS_DIR) / "store_v3";
+  fs::create_directories(dir_);
+  for (const char* f : {"snapshot.dls", "wal-1.log"}) {
+    fs::copy_file(fixture / f, dir_ / f);
+  }
+  ASSERT_EQ(load_le32(*read_file(snapshot()), 4), snapshot_version_v3);
+  const fleet::device_id id = 1;
+  auto o = opts();
+  o.hub.shards = 1;
+  o.compact_on_open = false;
+  std::vector<byte_vec> accepted;
+  {
+    auto st = fleet_store::open(dir(), o);
+    ASSERT_EQ(st.registry->size(), 1u);
+    ASSERT_NE(st.registry->find(id), nullptr);
+    expect_zero_counters(st.hub->stats());
+
+    accepted = fixture_frames(dir_, *st.registry->find(id));
+    expect_replays(st, accepted, {id});
+    // Only this process's rejections count.
+    const auto s = st.hub->stats();
+    EXPECT_EQ(s.rejected_by_error[static_cast<std::size_t>(
+                  proto::proto_error::replayed_report)],
+              2u);
+    EXPECT_EQ(s.reports_accepted, 0u);
+
+    proto::prover_device dev(*st.registry->find(id)->program,
+                             st.registry->find(id)->key);
+    const auto g = st.hub->challenge(id);
+    EXPECT_EQ(g.seq, 3u);
+    accepted.push_back(frame_for(id, g, dev.invoke(g.nonce, args(30, 12))));
+    const auto r = st.hub->submit(accepted.back());
+    ASSERT_TRUE(r.accepted());
+    EXPECT_EQ(r.verdict.replayed_result, 42);
+    st.store->compact();
+  }
+  EXPECT_EQ(load_le32(*read_file(snapshot()), 4), snapshot_version);
+  auto st = fleet_store::open(dir(), o);
+  EXPECT_EQ(st.registry->size(), 1u);
+  expect_zero_counters(st.hub->stats());
+  expect_replays(st, accepted, {id});
+  EXPECT_TRUE(fresh_round(st, id, 1, 2).accepted());
 }
 
 TEST_F(store_test, auto_provision_after_reopen_never_reuses_ids) {
@@ -430,16 +552,16 @@ TEST_F(store_test, kill_after_k_wal_records_recovers_prefix_state) {
   auto o = opts();
   o.compact_on_open = false;  // keep the whole history in the WAL
   fleet::device_id id = 0;
+  byte_vec frame;
   {
     auto st = fleet_store::open(dir(), o);
     id = st.registry->provision(prog_for(adder));
     proto::prover_device dev(*st.registry->find(id)->program,
                              st.registry->find(id)->key);
     const auto g = st.hub->challenge(id);
-    const auto r = st.hub->submit(
-        frame_for(id, g, dev.invoke(g.nonce, args(20, 22))));
-    ASSERT_TRUE(r.accepted());
-    ASSERT_EQ(st.store->wal_records(), 5u);
+    frame = frame_for(id, g, dev.invoke(g.nonce, args(20, 22)));
+    ASSERT_TRUE(st.hub->submit(frame).accepted());
+    ASSERT_EQ(st.store->wal_records(), 4u);
   }
   const auto full = [&] {
     std::ifstream in(wal_file(0), std::ios::binary);
@@ -449,7 +571,7 @@ TEST_F(store_test, kill_after_k_wal_records_recovers_prefix_state) {
 
   // Record boundaries from the framing itself.
   const auto parsed = read_wal(full);
-  ASSERT_EQ(parsed.records.size(), 5u);
+  ASSERT_EQ(parsed.records.size(), 4u);
   std::vector<std::size_t> ends;
   std::size_t pos = 0;
   for (const auto& rec : parsed.records) {
@@ -457,8 +579,15 @@ TEST_F(store_test, kill_after_k_wal_records_recovers_prefix_state) {
     ends.push_back(pos);
   }
 
-  const std::size_t outstanding_after[] = {0, 0, 0, 1, 0, 0};
-  for (std::size_t k = 0; k <= 5; ++k) {
+  // The frame's fate in each prefix: no device yet, no challenge yet,
+  // issued but not consumed (the crash beat the verdict, so the report
+  // still verifies), consumed.
+  const proto::proto_error frame_error[] = {
+      proto::proto_error::unknown_device, proto::proto_error::unknown_device,
+      proto::proto_error::stale_nonce, proto::proto_error::none,
+      proto::proto_error::replayed_report};
+  const std::size_t outstanding_after[] = {0, 0, 0, 1, 0};
+  for (std::size_t k = 0; k <= 4; ++k) {
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     const std::size_t bytes = k == 0 ? 0 : ends[k - 1];
@@ -468,16 +597,24 @@ TEST_F(store_test, kill_after_k_wal_records_recovers_prefix_state) {
     out.close();
 
     auto st = fleet_store::open(dir(), o);
-    // Records: [firmware, provision, challenge, retire, verdict].
+    // Records: [firmware, provision, challenge, retire].
     EXPECT_EQ(st.registry->size(), k >= 2 ? 1u : 0u) << "k=" << k;
     EXPECT_EQ(st.catalog->size(), k >= 1 ? 1u : 0u) << "k=" << k;
+    expect_zero_counters(st.hub->stats());
     if (k >= 2) {
       EXPECT_EQ(st.hub->outstanding(id), outstanding_after[k])
           << "k=" << k;
     }
-    const auto stats = st.hub->stats();
-    EXPECT_EQ(stats.challenges_issued, k >= 3 ? 1u : 0u) << "k=" << k;
-    EXPECT_EQ(stats.reports_accepted, k >= 5 ? 1u : 0u) << "k=" << k;
+    const auto r = st.hub->submit(frame);
+    EXPECT_EQ(r.error, frame_error[k]) << "k=" << k;
+    if (frame_error[k] == proto::proto_error::none) {
+      EXPECT_TRUE(r.accepted()) << "k=" << k;
+    }
+    if (k >= 2) {
+      const auto fresh = fresh_round(st, id, 6, 7);
+      EXPECT_TRUE(fresh.accepted()) << "k=" << k;
+      EXPECT_EQ(fresh.verdict.replayed_result, 13) << "k=" << k;
+    }
   }
 }
 
@@ -498,10 +635,10 @@ TEST_F(store_test, torn_final_wal_record_is_dropped_cleanly) {
   auto st = fleet_store::open(dir(), o);
   EXPECT_EQ(st.registry->size(), 1u);
   EXPECT_EQ(st.hub->outstanding(id), 0u);  // torn grant never happened
-  EXPECT_EQ(st.hub->stats().challenges_issued, 0u);
   // The torn bytes were truncated away; the log keeps appending cleanly
-  // from the cut (2 surviving records + the new challenge).
-  (void)st.hub->challenge(id);
+  // from the cut (2 surviving records + the new challenge). The torn
+  // grant's seq is lost with its record, so it is issued again.
+  EXPECT_EQ(st.hub->challenge(id).seq, 1u);
   EXPECT_EQ(st.store->wal_records(), 3u);
 }
 
@@ -643,25 +780,25 @@ TEST_F(store_test, master_key_mismatch_is_rejected) {
   EXPECT_EQ(st.registry->master_key(), master_key());
 }
 
-TEST_F(store_test, per_device_stats_survive_reopen) {
+TEST_F(store_test, counters_restart_at_zero_while_replay_state_survives) {
   fleet::device_id id = 0;
+  byte_vec frame;
+  byte_vec stale;
   {
     auto st = fleet_store::open(dir(), opts());
     id = st.registry->provision(prog_for(adder));
     proto::prover_device dev(*st.registry->find(id)->program,
                              st.registry->find(id)->key);
     const auto g = st.hub->challenge(id);
-    const auto frame = frame_for(id, g, dev.invoke(g.nonce, args(1, 2)));
+    frame = frame_for(id, g, dev.invoke(g.nonce, args(1, 2)));
     ASSERT_TRUE(st.hub->submit(frame).accepted());
     // A replay and a stale nonce, for the reject counters.
     EXPECT_EQ(st.hub->submit(frame).error,
               proto::proto_error::replayed_report);
     auto rep = dev.invoke(g.nonce, args(1, 2));
     rep.challenge[0] ^= 0xff;
-    fleet::challenge_grant fake;
-    fake.seq = g.seq;
-    EXPECT_EQ(st.hub->submit(frame_for(id, fake, rep)).error,
-              proto::proto_error::stale_nonce);
+    stale = frame_for(id, g, rep);
+    EXPECT_EQ(st.hub->submit(stale).error, proto::proto_error::stale_nonce);
 
     const auto s = st.hub->stats();
     ASSERT_EQ(s.per_device.count(id), 1u);
@@ -670,20 +807,105 @@ TEST_F(store_test, per_device_stats_survive_reopen) {
     EXPECT_EQ(s.per_device.at(id).rejected_protocol, 1u);
   }
   auto st = fleet_store::open(dir(), opts());
+  // The counters did not survive; the anti-replay state did.
+  expect_zero_counters(st.hub->stats());
+  EXPECT_EQ(st.hub->submit(frame).error,
+            proto::proto_error::replayed_report);
+  EXPECT_EQ(st.hub->submit(stale).error, proto::proto_error::stale_nonce);
+  EXPECT_TRUE(fresh_round(st, id, 3, 4).accepted());
+
+  // From here the counters count this process only.
   const auto s = st.hub->stats();
   ASSERT_EQ(s.per_device.count(id), 1u);
   EXPECT_EQ(s.per_device.at(id).accepted, 1u);
   EXPECT_EQ(s.per_device.at(id).replayed, 1u);
   EXPECT_EQ(s.per_device.at(id).rejected_protocol, 1u);
   EXPECT_EQ(s.reports_accepted, 1u);
+  EXPECT_EQ(s.challenges_issued, 1u);
   EXPECT_EQ(s.rejected_by_error[static_cast<std::size_t>(
                 proto::proto_error::replayed_report)],
             1u);
 }
 
+TEST_F(store_test, fixed_seed_nonces_never_repeat_across_reopen) {
+  // Nonces are a PRF of (device, seq) under the hub key; a pinned seed
+  // gives every reopen the same key, so freshness rests on seq being
+  // restored. Issue k challenges (answering every other one), reopen on
+  // the snapshot path and on the WAL-only path, issue k more: all 2k
+  // nonces differ.
+  constexpr int k = 6;
+  for (const bool snapshot_path : {true, false}) {
+    SCOPED_TRACE(snapshot_path ? "snapshot" : "wal-only");
+    fs::remove_all(dir_);
+    auto o = opts();
+    o.hub.seed = 7;
+    o.hub.max_outstanding = 2 * k;
+    o.compact_on_open = snapshot_path;
+    std::set<fleet::nonce16> nonces;
+    fleet::device_id id = 0;
+    {
+      auto st = fleet_store::open(dir(), o);
+      id = st.registry->provision(prog_for(adder));
+      proto::prover_device dev(*st.registry->find(id)->program,
+                               st.registry->find(id)->key);
+      for (int i = 0; i < k; ++i) {
+        const auto g = st.hub->challenge(id);
+        nonces.insert(g.nonce);
+        if (i % 2 == 0) {
+          ASSERT_TRUE(
+              st.hub->submit(frame_for(id, g, dev.invoke(g.nonce, args(1))))
+                  .accepted());
+        }
+      }
+      if (snapshot_path) {
+        st.store->compact();
+        EXPECT_EQ(st.store->wal_records(), 0u);
+      }
+    }  // "crash"
+    auto st = fleet_store::open(dir(), o);
+    EXPECT_EQ(st.hub->outstanding(id), static_cast<std::size_t>(k / 2));
+    for (int i = 0; i < k; ++i) nonces.insert(st.hub->challenge(id).nonce);
+    EXPECT_EQ(nonces.size(), static_cast<std::size_t>(2 * k));
+  }
+}
+
+TEST_F(store_test, made_up_nonces_cost_no_journal_records) {
+  // A frame that names a provisioned device but matches no challenge
+  // never reaches the MAC check. It is counted in memory and costs the
+  // journal nothing: no record, no byte, nothing shipped.
+  auto o = opts();
+  o.compact_on_open = false;
+  auto st = fleet_store::open(dir(), o);
+  const auto id = st.registry->provision(prog_for(adder));
+  proto::prover_device dev(*st.registry->find(id)->program,
+                           st.registry->find(id)->key);
+  const auto g = st.hub->challenge(id);
+  auto rep = dev.invoke(g.nonce, args(1, 2));
+  const auto records = st.store->wal_records();
+  const auto bytes = st.store->wal_bytes();
+  constexpr std::uint32_t frames = 1000;
+  for (std::uint32_t i = 0; i < frames; ++i) {
+    rep.challenge.fill(0xa5);
+    for (std::size_t b = 0; b < 4; ++b) {
+      rep.challenge[b] = static_cast<std::uint8_t>(i >> (8 * b));
+    }
+    ASSERT_EQ(st.hub->submit(frame_for(id, g, rep)).error,
+              proto::proto_error::stale_nonce);
+  }
+  EXPECT_EQ(st.store->wal_records(), records);
+  EXPECT_EQ(st.store->wal_bytes(), bytes);
+  const auto s = st.hub->stats();
+  EXPECT_EQ(s.rejected_by_error[static_cast<std::size_t>(
+                proto::proto_error::stale_nonce)],
+            frames);
+  EXPECT_EQ(s.per_device.at(id).rejected_protocol, frames);
+  EXPECT_EQ(st.hub->outstanding(id), 1u);  // the real challenge is intact
+}
+
 TEST_F(store_test, compaction_preserves_state_and_resets_wal) {
   fleet::device_id id = 0;
   byte_vec frame;
+  fleet::challenge_grant pending;
   {
     auto st = fleet_store::open(dir(), opts());
     id = st.registry->provision(prog_for(adder));
@@ -700,14 +922,20 @@ TEST_F(store_test, compaction_preserves_state_and_resets_wal) {
     EXPECT_FALSE(fs::exists(wal_file(gen_before)));
 
     // Post-compaction events land in the new generation's log.
-    (void)st.hub->challenge(id);
+    pending = st.hub->challenge(id);
     EXPECT_EQ(st.store->wal_records(), 1u);
   }
   auto st = fleet_store::open(dir(), opts());
   EXPECT_EQ(st.hub->submit(frame).error,
             proto::proto_error::replayed_report);
   EXPECT_EQ(st.hub->outstanding(id), 1u);
-  EXPECT_EQ(st.hub->stats().reports_accepted, 1u);
+  // The grant issued after the compaction is still answerable.
+  proto::prover_device dev(*st.registry->find(id)->program,
+                           st.registry->find(id)->key);
+  const auto r = st.hub->submit(
+      frame_for(id, pending, dev.invoke(pending.nonce, args(6, 7))));
+  ASSERT_TRUE(r.accepted());
+  EXPECT_EQ(r.verdict.replayed_result, 13);
 }
 
 TEST_F(store_test, interrupted_compaction_chain_replays_both_logs) {
@@ -726,11 +954,11 @@ TEST_F(store_test, interrupted_compaction_chain_replays_both_logs) {
     const auto g = st.hub->challenge(id);
     frame = frame_for(id, g, dev.invoke(g.nonce, args(20, 22)));
     ASSERT_TRUE(st.hub->submit(frame).accepted());
-    ASSERT_EQ(st.store->wal_records(), 5u);
+    ASSERT_EQ(st.store->wal_records(), 4u);
   }
   const auto bytes = *read_file(wal_file(0));
   const auto parsed = read_wal(bytes);
-  ASSERT_EQ(parsed.records.size(), 5u);
+  ASSERT_EQ(parsed.records.size(), 4u);
   const auto rewrite = [&](std::uint64_t gen, std::size_t from,
                            std::size_t to) {
     fs::remove(wal_file(gen));
@@ -739,8 +967,8 @@ TEST_F(store_test, interrupted_compaction_chain_replays_both_logs) {
       w.append(parsed.records[i].payload);
     }
   };
-  rewrite(0, 0, 4);
-  rewrite(1, 4, 5);
+  rewrite(0, 0, 3);
+  rewrite(1, 3, 4);
 
   {
     // The chain replays in order: full pre-crash state, generation
@@ -750,14 +978,15 @@ TEST_F(store_test, interrupted_compaction_chain_replays_both_logs) {
     EXPECT_EQ(st.hub->submit(frame).error,
               proto::proto_error::replayed_report);
     (void)st.hub->challenge(id);
-    // 1 replayed in wal-1 + the journaled replay rejection + 1 challenge.
-    EXPECT_EQ(st.store->wal_records(), 3u);
+    // 1 replayed in wal-1 + 1 challenge; the replay rejection is not
+    // journaled.
+    EXPECT_EQ(st.store->wal_records(), 2u);
   }
 
   // compact_on_open folds a multi-file chain back into one snapshot +
   // one fresh log even when the tail generation alone looks compact.
-  rewrite(0, 0, 4);
-  rewrite(1, 4, 5);
+  rewrite(0, 0, 3);
+  rewrite(1, 3, 4);
   {
     auto st = fleet_store::open(dir(), opts());
     EXPECT_EQ(st.store->generation(), 2u);
@@ -797,8 +1026,8 @@ TEST_F(store_test, damaged_wal_chain_fails_closed) {
   };
 
   // Torn mid-chain: truncate wal-0's final record while wal-1 exists.
-  rewrite(0, 0, 4);
-  rewrite(1, 4, 5);
+  rewrite(0, 0, 3);
+  rewrite(1, 3, 4);
   fs::resize_file(wal_file(0), fs::file_size(wal_file(0)) - 1);
   try {
     auto st = fleet_store::open(dir(), o);
@@ -828,7 +1057,7 @@ TEST_F(store_test, concurrent_traffic_journals_consistently) {
   constexpr int kthreads = 4;
   constexpr int kiters = 6;
   std::vector<fleet::device_id> ids;
-  std::vector<byte_vec> last_frames(kthreads);
+  std::vector<std::vector<byte_vec>> frames(kthreads);
   {
     auto st = fleet_store::open(dir(), o);
     for (int t = 0; t < kthreads; ++t) {
@@ -845,7 +1074,7 @@ TEST_F(store_test, concurrent_traffic_journals_consistently) {
           auto frame =
               frame_for(id, g, dev.invoke(g.nonce, args(1, 2)));
           ASSERT_TRUE(st.hub->submit(frame).accepted());
-          last_frames[static_cast<std::size_t>(t)] = std::move(frame);
+          frames[static_cast<std::size_t>(t)].push_back(std::move(frame));
         }
       });
     }
@@ -853,16 +1082,16 @@ TEST_F(store_test, concurrent_traffic_journals_consistently) {
     EXPECT_EQ(st.hub->stats().reports_accepted,
               static_cast<std::uint64_t>(kthreads * kiters));
   }
+  // Every accepted frame replays, no challenge is left, and every
+  // device still attests.
   auto st = fleet_store::open(dir(), o);
-  const auto s = st.hub->stats();
-  EXPECT_EQ(s.reports_accepted,
-            static_cast<std::uint64_t>(kthreads * kiters));
   for (int t = 0; t < kthreads; ++t) {
-    EXPECT_EQ(s.per_device.at(ids[static_cast<std::size_t>(t)]).accepted,
-              static_cast<std::uint64_t>(kiters));
-    EXPECT_EQ(st.hub->submit(last_frames[static_cast<std::size_t>(t)])
-                  .error,
-              proto::proto_error::replayed_report);
+    const auto& f = frames[static_cast<std::size_t>(t)];
+    ASSERT_EQ(f.size(), static_cast<std::size_t>(kiters));
+    expect_replays(st, f, {ids[static_cast<std::size_t>(t)]});
+  }
+  for (const auto id : ids) {
+    EXPECT_TRUE(fresh_round(st, id, 3, 4).accepted()) << id;
   }
 }
 
@@ -1125,6 +1354,7 @@ TEST_F(store_test, group_commit_concurrent_hub_traffic) {
   constexpr int kthreads = 4;
   constexpr int kiters = 6;
   std::vector<fleet::device_id> ids;
+  std::vector<std::vector<byte_vec>> frames(kthreads);
   {
     auto st = fleet_store::open(dir(), o);
     for (int t = 0; t < kthreads; ++t) {
@@ -1138,10 +1368,9 @@ TEST_F(store_test, group_commit_concurrent_hub_traffic) {
                                  st.registry->find(id)->key);
         for (int i = 0; i < kiters; ++i) {
           const auto g = st.hub->challenge(id);
-          ASSERT_TRUE(
-              st.hub->submit(frame_for(id, g, dev.invoke(g.nonce,
-                                                         args(1, 2))))
-                  .accepted());
+          auto frame = frame_for(id, g, dev.invoke(g.nonce, args(1, 2)));
+          ASSERT_TRUE(st.hub->submit(frame).accepted());
+          frames[static_cast<std::size_t>(t)].push_back(std::move(frame));
         }
       });
     }
@@ -1154,10 +1383,17 @@ TEST_F(store_test, group_commit_concurrent_hub_traffic) {
     EXPECT_GE(s.syncs, 1u);
     EXPECT_LE(s.syncs, s.records);
   }
-  // Reopen: every journaled event replays, counts agree.
+  // Reopen: every journaled consumption replays, so every accepted
+  // frame is a replay and every device still attests.
   auto st = fleet_store::open(dir(), o);
-  EXPECT_EQ(st.hub->stats().reports_accepted,
-            static_cast<std::uint64_t>(kthreads * kiters));
+  for (int t = 0; t < kthreads; ++t) {
+    const auto& f = frames[static_cast<std::size_t>(t)];
+    ASSERT_EQ(f.size(), static_cast<std::size_t>(kiters));
+    expect_replays(st, f, {ids[static_cast<std::size_t>(t)]});
+  }
+  for (const auto id : ids) {
+    EXPECT_TRUE(fresh_round(st, id, 3, 4).accepted()) << id;
+  }
 }
 
 }  // namespace

@@ -677,12 +677,14 @@ TEST(wire_fuzz, wal_images_parse_or_throw_typed_errors) {
 }
 
 TEST(wire_fuzz, mutated_store_dirs_load_exactly_or_fail_closed) {
-  // Two seed stores: one real store with real history written by this
-  // build (snapshot v3), and the checked-in v2 fixture from a build that
+  // Three seed stores: one real store with real history written by this
+  // build (snapshot v4), the checked-in v2 fixture from a build that
   // persisted delta baselines (the v2 baseline section and a type-7 WAL
-  // record, both checked and dropped on load). Every iteration mutates
-  // one seed's bytes into a fresh dir and reopens: open() must load a
-  // coherent fleet or throw typed.
+  // record), and the checked-in v3 fixture from a build that persisted
+  // stats counters (the v3 counter sections and type-5 WAL records) —
+  // all checked and dropped on load. Every iteration mutates one seed's
+  // bytes into a fresh dir and reopens: open() must load a coherent
+  // fleet or throw typed.
   const fs::path root =
       fs::path(::testing::TempDir()) / "dialed-wire-fuzz-store";
   fs::remove_all(root);
@@ -722,23 +724,26 @@ TEST(wire_fuzz, mutated_store_dirs_load_exactly_or_fail_closed) {
     byte_vec wal;
   };
   const fs::path v2 = fs::path(corpus_dir()) / "store_v2";
+  const fs::path v3 = fs::path(corpus_dir()) / "store_v3";
   const store_seed seeds[] = {
       {read_all(pristine / "snapshot.dls"), read_all(pristine / "wal-1.log")},
       {read_all(v2 / "snapshot.dls"), read_all(v2 / "wal-1.log")},
+      {read_all(v3 / "snapshot.dls"), read_all(v3 / "wal-1.log")},
   };
+  constexpr std::size_t nseeds = std::size(seeds);
   for (const auto& seed : seeds) {
     ASSERT_FALSE(seed.snap.empty());
     ASSERT_FALSE(seed.wal.empty());
   }
 
   std::mt19937_64 rng(0x5707ef0220005ull);
-  const std::uint64_t iters = scaled(400);  // 200 per seed
+  const std::uint64_t iters = scaled(600);  // 200 per seed
   const fs::path work = root / "mutated";
-  std::size_t loaded[2] = {0, 0};
+  std::size_t loaded[nseeds] = {};
   for (std::uint64_t i = 0; i < iters; ++i) {
     fs::remove_all(work);
     fs::create_directories(work);
-    const auto& seed = seeds[i % 2];
+    const auto& seed = seeds[i % nseeds];
     byte_vec s = seed.snap;
     byte_vec w = seed.wal;
     for (byte_vec* f : {&s, &w}) {
@@ -781,7 +786,7 @@ TEST(wire_fuzz, mutated_store_dirs_load_exactly_or_fail_closed) {
         ASSERT_NE(st.registry->find(did), nullptr);
         ASSERT_NE(st.registry->find(did)->firmware, nullptr);
       }
-      ++loaded[i % 2];
+      ++loaded[i % nseeds];
     } catch (const store_error&) {
       // the typed fail-closed path — the expected answer to corruption
     } catch (const error&) {
@@ -789,9 +794,10 @@ TEST(wire_fuzz, mutated_store_dirs_load_exactly_or_fail_closed) {
       // program image failing artifact construction) are fail-closed too
     }
   }
-  // Both seeds really load when left intact or mutated harmlessly.
-  EXPECT_GT(loaded[0], 0u);
-  EXPECT_GT(loaded[1], 0u);
+  // Every seed really loads when left intact or mutated harmlessly.
+  for (std::size_t k = 0; k < nseeds; ++k) {
+    EXPECT_GT(loaded[k], 0u) << "seed " << k;
+  }
   fs::remove_all(root);
 }
 

@@ -27,15 +27,18 @@
 // frame and re-syncs the lockstep immediately.
 //
 // --state-dir DIR opens (or initializes) a durable fleet store there and
-// resumes it: the device registry, firmware catalog, anti-replay history
-// and stats counters survive across invocations, so a second run reuses
-// the provisioned device and a captured frame from a previous run is
-// rejected as a replay. The demo master key is fixed (0xAB * 32) — real
-// deployments must supply their own.
+// resumes it: the device registry, firmware catalog and anti-replay
+// history survive across invocations, so a second run reuses the
+// provisioned device, continues its seq numbers, and a captured frame
+// from a previous run is rejected as a replay. The stats counters do not
+// survive: they are process-local. The demo master key is fixed
+// (0xAB * 32) — real deployments must supply their own. Challenge nonces
+// are keyed per process, so they differ from run to run.
 //
 // --stats-json PATH writes the hub's counters (including the per-device
 // accept/reject/replay breakdown) as JSON on exit — the minimal
-// exportable metrics endpoint.
+// exportable metrics endpoint. With --state-dir they cover only the
+// current process, not the runs before it.
 //
 // --trace replays the first report once more with a forensic sink and
 // prints its peripheral writes with input-taint provenance.

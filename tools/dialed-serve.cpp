@@ -1,12 +1,11 @@
 // dialed-serve: the DIALED attestation service. Builds the operation from
 // mini-C source, provisions a fleet of devices for it, and serves the
-// challenge/report protocol over TCP (length-prefixed frames) and UDP
-// (fire-and-forget datagrams) from one epoll reactor thread, with
-// adaptive verify batching and live Prometheus metrics on the same port:
+// challenge/report protocol over TCP (length-prefixed frames) from one
+// epoll reactor thread, with adaptive verify batching and live Prometheus
+// metrics on the same port:
 //
 //   dialed-serve <source.c> [--entry NAME] [--devices N] [--bind ADDR]
-//                [--port P] [--udp-port P] [--no-udp]
-//                [--batch-max N] [--batch-latency-ms MS] [--workers N]
+//                [--port P] [--batch-max N] [--batch-latency-ms MS] [--workers N]
 //                [--max-outstanding N] [--max-pending N]
 //                [--idle-timeout-ms MS] [--state-dir DIR]
 //                [--standby-dir DIR]
@@ -19,7 +18,12 @@
 // client that derives K_dev from the same key can attest. With
 // --state-dir the registry/catalog/hub are resumed from (and journaled
 // to) a durable fleet store: a report accepted before a crash is
-// rejected as a replay after the restart.
+// rejected as a replay after the restart. The store keeps only what
+// anti-replay needs, so the /metrics counters start again at zero after
+// a restart (Prometheus rate() treats that as a counter reset).
+//
+// Challenge nonces are keyed by a per-process random key, so two runs
+// never hand a device the same nonce, not even on a fresh state dir.
 //
 // --partitions N shards the fleet across N hubs behind a consistent-hash
 // router (src/fleet/partition.h): each device id lives on exactly one
@@ -29,7 +33,7 @@
 // different N). The wire protocol is unchanged — clients cannot tell a
 // partitioned service from a single hub.
 //
-// Prints "listening: tcp=PORT udp=PORT" once serving (PORT resolves
+// Prints "listening: tcp=PORT" once serving (PORT resolves
 // --port 0 to the kernel's pick, for scripts and tests). SIGINT/SIGTERM
 // shut down cleanly: the handler only calls the async-signal-safe
 // request_stop().
@@ -85,7 +89,7 @@ void usage() {
   std::fprintf(
       stderr,
       "usage: dialed-serve <source.c> [--entry NAME] [--devices N] "
-      "[--bind ADDR] [--port P] [--udp-port P] [--no-udp] "
+      "[--bind ADDR] [--port P] "
       "[--batch-max N] [--batch-latency-ms MS] [--workers N] "
       "[--max-outstanding N] [--max-pending N] [--idle-timeout-ms MS] "
       "[--state-dir DIR] [--standby-dir DIR] [--partitions N] "
@@ -124,10 +128,6 @@ int main(int argc, char** argv) {
         cfg.bind_addr = next();
       } else if (arg == "--port") {
         cfg.tcp_port = static_cast<std::uint16_t>(parse_u32(next(), 0xffff));
-      } else if (arg == "--udp-port") {
-        cfg.udp_port = static_cast<std::uint16_t>(parse_u32(next(), 0xffff));
-      } else if (arg == "--no-udp") {
-        cfg.enable_udp = false;
       } else if (arg == "--batch-max") {
         cfg.batching.batch_max = parse_u32(next(), 100000);
         if (cfg.batching.batch_max == 0) {
@@ -311,10 +311,8 @@ int main(int argc, char** argv) {
     std::printf("batching: max=%zu latency=%ums workers=%zu\n",
                 cfg.batching.batch_max, cfg.batching.batch_latency_ms,
                 hub.batch_workers());
-    std::printf("listening: tcp=%u udp=%u\n",
-                static_cast<unsigned>(server.tcp_port()),
-                cfg.enable_udp ? static_cast<unsigned>(server.udp_port())
-                               : 0u);
+    std::printf("listening: tcp=%u\n",
+                static_cast<unsigned>(server.tcp_port()));
     std::fflush(stdout);
 
     server.run();
@@ -326,12 +324,11 @@ int main(int argc, char** argv) {
 
     const auto net = server.stats();
     const auto hs = hub.stats();
-    std::printf("served:   %llu conns, %llu tcp + %llu udp frames, "
+    std::printf("served:   %llu conns, %llu frames, "
                 "%llu accepted, %llu rejected, %llu batches "
                 "(mean %.1f frames)\n",
                 static_cast<unsigned long long>(net.connections_accepted),
                 static_cast<unsigned long long>(net.tcp_frames),
-                static_cast<unsigned long long>(net.udp_datagrams),
                 static_cast<unsigned long long>(hs.reports_accepted),
                 static_cast<unsigned long long>(hs.reports_submitted() -
                                                 hs.reports_accepted),
