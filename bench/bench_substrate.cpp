@@ -630,17 +630,17 @@ void BM_fleet_delta_submit(benchmark::State& state) {
 BENCHMARK(BM_fleet_delta_submit)->Unit(benchmark::kMillisecond);
 
 void BM_fleet_store_wal_append(benchmark::State& state) {
-  // Durability tax on the hot path, swept across the sync policies: one
-  // journaled round per iteration (the challenge+retire pair every
-  // verified report appends) followed by the hub's sync_barrier — a
-  // no-op under none, already-durable under per_record, and the
-  // group-commit protocol under group. The threaded rows are where
-  // group commit earns its keep: concurrent barriers fold into shared
-  // fsyncs, so per-thread cost amortizes while per_record's inline
-  // fsyncs serialize.
+  // Journal cost of the one thing the store still writes, swept across
+  // the sync policies: one provisioning record per iteration (a new
+  // device id on an already-journaled firmware), appended through the
+  // store's persist_sink surface — fsynced inline under per_record,
+  // flushed to the OS under none. Reports journal nothing, so this is
+  // the whole WAL cost of a fleet. The threaded rows show appends
+  // serializing on the journal lock (and, under per_record, the fsync).
   namespace fs = std::filesystem;
   static std::unique_ptr<dialed::store::fleet_state> shared;
-  static dialed::fleet::device_id shared_id = 0;
+  static dialed::fleet::device_record shared_rec;
+  static std::uint64_t base_records = 0, base_bytes = 0;
   const auto dir =
       fs::temp_directory_path() / "dialed-bench-store-append";
   if (state.thread_index() == 0) {
@@ -651,28 +651,23 @@ void BM_fleet_store_wal_append(benchmark::State& state) {
     opts.wal.sync = static_cast<dialed::store::wal_sync>(state.range(0));
     shared = std::make_unique<dialed::store::fleet_state>(
         dialed::store::fleet_store::open(dir.string(), opts));
-    shared_id = shared->registry->provision(dialed::apps::build_app(
+    const auto id = shared->registry->provision(dialed::apps::build_app(
         dialed::apps::evaluation_apps()[1],
         dialed::instr::instrumentation::dialed));
+    shared_rec = *shared->registry->find(id);
+    base_records = shared->store->wal_records();  // skip the firmware
+    base_bytes = shared->store->wal_bytes();
   }
-  // Unique nonce per thread+iteration: the store's online mirror
-  // enforces challenge-before-retire, exactly like WAL replay would.
-  dialed::fleet::nonce16 nonce{};
-  nonce[0] = static_cast<std::uint8_t>(state.thread_index());
-  std::uint64_t seq = 0;
+  // Unique device id per thread+iteration: the store's online mirror
+  // refuses a second provision of one id, exactly like WAL replay would.
+  auto rec = shared_rec;
+  rec.id = static_cast<dialed::fleet::device_id>(state.thread_index() + 1)
+           << 24;
   for (auto _ : state) {
-    ++seq;
-    for (std::size_t i = 0; i < 8; ++i) {
-      nonce[8 + i] = static_cast<std::uint8_t>(seq >> (8 * i));
-    }
-    shared->store->on_challenge(shared_id,
-                                static_cast<std::uint32_t>(seq), nonce,
-                                /*issued_at=*/0);
-    shared->store->on_retire(shared_id, nonce,
-                             dialed::fleet::nonce_fate::consumed);
-    shared->store->sync_barrier();
+    ++rec.id;
+    shared->store->on_provision(rec);
   }
-  state.counters["journaled_reports_per_s"] = benchmark::Counter(
+  state.counters["records_per_s"] = benchmark::Counter(
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
   // Label from the arg, not `shared` — thread 0 tears `shared` down
   // below while the other threads are still reporting.
@@ -680,25 +675,20 @@ void BM_fleet_store_wal_append(benchmark::State& state) {
       static_cast<dialed::store::wal_sync>(state.range(0))));
   if (state.thread_index() == 0) {
     const auto gc = shared->store->group_commit();
-    if (gc.syncs > 0) {
-      state.counters["fsyncs"] = static_cast<double>(gc.syncs);
-      state.counters["records_per_fsync"] =
-          static_cast<double>(gc.records) / static_cast<double>(gc.syncs);
-    }
-    state.counters["wal_bytes_per_report"] =
-        static_cast<double>(shared->store->wal_bytes()) /
+    if (gc.syncs > 0) state.counters["fsyncs"] = static_cast<double>(gc.syncs);
+    state.counters["wal_bytes_per_record"] =
+        static_cast<double>(shared->store->wal_bytes() - base_bytes) /
         static_cast<double>(std::max<std::uint64_t>(
-            1, shared->store->wal_records() / 2));
+            1, shared->store->wal_records() - base_records));
     shared.reset();
     fs::remove_all(dir);
   }
 }
 BENCHMARK(BM_fleet_store_wal_append)
     ->ArgNames({"sync"})
-    // 0 = per_record, 1 = group, 2 = none (store::wal_sync order).
+    // 0 = per_record, 1 = none (store::wal_sync order).
     ->Args({0})
     ->Args({1})
-    ->Args({2})
     ->Threads(1)
     ->Threads(8)
     ->Threads(16)
@@ -707,7 +697,9 @@ BENCHMARK(BM_fleet_store_wal_append)
 void BM_fleet_store_reopen(benchmark::State& state) {
   // Crash-recovery latency: reopen a store holding `range(0)` devices on
   // one firmware (snapshot load + program parse + artifact rebuild +
-  // re-intern + hub restore).
+  // re-intern). Each open also makes its boot epoch durable: one boot
+  // record, which the next open folds into a fresh snapshot, so the
+  // iterations alternate between an append and a compaction.
   namespace fs = std::filesystem;
   const auto dir = fs::temp_directory_path() / "dialed-bench-store-open";
   fs::remove_all(dir);
@@ -720,10 +712,7 @@ void BM_fleet_store_reopen(benchmark::State& state) {
     const auto prog = dialed::apps::build_app(
         dialed::apps::evaluation_apps()[1],
         dialed::instr::instrumentation::dialed);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      (void)st.registry->provision(prog);
-      (void)st.hub->challenge(i + 1);
-    }
+    for (std::uint32_t i = 0; i < n; ++i) (void)st.registry->provision(prog);
     st.store->compact();
   }
   for (auto _ : state) {
@@ -789,9 +778,9 @@ BENCHMARK(BM_partition_router_overhead)->Arg(0)->Arg(1)->Arg(4)->Arg(16);
 void BM_wal_ship_apply(benchmark::State& state) {
   // Follower apply throughput: records/s a warm standby validates,
   // applies to its image, and appends to its own WAL. The stream is one
-  // real attestation round's records (challenge, retire, verdict)
-  // captured off a live store and replayed in a loop — each cycle is a
-  // legal continuation, so the follower never desyncs.
+  // real provisioning record captured off a live store, re-addressed to
+  // a fresh device id each iteration — a legal continuation, so the
+  // follower never desyncs. (Hub traffic ships nothing.)
   namespace fs = std::filesystem;
   struct capture_sink final : dialed::store::ship_sink {
     std::uint64_t gen = 0;
@@ -816,39 +805,32 @@ void BM_wal_ship_apply(benchmark::State& state) {
   capture_sink cap;
   {
     auto st = dialed::store::fleet_store::open((dir / "p").string(), opts);
-    const auto app = dialed::apps::evaluation_apps()[1];
     const auto prog = dialed::apps::build_app(
-        app, dialed::instr::instrumentation::dialed);
-    const auto id = st.registry->provision(prog);
-    st.store->attach_shipper(&cap);  // snapshot covers the provision
-    dialed::proto::prover_device dev(*st.registry->find(id)->program,
-                                     st.registry->find(id)->key);
-    const auto g = st.hub->challenge(id);
-    dialed::proto::frame_info info;
-    info.device_id = id;
-    info.seq = g.seq;
-    const auto frame = dialed::proto::encode_frame(
-        info, dev.invoke(g.nonce, app.representative_input));
-    if (!st.hub->submit(frame).accepted() || cap.records.empty()) {
-      state.SkipWithError("capture round failed");
+        dialed::apps::evaluation_apps()[1],
+        dialed::instr::instrumentation::dialed);
+    (void)st.registry->provision(prog);
+    st.store->attach_shipper(&cap);  // snapshot covers the firmware
+    (void)st.registry->provision(prog);
+    if (cap.records.size() != 1) {
+      state.SkipWithError("capture failed");
       fs::remove_all(dir);
       return;
     }
   }
 
-  dialed::store::follower_config fcfg;
-  fcfg.retired_memory = 64;  // bound the validation image's nonce ring
-  dialed::store::wal_follower follower((dir / "standby").string(), fcfg);
+  dialed::store::wal_follower follower((dir / "standby").string());
   follower.on_snapshot(cap.gen, cap.snapshot);
+  byte_vec record = cap.records.front();
+  dialed::fleet::device_id id = 1u << 24;
   for (auto _ : state) {
-    for (const auto& p : cap.records) follower.on_record(cap.gen, p);
+    dialed::store_le32(record, 1, ++id);  // [type | LE32 id | ...]
+    follower.on_record(cap.gen, record);
   }
   if (const auto err = follower.error()) {
     state.SkipWithError(err->what());
   }
   state.counters["records_per_s"] = benchmark::Counter(
-      static_cast<double>(state.iterations() * cap.records.size()),
-      benchmark::Counter::kIsRate);
+      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
   fs::remove_all(dir);
 }
 BENCHMARK(BM_wal_ship_apply);

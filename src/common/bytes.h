@@ -1,5 +1,6 @@
-// Byte-buffer helpers shared across the library: hex formatting, and
-// little-endian 16-bit loads/stores (the MSP430 is little-endian).
+// Byte-buffer helpers shared across the library: hex formatting,
+// little-endian loads/stores (the MSP430 is little-endian), and the
+// splitmix64 finalizer.
 #ifndef DIALED_COMMON_BYTES_H
 #define DIALED_COMMON_BYTES_H
 
@@ -53,6 +54,17 @@ constexpr void store_le32(std::span<std::uint8_t> bytes, std::size_t offset,
   bytes[offset + 1] = static_cast<std::uint8_t>((v >> 8) & 0xff);
   bytes[offset + 2] = static_cast<std::uint8_t>((v >> 16) & 0xff);
   bytes[offset + 3] = static_cast<std::uint8_t>((v >> 24) & 0xff);
+}
+
+/// splitmix64 finalizer: cheap, well-mixed, a bijection on 64 bits, and
+/// stable across builds (unlike std::hash, whose value is
+/// implementation-defined) — what a persisted placement or a key
+/// derivation may depend on.
+constexpr std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
 }
 
 }  // namespace dialed

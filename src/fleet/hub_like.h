@@ -77,7 +77,7 @@ struct device_counters {
 /// Every field is process-local: nothing here is journaled, snapshotted
 /// or shipped, so after a restart or a standby promotion all of them
 /// start again at zero (Prometheus rate() treats that as a counter
-/// reset). The store persists only what the hub needs to stay sound.
+/// reset). The store persists none of the hub's state.
 struct hub_stats {
   std::uint64_t challenges_issued = 0;
   std::uint64_t challenges_expired = 0;    ///< retired past their TTL

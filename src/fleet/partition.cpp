@@ -15,16 +15,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// splitmix64 finalizer: cheap, well-mixed, and stable across builds —
-/// the ring must be a pure function of (seed, vnodes, N) forever, so no
-/// std::hash (whose value is implementation-defined).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 constexpr std::array<std::uint8_t, 4> manifest_magic = {'D', 'L', 'P',
                                                         'M'};
 constexpr std::uint32_t manifest_version = 1;

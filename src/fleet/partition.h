@@ -21,13 +21,12 @@
 // partitions (single-partition batches pass straight through) and
 // reassembles results in input order.
 //
-// Because placement is part of anti-replay soundness (a device's nonce
-// history lives only on its owning partition), the DURABLE layout pins
-// it: partitioned_fleet::open persists a manifest (partitions.meta) and
-// refuses to reopen under a different partition count, vnode count, or
-// seed with store_error(partition_mismatch) — re-partitioning would
-// strand consumed nonces on partitions that no longer own the device,
-// re-opening the replay window durability closed.
+// Because placement decides which partition's store holds a device's
+// registry record, the DURABLE layout pins it: partitioned_fleet::open
+// persists a manifest (partitions.meta) and refuses to reopen under a
+// different partition count, vnode count, or seed with
+// store_error(partition_mismatch) — re-partitioning would route devices
+// to partitions whose registry never provisioned them.
 //
 // Promotion
 // ---------

@@ -14,15 +14,6 @@ namespace dialed::fleet {
 
 namespace {
 
-/// splitmix64 finalizer — spreads (typically sequential) device ids
-/// across shards.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 constexpr std::uint32_t default_shards = 16;
 
 /// K_hub: 32 bytes from getrandom(2), or SHA-256(label || LE64(seed)) when
@@ -82,14 +73,10 @@ const verifier_hub::shard& verifier_hub::shard_for(device_id id) const {
   return *shards_[mix64(id) % shards_.size()];
 }
 
-void verifier_hub::retire(device_id id, device_state& st,
-                          std::size_t index, nonce_fate fate) {
+void verifier_hub::retire(device_state& st, std::size_t index,
+                          nonce_fate fate) {
   const auto it =
       st.outstanding.begin() + static_cast<std::ptrdiff_t>(index);
-  // Journal BEFORE mutating, still under the shard lock: if the append
-  // throws (disk full), the in-memory state stays consistent with what
-  // the log can replay.
-  if (cfg_.sink != nullptr) cfg_.sink->on_retire(id, it->nonce, fate);
   st.retired.push_back({it->nonce, fate});
   while (st.retired.size() > cfg_.retired_memory) st.retired.pop_front();
   st.outstanding.erase(it);
@@ -150,16 +137,13 @@ hub_stats verifier_hub::stats(bool include_per_device) const {
   return s;
 }
 
-void verifier_hub::expire_stale(device_id id, device_state& st,
-                                std::uint64_t now) {
+void verifier_hub::expire_stale(device_state& st, std::uint64_t now) {
   if (cfg_.challenge_ttl == 0) return;
   // Outstanding is ordered by issue time, so expired entries are a
-  // prefix. The issued_at <= now guard keeps the unsigned subtraction
-  // honest if a restore ever left an issue stamp ahead of the clock.
+  // prefix.
   while (!st.outstanding.empty() &&
-         st.outstanding.front().issued_at <= now &&
          now - st.outstanding.front().issued_at > cfg_.challenge_ttl) {
-    retire(id, st, 0, nonce_fate::expired);
+    retire(st, 0, nonce_fate::expired);
   }
 }
 
@@ -173,33 +157,23 @@ challenge_grant verifier_hub::challenge(device_id id) {
   shard& sh = shard_for(id);
   std::lock_guard<std::mutex> lk(sh.mu);
   device_state& st = sh.states[id];
-  expire_stale(id, st, now());
+  expire_stale(st, now());
   // Capacity eviction is an explicit, observable event: the grant notes it
   // and a late report for the evicted nonce gets challenge_superseded.
-  // A loop, not an if: a hub restored from a store written under a larger
-  // max_outstanding may start over the cap, and the invariant must be
-  // re-established, not chased one entry per grant.
-  while (st.outstanding.size() >= cfg_.max_outstanding) {
-    retire(id, st, 0, nonce_fate::superseded);
+  if (st.outstanding.size() >= cfg_.max_outstanding) {
+    retire(st, 0, nonce_fate::superseded);
     grant.note = proto_error::challenge_superseded;
   }
   challenge_entry entry;
   entry.seq = st.next_seq++;
   // nonce = HMAC(K_hub, LE32(device) || LE32(seq))[0..16): fresh for as
-  // long as seq never repeats for the device, which the journal's seq
-  // high-water mark guarantees across restarts.
+  // long as seq never repeats for the device under this hub's key.
   std::array<std::uint8_t, 8> msg{};
   store_le32(msg, 0, id);
   store_le32(msg, 4, entry.seq);
   const auto mac = crypto::hmac_sha256::compute(nonce_key_, msg);
   std::copy_n(mac.begin(), entry.nonce.size(), entry.nonce.begin());
   entry.issued_at = now();
-  // Journal the issuance before handing the nonce out (still under the
-  // shard lock): a grant the store never heard of could not be classified
-  // after a restart.
-  if (cfg_.sink != nullptr) {
-    cfg_.sink->on_challenge(id, entry.seq, entry.nonce, entry.issued_at);
-  }
   st.outstanding.push_back(entry);
   grant.seq = entry.seq;
   grant.nonce = entry.nonce;
@@ -233,10 +207,8 @@ attest_result verifier_hub::verify_impl(device_id id, std::uint32_t seq,
 
   // Phase 1 (under the shard lock): nonce bookkeeping. Match the
   // challenge, classify misses, check the sequence number and CONSUME the
-  // nonce, capturing the registry record for phase 2. The consumption is
-  // journaled under the same lock — a crash after this point replays the
-  // nonce as consumed, so the report cannot be re-submitted against the
-  // restarted hub.
+  // nonce, capturing the registry record for phase 2. No I/O: challenge
+  // state is soft, and a restarted hub never issued this nonce.
   const device_record* rec = nullptr;
   device_state* stp = nullptr;
   std::array<std::uint8_t, 16> nonce{};
@@ -251,7 +223,7 @@ attest_result verifier_hub::verify_impl(device_id id, std::uint32_t seq,
       return rejected(r, nullptr);
     }
     device_state& st = sh.states[id];
-    expire_stale(id, st, now());
+    expire_stale(st, now());
 
     const auto match =
         std::find_if(st.outstanding.begin(), st.outstanding.end(),
@@ -293,22 +265,12 @@ attest_result verifier_hub::verify_impl(device_id id, std::uint32_t seq,
     // one submitter finds the nonce outstanding.
     nonce = match->nonce;
     r.seq = match->seq;
-    retire(id, st,
-           static_cast<std::size_t>(match - st.outstanding.begin()),
+    retire(st, static_cast<std::size_t>(match - st.outstanding.begin()),
            nonce_fate::consumed);
     stp = &st;  // map nodes are address-stable; see threading note below
     prior = st.baseline.round;
   }
-
-  // Durability barrier between the phases: the consumption journaled
-  // above must be as durable as the store promises BEFORE any verdict is
-  // computed — a crash must replay the nonce as consumed, never let the
-  // report verify twice. Deliberately outside the shard lock: under a
-  // group-commit store, concurrent verifiers park here and one batch
-  // fsync releases them all.
-  if (cfg_.sink != nullptr) cfg_.sink->sync_barrier();
-  // The journal stage: nonce bookkeeping under the shard lock plus the
-  // durability barrier the consumption rode out on.
+  // The journal stage: nonce match and consume under the shard lock.
   sp.mark(obs::stage::journal);
 
   // Phase 2 (no locks held): the expensive MAC + abstract-execution
@@ -487,30 +449,6 @@ std::vector<attest_result> verifier_hub::verify_batch(
                                        std::memory_order_relaxed);
   stats_.last_batch_frames.store(frames.size(), std::memory_order_relaxed);
   return out;
-}
-
-void verifier_hub::restore(std::uint64_t now,
-                           std::span<const device_restore> devices) {
-  now_.store(now, std::memory_order_relaxed);
-  for (const auto& d : devices) {
-    shard& sh = shard_for(d.id);
-    std::lock_guard<std::mutex> lk(sh.mu);
-    device_state& st = sh.states[d.id];
-    st.outstanding.clear();
-    st.retired.clear();
-    for (const auto& c : d.outstanding) {
-      st.outstanding.push_back({c.nonce, c.seq, c.issued_at});
-    }
-    // A persisted history longer than this hub's window keeps the newest
-    // entries (the deque is oldest-first).
-    const std::size_t keep = std::min(d.retired.size(),
-                                      cfg_.retired_memory);
-    for (std::size_t i = d.retired.size() - keep; i < d.retired.size();
-         ++i) {
-      st.retired.push_back({d.retired[i].nonce, d.retired[i].fate});
-    }
-    st.next_seq = d.next_seq;
-  }
 }
 
 std::size_t verifier_hub::outstanding(device_id id) const {

@@ -67,10 +67,13 @@
 // is the device's strictly increasing challenge sequence number. K_hub is
 // 32 bytes from getrandom(2) drawn when the hub is built (or, for
 // reproducible tests and benches, derived from hub_config::seed); it is
-// never persisted, so nonces differ from one process to the next. The
-// journal restores each device's seq high-water mark, so even a fixed
-// seed never re-issues a pre-crash (device, seq) pair, and no counter
-// plays a part in nonce freshness.
+// never persisted, so nonces differ from one process to the next. All
+// challenge state — the outstanding table, the retired history, seq and
+// the tick clock — lives in memory only: a new hub starts every device at
+// seq 1 under a new key, so it cannot regenerate any earlier hub's nonce,
+// and a frame answering one is stale_nonce. The freshness rule that
+// survives is in-process: a nonce is consumed under its shard lock
+// before the report is verified (see the threading model).
 //
 // Firmware sharing (the catalog refactor)
 // ---------------------------------------
@@ -121,7 +124,6 @@
 #include "common/thread_pool.h"
 #include "crypto/hmac.h"
 #include "fleet/hub_like.h"
-#include "fleet/persist.h"
 #include "fleet/registry.h"
 #include "proto/wire.h"
 #include "verifier/verifier.h"
@@ -143,11 +145,10 @@ struct hub_config {
   /// default), the nonce key K_hub is 32 bytes from getrandom(2), fresh
   /// for every hub; set, K_hub = SHA-256(label || LE64(seed)), so hubs
   /// built with the same seed issue the same nonce for the same (device,
-  /// seq). Either way a nonce never repeats for a device, across
-  /// restarts included: seq is restored from the journal. (Under a pinned
-  /// seed that holds for every grant whose challenge record survived the
-  /// crash; a record the sync policy let a crash lose takes its seq with
-  /// it, and the seq is issued again with the same nonce.)
+  /// seq). seq restarts at 1 in every hub, so two hubs on one seed repeat
+  /// each other's nonces; a durable store (src/store/fleet_store) folds
+  /// its boot epoch into the seed it passes on, so each reopen of one
+  /// state directory still gets a key of its own.
   std::optional<std::uint64_t> seed;
   /// Device-state shards (each its own lock). 0 = pick a default.
   /// 1 reproduces the old fully-serialized hub.
@@ -160,12 +161,6 @@ struct hub_config {
   /// Forces verify_batch to run inline on the calling thread (no pool is
   /// created).
   bool sequential_batch = false;
-  /// Durability sink (src/store/fleet_store): challenge issuance and
-  /// nonce retirement are journaled through it UNDER the owning shard
-  /// lock, so the on-disk order matches the order the hub committed to.
-  /// Verdicts and counters are not journaled. nullptr = no persistence.
-  /// Must outlive the hub.
-  persist_sink* sink = nullptr;
   /// Pipeline observability (src/obs): per-stage latency histograms and
   /// the slow/rejected flight recorder. `obs.enabled = false` removes
   /// every clock read from the verify path (the overhead bench baseline).
@@ -207,12 +202,9 @@ class verifier_hub : public hub_like {
       std::span<const byte_vec> frames) override;
 
   /// Advance the monotonic clock; challenges older than cfg.challenge_ttl
-  /// ticks are retired as expired. Thread-safe. Journaled (concurrent
-  /// ticks may journal out of order; replay keeps the maximum).
+  /// ticks are retired as expired. Thread-safe.
   void tick(std::uint64_t n) override {
-    const std::uint64_t now =
-        now_.fetch_add(n, std::memory_order_relaxed) + n;
-    if (cfg_.sink != nullptr) cfg_.sink->on_tick(now);
+    now_.fetch_add(n, std::memory_order_relaxed);
   }
   using hub_like::tick;  // keep the zero-arg tick() visible here
   std::uint64_t now() const override {
@@ -242,25 +234,18 @@ class verifier_hub : public hub_like {
   /// Slowest + rejected span traces (bounded flight-recorder rings).
   obs::trace_dump traces() const override { return obs_.traces(); }
 
-  // ---- persistence surface (src/store/fleet_store) --------------------
-
-  /// Re-inject persisted anti-replay state: the clock and every device's
-  /// challenge table, retired-nonce history and seq high-water mark
-  /// (retired histories longer than cfg.retired_memory keep only the
-  /// newest entries). Counters are not restored: they start at zero.
-  /// Delta baselines are not restored either: every device starts
-  /// without one. The restored seq is what keeps nonces fresh, since the
-  /// nonce is a PRF of (device, seq). Call once, before serving traffic —
-  /// NOT thread-safe against concurrent hub use, and never journals to
-  /// the sink.
-  void restore(std::uint64_t now,
-               std::span<const device_restore> devices);
-
  private:
   struct challenge_entry {
     std::array<std::uint8_t, 16> nonce{};
     std::uint32_t seq = 0;
     std::uint64_t issued_at = 0;
+  };
+
+  /// How a nonce left the outstanding set.
+  enum class nonce_fate : std::uint8_t {
+    consumed,    ///< a report (accepted or not) burned it
+    superseded,  ///< evicted by newer challenges (capacity)
+    expired,     ///< outlived cfg.challenge_ttl
   };
 
   struct retired_nonce {
@@ -337,9 +322,8 @@ class verifier_hub : public hub_like {
 
   shard& shard_for(device_id id);
   const shard& shard_for(device_id id) const;
-  void retire(device_id id, device_state& st, std::size_t index,
-              nonce_fate fate);
-  void expire_stale(device_id id, device_state& st, std::uint64_t now);
+  void retire(device_state& st, std::size_t index, nonce_fate fate);
+  void expire_stale(device_state& st, std::uint64_t now);
   /// Bump the hub histogram and, when `st` is known, the per-device
   /// protocol/replay counter. Returns `r` so reject paths read
   /// `return rejected(...)`.

@@ -181,10 +181,9 @@ std::string render_metrics_body(
     family(out, "dialed_store_wal_bytes", "gauge",
            "WAL bytes since the last snapshot (all partitions).");
     sample(out, "dialed_store_wal_bytes", store.wal_bytes);
-    // Group-commit batch histogram: how many records each fsync made
-    // durable. Batches of 1 mean no absorption (lone writers or
-    // per_record policy); the right-hand buckets are group commit
-    // earning its keep under concurrency.
+    // Records made durable per fsync. per_record fsyncs each
+    // provisioning record alone, so every batch lands in the first
+    // bucket; `none` never fsyncs.
     family(out, "dialed_store_group_commit_batch", "histogram",
            "Records made durable per WAL fsync.");
     std::uint64_t gcum = 0;

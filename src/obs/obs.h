@@ -37,10 +37,11 @@ inline std::uint64_t now_ns() {
 
 /// The submit -> verify -> journal pipeline, in execution order.
 ///  - decode: wire frame parse (+ v2.1 delta reconstruction)
-///  - journal: nonce lookup/retire under the shard lock + WAL sync barrier
+///  - journal: nonce match and consume under the shard lock (no I/O; the
+///    name is kept for the metrics that carry it)
 ///  - mac: HMAC check over the report (key schedule cached)
 ///  - replay: MSP430 emulator replay of the execution record
-///  - verdict: result compare, baseline adoption, counters, sink notify
+///  - verdict: result compare, baseline adoption, counters
 enum class stage : std::uint8_t { decode, journal, mac, replay, verdict };
 
 inline constexpr std::size_t stage_count = 5;

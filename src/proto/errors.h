@@ -38,7 +38,7 @@ enum class proto_error : std::uint8_t {
 inline constexpr std::size_t proto_error_count =
     static_cast<std::size_t>(proto_error::baseline_mismatch) + 1;
 
-/// Checked decode of a persisted error byte (the fleet store journals
+/// Checked decode of a persisted error byte (older fleet stores journaled
 /// verdicts as one byte). A byte naming no proto_error means the record
 /// is corrupt and the caller must fail closed — never cast the byte
 /// directly, a garbage value would silently index out of histogram range.

@@ -9,8 +9,7 @@ namespace {
 /// IEEE CRC-32, slicing-by-8: tables[0] is the classic byte-at-a-time
 /// table; tables[k][i] advances a byte through k more zero bytes, so one
 /// iteration folds 8 input bytes with 8 independent lookups. Every WAL
-/// append/replay and snapshot checksum runs through here, so the byte
-/// loop was a measurable share of group-commit throughput.
+/// append/replay and snapshot checksum runs through here.
 const std::array<std::array<std::uint32_t, 256>, 8>& crc32_tables() {
   static const auto tables = [] {
     std::array<std::array<std::uint32_t, 256>, 8> t{};

@@ -3,7 +3,6 @@
 #include "obs/event_log.h"
 
 #include <filesystem>
-#include <vector>
 
 #include "store/codec.h"
 #include "store/ship.h"
@@ -109,8 +108,7 @@ fleet_state fleet_store::open(const std::string& dir, options opts) {
               "generation may end torn");
     }
     for (std::size_t i = 0; i < parsed.records.size(); ++i) {
-      apply_record(img, parsed.records[i].payload, replayed + i,
-                   store->opts_.hub.retired_memory);
+      apply_record(img, parsed.records[i].payload, replayed + i);
     }
     replayed += parsed.records.size();
     chain_end = g;
@@ -123,8 +121,8 @@ fleet_state fleet_store::open(const std::string& dir, options opts) {
   img.wal_generation = chain_end;
 
   // 3. Materialize: catalog (re-intern every image, verifying content
-  // ids), registry, hub — then wire the store in as their sink. The
-  // image is COPIED into live objects, not consumed: it becomes the
+  // ids) and registry — then wire the store in as the registry's sink.
+  // The image is COPIED into live objects, not consumed: it becomes the
   // store's mirror, kept in lockstep with the journal from here on.
   fleet_state st;
   st.catalog = std::make_shared<fleet::firmware_catalog>();
@@ -158,26 +156,36 @@ fleet_state fleet_store::open(const std::string& dir, options opts) {
       store->wal_path(chain_end), tail_valid, tail_count,
       store->opts_.wal);
 
-  auto hub_cfg = store->opts_.hub;
-  hub_cfg.sink = store.get();
-  st.hub = std::make_unique<fleet::verifier_hub>(*st.registry, hub_cfg);
-  if (had_snapshot || had_wal_records) {
-    std::vector<fleet::device_restore> devices;
-    devices.reserve(img.states.size());
-    for (const auto& [id, d] : img.states) devices.push_back(d);
-    st.hub->restore(img.now, devices);
-  }
   st.registry->set_sink(store.get());
 
+  const std::uint64_t epoch = img.boot_epoch + 1;
+  img.boot_epoch = epoch;
   store->mirror_ = std::move(img);
   st.store = std::move(store);
 
-  // 4. Bound reopen cost: fold the replayed chain into a fresh snapshot.
-  // Also folds a multi-file chain (interrupted compaction) back to one.
+  // 4. Make this open's boot epoch durable. Compaction (which also bounds
+  // reopen cost and folds a multi-file chain left by an interrupted
+  // compaction back to one) carries it in the snapshot; an open that
+  // does not compact journals it as a boot record.
   const bool compacted = st.store->opts_.compact_on_open &&
                          (had_wal_records || !had_snapshot ||
                           chain_end != chain_start);
-  if (compacted) st.store->compact();
+  if (compacted) {
+    st.store->compact();
+  } else {
+    writer w;
+    w.u8(static_cast<std::uint8_t>(rec::boot));
+    w.u64(epoch);
+    std::lock_guard<std::mutex> lk(st.store->log_mu_);
+    st.store->journal_locked(w.data());
+  }
+
+  // 5. The hub, only now that its epoch is durable. A pinned seed is
+  // folded with the epoch (a bijection in the epoch), so no two opens of
+  // this directory hand the hub the same nonce key.
+  auto hub_cfg = st.store->opts_.hub;
+  if (hub_cfg.seed) *hub_cfg.seed ^= mix64(epoch);
+  st.hub = std::make_unique<fleet::verifier_hub>(*st.registry, hub_cfg);
 
   // Best-effort hygiene: logs outside [snapshot generation, current
   // generation] can never be replayed again — a crash mid-compaction
@@ -254,8 +262,7 @@ void fleet_store::journal_locked(std::span<const std::uint8_t> payload) {
   wal_->append(payload);
   try {
     apply_record(mirror_, payload,
-                 static_cast<std::size_t>(wal_->records() - 1),
-                 opts_.hub.retired_memory);
+                 static_cast<std::size_t>(wal_->records() - 1));
   } catch (...) {
     // The journal accepted a record its own replay refuses: the mirror
     // (and every follower) has diverged from the log. Poison the writer
@@ -267,11 +274,6 @@ void fleet_store::journal_locked(std::span<const std::uint8_t> payload) {
     shipper_->on_record(generation_.load(std::memory_order_relaxed),
                         payload);
   }
-}
-
-void fleet_store::journal(std::span<const std::uint8_t> payload) {
-  std::lock_guard<std::mutex> lk(log_mu_);
-  journal_locked(payload);
 }
 
 // ---------------------------------------------------------------------------
@@ -297,45 +299,6 @@ void fleet_store::on_provision(const fleet::device_record& rec) {
   w.bytes(rec.key);
   w.raw(fid);
   journal_locked(w.data());
-}
-
-void fleet_store::on_challenge(fleet::device_id id, std::uint32_t seq,
-                               const fleet::nonce16& nonce,
-                               std::uint64_t issued_at) {
-  writer w;
-  w.u8(static_cast<std::uint8_t>(rec::challenge));
-  w.u32(id);
-  w.u32(seq);
-  w.raw(nonce);
-  w.u64(issued_at);
-  journal(w.data());
-}
-
-void fleet_store::on_retire(fleet::device_id id,
-                            const fleet::nonce16& nonce,
-                            fleet::nonce_fate fate) {
-  writer w;
-  w.u8(static_cast<std::uint8_t>(rec::retire));
-  w.u32(id);
-  w.raw(nonce);
-  w.u8(static_cast<std::uint8_t>(fate));
-  journal(w.data());
-}
-
-void fleet_store::on_tick(std::uint64_t now) {
-  writer w;
-  w.u8(static_cast<std::uint8_t>(rec::tick));
-  w.u64(now);
-  journal(w.data());
-}
-
-void fleet_store::sync_barrier() {
-  // per_record synced inside append; none promises nothing — only group
-  // has anything to wait for. The caller's own record is already staged
-  // (its journal() happened-before, same thread), so syncing to the
-  // current staged horizon covers it.
-  if (opts_.wal.sync != wal_sync::group) return;
-  wal_->sync_to(wal_->staged_lsn());
 }
 
 }  // namespace dialed::store

@@ -1,11 +1,7 @@
 // Durable fleet state: snapshot + write-ahead-log persistence for the
-// device registry, the firmware catalog, and the verifier hub's
-// anti-replay state. This closes the attestation-vs-state gap a restart
-// used to open: without it, a crashed hub forgot every consumed nonce,
-// so a report accepted seconds before the crash verified again afterwards
-// — a textbook replay through state loss (cf. the TOCTOU-on-DICE line of
-// attacks; SAFE^d keeps its attestation state durable for the same
-// reason).
+// device registry and the firmware catalog. The verifier hub's state is
+// not persisted: it is soft, and a reopened hub starts empty under a new
+// nonce key (fleet/persist.h).
 //
 // What is persisted
 // -----------------
@@ -15,24 +11,29 @@
 //     artifacts re-intern BY CONTENT ID on load (one artifact per image,
 //     shared by every device on it — the PR 3 invariant survives
 //     restarts);
-//   * per-device anti-replay state: outstanding challenges (nonce, seq,
-//     issue tick), the retired-nonce history with fates, the seq
-//     high-water mark, and the hub clock — so a restarted hub classifies
-//     a pre-crash report as replayed_report instead of accepting it, and
-//     never re-issues a pre-crash (device, seq) nonce.
+//   * the boot epoch: a counter bumped by every open() and durable
+//     before the open returns (so before the first grant). It rides the
+//     open-time compaction snapshot when there is one, and a `boot` WAL
+//     record otherwise. When hub_config::seed is pinned, the hub is built
+//     with seed XOR mix(epoch), mix a bijection on 64 bits: for one seed,
+//     each open of one directory gets a different nonce key, so nonces
+//     never repeat across reopens although seq restarts at 1.
 //
 // Not persisted (see fleet/persist.h):
-//   * the stats counters (hub_stats). They are process-local: after a
-//     reopen or a standby promotion every counter starts at zero, and a
-//     report's outcome is never a journal record;
-//   * each device's wire v2.1 delta baseline (its last accepted OR). It
-//     is soft state: after a reopen or a standby promotion, a device's
-//     first delta frame is answered baseline_mismatch with its challenge
-//     kept, and the full-frame resend on that challenge replays;
+//   * challenges: outstanding grants, retired nonces, the seq counter and
+//     the hub clock. After a reopen or a standby promotion every
+//     pre-crash frame — consumed, superseded or still outstanding — is
+//     stale_nonce, and a prover whose challenge was outstanding asks for
+//     a new one. No report costs a journal record;
+//   * the stats counters (hub_stats): process-local, zero after a reopen;
+//   * each device's wire v2.1 delta baseline: soft state, so a device's
+//     first delta frame after a reopen is answered baseline_mismatch
+//     with its challenge kept, and the full-frame resend replays;
 //   * the hub's nonce key. A reopened hub draws a new one.
-// Files written by older builds still load: the counter sections of v2
-// and v3 snapshots, the baseline section of a v2 snapshot, and type-5
-// verdict and type-7 baseline records in the WAL are checked and
+// Files written by older builds still load: the challenge rows and clock
+// of v2-v4 snapshots, the counter sections of v2 and v3, the baseline
+// section of v2, and type-3 challenge, type-4 retire, type-5 verdict,
+// type-6 tick and type-7 baseline records in the WAL are checked and
 // dropped.
 //
 // Files in the state directory
@@ -54,26 +55,26 @@
 // ---------
 //   auto st = store::fleet_store::open(dir, {.master_key = K});
 //   st.registry->provision(...);       // journaled
-//   st.hub->challenge(id); ...         // journaled
+//   st.hub->challenge(id); ...         // memory only
 //   st.store->compact();               // snapshot + fresh WAL generation
 //
 // open() replays snapshot + WAL chain into a fresh {catalog, registry,
-// hub} triple wired to the store as its persistence sink, verifying every
-// firmware image re-hashes to its recorded content id. Corrupt state
+// hub} triple, the registry wired to the store as its persistence sink,
+// verifying every firmware image re-hashes to its recorded content id.
+// Corrupt state
 // fails closed with a typed store_error; only a torn FINAL WAL record —
 // the expected crash signature — is dropped (and truncated) cleanly.
 //
 // Concurrency contract
 // --------------------
-// Appends are fully concurrent: the registry's writer lock and every hub
-// shard feed one store-level journal lock, which (1) appends the record,
-// (2) applies it to an in-memory MIRROR of the durable state (the mirror
-// equals replay(log) by construction), and (3) forwards it to the
-// attached shipper, all in one critical section. compact() is ONLINE:
-// it serializes the mirror under that same lock — never the registry's
-// or the hub's locks — rolls the WAL to the next generation, and writes
-// the snapshot file outside the lock, so provision/challenge/submit/tick
-// traffic keeps flowing throughout. An advisory lock on the state dir is
+// The registry's writer lock feeds one store-level journal lock, which
+// (1) appends the record, (2) applies it to an in-memory MIRROR of the
+// durable state (the mirror equals replay(log) by construction), and (3)
+// forwards it to the attached shipper, all in one critical section. The
+// hub never takes it. compact() is ONLINE: it serializes the mirror under
+// that same lock — never the registry's or the hub's locks — rolls the
+// WAL to the next generation, and writes the snapshot file outside the
+// lock, so provisioning and hub traffic keep flowing throughout. An advisory lock on the state dir is
 // still an open item — one process per directory is the caller's
 // responsibility today.
 #ifndef DIALED_STORE_FLEET_STORE_H
@@ -93,9 +94,9 @@ namespace dialed::store {
 class fleet_store;
 class ship_sink;  // store/ship.h
 
-/// The reopened fleet: a catalog/registry/hub triple wired to its store.
-/// Member order is the destruction contract — the hub and registry hold a
-/// sink pointer into the store, so they are declared after it and
+/// The reopened fleet: a catalog/registry/hub triple, the registry wired
+/// to its store. Member order is the destruction contract — the registry
+/// holds a sink pointer into the store, so it is declared after it and
 /// destroyed before it.
 struct fleet_state {
   std::shared_ptr<fleet::firmware_catalog> catalog;
@@ -112,14 +113,13 @@ class fleet_store final : public fleet::persist_sink {
     /// must MATCH the persisted one (store_error(master_key_mismatch)
     /// otherwise — silently proceeding would derive wrong device keys).
     byte_vec master_key;
-    /// Configuration for the reopened hub (shards, TTL, workers...).
-    /// The store installs itself as cfg.sink.
+    /// Configuration for the reopened hub (shards, TTL, workers...). A
+    /// pinned seed reaches the hub folded with the boot epoch (see the
+    /// file comment).
     fleet::hub_config hub{};
     /// WAL durability policy (see the sync policy matrix in
-    /// src/store/wal.h): per_record fsyncs inside every append, group
-    /// batches concurrent appenders' fsyncs into one (the hub's
-    /// sync_barrier is the commit point), none trusts the OS page cache
-    /// (process-crash durability, the default).
+    /// src/store/wal.h): per_record fsyncs inside every append, none
+    /// trusts the OS page cache (process-crash durability, the default).
     wal_options wal{};
     /// Rewrite the snapshot and reset the WAL at open() when the WAL is
     /// non-empty or no snapshot exists yet. Keeps reopen cost bounded and
@@ -154,7 +154,7 @@ class fleet_store final : public fleet::persist_sink {
   /// Observability: current WAL size (records/bytes since the snapshot).
   std::uint64_t wal_records() const { return wal_->records(); }
   std::uint64_t wal_bytes() const { return wal_->bytes(); }
-  /// Fsync batching counters (the /metrics group-commit histogram).
+  /// Fsync counters (the /metrics group-commit histogram).
   group_commit_stats group_commit() const { return wal_->sync_stats(); }
   wal_sync wal_sync_policy() const { return opts_.wal.sync; }
   std::uint64_t generation() const {
@@ -164,20 +164,6 @@ class fleet_store final : public fleet::persist_sink {
 
   // ---- fleet::persist_sink -------------------------------------------
   void on_provision(const fleet::device_record& rec) override;
-  void on_challenge(fleet::device_id id, std::uint32_t seq,
-                    const fleet::nonce16& nonce,
-                    std::uint64_t issued_at) override;
-  void on_retire(fleet::device_id id, const fleet::nonce16& nonce,
-                 fleet::nonce_fate fate) override;
-  void on_tick(std::uint64_t now) override;
-  /// The hub's phase-1/phase-2 durability barrier. Under wal_sync::group
-  /// this is where concurrent verifiers park and one batch fsync covers
-  /// them all; per_record is already durable and none promises nothing,
-  /// so both return immediately. Deliberately does NOT take log_mu_ —
-  /// the caller's record was appended before this call (same thread),
-  /// and blocking the journal for the fsync wait would serialize the
-  /// very batching group commit exists for.
-  void sync_barrier() override;
 
  private:
   fleet_store(std::string dir, options opts);
@@ -187,8 +173,6 @@ class fleet_store final : public fleet::persist_sink {
   /// the mirror refuses poisons the writer (the journal and the mirror
   /// must never diverge) and rethrows.
   void journal_locked(std::span<const std::uint8_t> payload);
-  /// Take log_mu_ and journal one record.
-  void journal(std::span<const std::uint8_t> payload);
 
   std::string dir_;
   options opts_;

@@ -118,8 +118,7 @@ void wal_follower::on_record(std::uint64_t generation,
     // A record the image refuses never reaches the follower's disk.
     apply_record(img_, payload,
                  static_cast<std::size_t>(
-                     records_applied_.load(std::memory_order_relaxed)),
-                 cfg_.retired_memory);
+                     records_applied_.load(std::memory_order_relaxed)));
     wal_->append(payload);
     records_applied_.fetch_add(1, std::memory_order_relaxed);
   } catch (const store_error& e) {

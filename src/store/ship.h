@@ -24,10 +24,16 @@
 // or the apply error) instead of throwing into the primary's hot path;
 // promote() rethrows it.
 //
+// The stream carries only what the store journals: provisioning
+// (firmware images and devices), boot records and compaction snapshots.
+// Hub traffic ships nothing.
+//
 // Promotion reuses the crash-restart machinery wholesale: promote()
-// closes the follower's log and fleet_store::open()s its directory, so
-// a pre-crash report replayed at the promoted standby is classified
-// replayed_report exactly as it would be by the primary restarting.
+// closes the follower's log and fleet_store::open()s its directory, which
+// bumps the boot epoch and builds a hub with empty challenge state under
+// a new nonce key. So every pre-crash frame presented at the promoted
+// standby — consumed, superseded or still outstanding at the primary —
+// is stale_nonce, exactly as it would be at the primary restarting.
 #ifndef DIALED_STORE_SHIP_H
 #define DIALED_STORE_SHIP_H
 
@@ -124,12 +130,10 @@ class wal_shipper final : public ship_sink {
 /// to be promoted to a live fleet after the primary dies.
 struct follower_config {
   /// Durability policy for the follower's WAL (same matrix as the
-  /// primary's, src/store/wal.h). Followers apply a serialized stream,
-  /// so group buys little here — per_record or none are the usual picks.
+  /// primary's, src/store/wal.h).
   wal_options wal{};
-  /// Retired-nonce ring bound for the follower's VALIDATION image;
-  /// match the primary's hub_config.retired_memory. Only bounds the
-  /// follower's memory — the promoted hub re-applies its own bound.
+  /// Unused: the validation image no longer holds retired nonces. Kept
+  /// because existing callers still set it.
   std::size_t retired_memory = 0;
 };
 

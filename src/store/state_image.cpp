@@ -62,17 +62,24 @@ verifier::firmware_id read_fw_id(reader& r) {
   return id;
 }
 
-fleet::nonce16 read_nonce(reader& r) {
-  fleet::nonce16 n{};
-  const auto s = r.raw(n.size());
-  std::copy(s.begin(), s.end(), n.begin());
-  return n;
+/// Older builds persisted a retired nonce's fate as one byte: consumed,
+/// superseded or expired. Any other value means the record is corrupt.
+void check_fate_byte(reader& r, const std::string& where) {
+  if (r.u8() > 2) {
+    throw store_error(store_error_kind::bad_record,
+                      where + ": invalid nonce fate byte");
+  }
 }
 
-fleet::device_restore& state_for(state_image& img, fleet::device_id id) {
-  auto& st = img.states[id];
-  st.id = id;
-  return st;
+/// Records and rows written by older builds may only name provisioned
+/// devices.
+void check_provisioned(const state_image& img, fleet::device_id id,
+                       const std::string& what) {
+  if (img.devices.count(id) == 0) {
+    throw store_error(store_error_kind::bad_record,
+                      what + " for unprovisioned device " +
+                          std::to_string(id));
+  }
 }
 
 /// Parse-validate a firmware blob (structure only — the content-id
@@ -94,7 +101,7 @@ void check_firmware_blob(const byte_vec& blob, const std::string& where) {
 // ---------------------------------------------------------------------------
 
 void apply_record(state_image& img, std::span<const std::uint8_t> payload,
-                  std::size_t record_index, std::size_t retired_memory) {
+                  std::size_t record_index) {
   reader r(payload, "wal record " + std::to_string(record_index));
   const std::uint8_t type = r.u8();
   switch (static_cast<rec>(type)) {
@@ -124,49 +131,21 @@ void apply_record(state_image& img, std::span<const std::uint8_t> payload,
       break;
     }
     case rec::challenge: {
+      // An older build's challenge grant: checked like any record, then
+      // dropped (challenges are soft state, see fleet/persist.h).
       const fleet::device_id id = r.u32();
-      const std::uint32_t seq = r.u32();
-      const auto nonce = read_nonce(r);
-      const std::uint64_t issued_at = r.u64();
-      if (img.devices.count(id) == 0) {
-        throw store_error(store_error_kind::bad_record,
-                          "wal: challenge for unprovisioned device " +
-                              std::to_string(id));
-      }
-      auto& st = state_for(img, id);
-      st.outstanding.push_back({nonce, seq, issued_at});
-      st.next_seq = std::max(st.next_seq, seq + 1);
-      // tick() journals outside the shard locks, so a challenge that read
-      // the advanced clock can beat its tick record into the log (or the
-      // tick record can be the torn tail). The clock must never restore
-      // BEHIND an issue stamp — unsigned expiry math would treat the
-      // challenge as ~2^64 ticks old and expire it on the spot.
-      img.now = std::max(img.now, issued_at);
+      (void)r.u32();  // seq
+      (void)r.raw(sizeof(fleet::nonce16));
+      (void)r.u64();  // issue tick
+      check_provisioned(img, id, "wal: challenge");
       break;
     }
     case rec::retire: {
+      // An older build's nonce retirement: checked, then dropped.
       const fleet::device_id id = r.u32();
-      const auto nonce = read_nonce(r);
-      fleet::nonce_fate fate{};
-      if (!fleet::nonce_fate_from_u8(r.u8(), fate)) {
-        throw store_error(store_error_kind::bad_record,
-                          "wal: invalid nonce fate byte");
-      }
-      auto& st = state_for(img, id);
-      const auto it = std::find_if(
-          st.outstanding.begin(), st.outstanding.end(),
-          [&](const auto& e) { return e.nonce == nonce; });
-      if (it == st.outstanding.end()) {
-        throw store_error(store_error_kind::bad_record,
-                          "wal: retire of a nonce never outstanding "
-                          "(device " +
-                              std::to_string(id) + ")");
-      }
-      st.outstanding.erase(it);
-      st.retired.push_back({nonce, fate});
-      if (retired_memory != 0 && st.retired.size() > retired_memory) {
-        st.retired.erase(st.retired.begin());
-      }
+      (void)r.raw(sizeof(fleet::nonce16));
+      check_fate_byte(r, "wal");
+      check_provisioned(img, id, "wal: retire");
       break;
     }
     case rec::verdict: {
@@ -179,17 +158,14 @@ void apply_record(state_image& img, std::span<const std::uint8_t> payload,
                           "wal: invalid proto_error byte");
       }
       (void)r.boolean();  // accepted
-      if (err == proto::proto_error::none && img.devices.count(id) == 0) {
-        throw store_error(store_error_kind::bad_record,
-                          "wal: verdict for unprovisioned device " +
-                              std::to_string(id));
+      if (err == proto::proto_error::none) {
+        check_provisioned(img, id, "wal: verdict");
       }
       break;
     }
     case rec::tick: {
-      // Concurrent ticks may journal out of order; keep the maximum so
-      // the clock never regresses (expiry must stay monotonic).
-      img.now = std::max(img.now, r.u64());
+      // An older build's hub clock: checked, then dropped.
+      (void)r.u64();
       break;
     }
     case rec::baseline: {
@@ -198,11 +174,12 @@ void apply_record(state_image& img, std::span<const std::uint8_t> payload,
       const fleet::device_id id = r.u32();
       (void)r.u32();    // seq
       (void)r.bytes();  // OR bytes
-      if (img.devices.count(id) == 0) {
-        throw store_error(store_error_kind::bad_record,
-                          "wal: baseline for unprovisioned device " +
-                              std::to_string(id));
-      }
+      check_provisioned(img, id, "wal: baseline");
+      break;
+    }
+    case rec::boot: {
+      // Epochs only grow; max() keeps that true whatever the order.
+      img.boot_epoch = std::max(img.boot_epoch, r.u64());
       break;
     }
     default:
@@ -224,58 +201,31 @@ void apply_record(state_image& img, std::span<const std::uint8_t> payload,
 
 namespace {
 
-void write_device_state(writer& w, const fleet::device_restore& d) {
-  w.u32(d.id);
-  w.u32(d.next_seq);
-  w.u32(static_cast<std::uint32_t>(d.outstanding.size()));
-  for (const auto& c : d.outstanding) {
-    w.raw(c.nonce);
-    w.u32(c.seq);
-    w.u64(c.issued_at);
-  }
-  w.u32(static_cast<std::uint32_t>(d.retired.size()));
-  for (const auto& n : d.retired) {
-    w.raw(n.nonce);
-    w.u8(static_cast<std::uint8_t>(n.fate));
-  }
-}
-
-fleet::device_restore read_device_state(reader& r,
-                                        std::uint32_t version) {
-  fleet::device_restore d;
-  d.id = r.u32();
-  d.next_seq = r.u32();
+/// One v2-v4 hub-state row (a device's challenge state), checked and
+/// dropped: seq high-water mark, outstanding challenges (nonce, seq,
+/// issue tick), retired nonces (nonce, fate); then, in v2/v3, the
+/// device's stats counters (accepted, rejected verdict, replayed,
+/// rejected protocol), and in v2 the delta baseline (flag, then seq + OR
+/// bytes).
+void skip_legacy_row(reader& r, const state_image& img,
+                     std::uint32_t version, const std::string& path) {
+  const fleet::device_id id = r.u32();
+  (void)r.u32();  // next seq
   const std::uint32_t nout = r.count(28);
-  d.outstanding.reserve(nout);
-  for (std::uint32_t i = 0; i < nout; ++i) {
-    fleet::device_restore::outstanding_challenge c;
-    c.nonce = read_nonce(r);
-    c.seq = r.u32();
-    c.issued_at = r.u64();
-    d.outstanding.push_back(c);
-  }
+  for (std::uint32_t i = 0; i < nout; ++i) (void)r.raw(28);
   const std::uint32_t nret = r.count(17);
-  d.retired.reserve(nret);
   for (std::uint32_t i = 0; i < nret; ++i) {
-    fleet::device_restore::retired_nonce n;
-    n.nonce = read_nonce(r);
-    if (!fleet::nonce_fate_from_u8(r.u8(), n.fate)) {
-      throw store_error(store_error_kind::bad_record,
-                        "snapshot: invalid nonce fate byte");
-    }
-    d.retired.push_back(n);
+    (void)r.raw(sizeof(fleet::nonce16));
+    check_fate_byte(r, path + ": snapshot");
   }
-  if (version == snapshot_version) return d;
-  // v2/v3 rows end with the device's stats counters (accepted, rejected
-  // verdict, replayed, rejected protocol), v2 rows then with the delta
-  // baseline (flag, then seq + OR bytes): read under the same bounds
-  // checks, then dropped.
-  for (int i = 0; i < 4; ++i) (void)r.u64();
+  if (version != snapshot_version_v4) {
+    for (int i = 0; i < 4; ++i) (void)r.u64();
+  }
   if (version == snapshot_version_v2 && r.boolean()) {
     (void)r.u32();
     (void)r.bytes();
   }
-  return d;
+  check_provisioned(img, id, path + ": hub state");
 }
 
 }  // namespace
@@ -309,10 +259,14 @@ state_image parse_snapshot(std::span<const std::uint8_t> data,
   reader r(guarded.subspan(8), "snapshot");
   img.master_key = r.bytes();
   img.next_id = r.u32();
-  img.now = r.u64();
+  if (version == snapshot_version) {
+    img.boot_epoch = r.u64();
+  } else {
+    (void)r.u64();  // v2-v4: the hub clock
+  }
   img.wal_generation = r.u64();
 
-  if (version != snapshot_version) {
+  if (version < snapshot_version_v4) {
     // v2/v3 hub-level stats counters: challenges issued, expired and
     // superseded, reports accepted and verdict-rejected, then the
     // per-proto_error histogram. Checked, then dropped.
@@ -354,17 +308,12 @@ state_image parse_snapshot(std::span<const std::uint8_t> data,
     }
   }
 
-  // A v4 row is at least 16 bytes (id, next_seq, two empty counts).
-  const std::uint32_t nstate = r.count(16);
-  for (std::uint32_t i = 0; i < nstate; ++i) {
-    auto d = read_device_state(r, version);
-    if (img.devices.count(d.id) == 0) {
-      throw store_error(store_error_kind::bad_record,
-                        path + ": hub state for unprovisioned device " +
-                            std::to_string(d.id));
+  if (version != snapshot_version) {
+    // A v4 row is at least 16 bytes (id, next_seq, two empty counts).
+    const std::uint32_t nstate = r.count(16);
+    for (std::uint32_t i = 0; i < nstate; ++i) {
+      skip_legacy_row(r, img, version, path);
     }
-    const auto id = d.id;
-    img.states.emplace(id, std::move(d));
   }
 
   if (!r.done()) {
@@ -383,7 +332,7 @@ byte_vec serialize_snapshot(const state_image& img,
   w.u32(snapshot_version);
   w.bytes(img.master_key);
   w.u32(img.next_id);
-  w.u64(img.now);
+  w.u64(img.boot_epoch);
   w.u64(generation);
 
   w.u32(static_cast<std::uint32_t>(img.firmwares.size()));
@@ -398,9 +347,6 @@ byte_vec serialize_snapshot(const state_image& img,
     w.bytes(dev.key);
     w.raw(dev.fw);
   }
-
-  w.u32(static_cast<std::uint32_t>(img.states.size()));
-  for (const auto& [id, d] : img.states) write_device_state(w, d);
 
   w.u32(crc32(w.data()));
   return w.take();

@@ -15,8 +15,9 @@
 //
 // apply_record is the single source of truth for record semantics: every
 // validation a restart performs (unknown firmware, double provision,
-// retire of a never-outstanding nonce, trailing bytes) happens here, so
-// followers and mirrors fail closed on the same inputs a reopen would.
+// legacy records naming unprovisioned devices, trailing bytes) happens
+// here, so followers and mirrors fail closed on the same inputs a reopen
+// would.
 //
 // Firmware images are kept as their SERIALIZED blobs, not parsed
 // programs: the image is a persistence artifact, and blobs make
@@ -47,34 +48,46 @@ namespace dialed::store {
 inline constexpr std::array<std::uint8_t, 4> snapshot_magic = {'D', 'L',
                                                                'F', 'S'};
 /// v1 (a histogram one bucket short, no baselines) is retired: it is
-/// refused as bad_version. v2 and v3 carried the hub's stats counters: a
-/// hub-level section after the WAL generation and four per-device counts
-/// at the end of each hub-state row; v2 rows also ended with the device's
-/// wire v2.1 delta baseline. Both still load: those sections are read
-/// under the usual bounds checks (the histogram must have one bucket per
-/// proto_error) and dropped, since counters are process-local and
-/// baselines soft state (fleet/persist.h). v4 holds exactly the registry,
-/// the catalog, the clock and the anti-replay state: the header ends at
-/// the WAL generation and each row at the retired history. This build
-/// always WRITES v4.
+/// refused as bad_version. v2, v3 and v4 carried the hub's challenge
+/// state: a hub clock after the next device id, and after the device
+/// table one row per device (seq high-water mark, outstanding challenges,
+/// retired nonces with their fates). v2 and v3 also carried the stats
+/// counters: a hub-level section after the WAL generation and four
+/// per-device counts at the end of each row; v2 rows then ended with the
+/// device's wire v2.1 delta baseline. All three still load: the clock,
+/// the counter sections and the rows are read under the usual bounds
+/// checks (the histogram must have one bucket per proto_error, a row must
+/// name a provisioned device and carry valid fate bytes) and dropped,
+/// since challenges are soft state (fleet/persist.h). v5 holds exactly
+/// the registry, the catalog and the boot epoch: the header is the master
+/// key, the next device id, the boot epoch and the WAL generation, and
+/// the file ends at the device table. This build always WRITES v5.
 inline constexpr std::uint32_t snapshot_version_v2 = 2;
 inline constexpr std::uint32_t snapshot_version_v3 = 3;
-inline constexpr std::uint32_t snapshot_version = 4;
+inline constexpr std::uint32_t snapshot_version_v4 = 4;
+inline constexpr std::uint32_t snapshot_version = 5;
 
 /// WAL record types (first payload byte).
 enum class rec : std::uint8_t {
   firmware = 1,   ///< content id + full linked_program image
   provision = 2,  ///< device id, key, firmware content id
-  challenge = 3,  ///< device id, seq, nonce, issue tick
-  retire = 4,     ///< device id, nonce, fate
+  /// Reserved: device id, seq, nonce, issue tick (a challenge grant).
+  /// Written by older builds only; replay checks it and drops it.
+  challenge = 3,
+  /// Reserved: device id, nonce, fate byte (a nonce retirement). Written
+  /// by older builds only; replay checks it and drops it.
+  retire = 4,
   /// Reserved: device id, proto_error byte, accepted flag (a stats
   /// counter update). Written by older builds only; replay checks it and
   /// drops it.
   verdict = 5,
-  tick = 6,       ///< new clock value
+  /// Reserved: new hub clock value. Written by older builds only; replay
+  /// checks it and drops it.
+  tick = 6,
   /// Reserved: device id, seq, accepted OR bytes. Written by older
   /// builds only; replay checks it and drops it.
   baseline = 7,
+  boot = 8,  ///< the store's new boot epoch (an open() that did not compact)
 };
 
 // ---------------------------------------------------------------------------
@@ -102,13 +115,14 @@ struct image_device {
 struct state_image {
   byte_vec master_key;
   fleet::device_id next_id = 1;
-  std::uint64_t now = 0;
+  /// Bumped by every fleet_store::open() and durable before its first
+  /// grant; folded into a pinned hub_config::seed (fleet_store.h).
+  std::uint64_t boot_epoch = 0;
   std::uint64_t wal_generation = 0;
   /// Serialized linked_program blobs, keyed by content id. Parse-checked
   /// on the way in; fingerprint-checked when materialized into a catalog.
   std::map<verifier::firmware_id, byte_vec> firmwares;
   std::map<fleet::device_id, image_device> devices;
-  std::map<fleet::device_id, fleet::device_restore> states;
 };
 
 /// Apply one WAL record payload. Throws store_error(bad_record /
@@ -116,11 +130,8 @@ struct state_image {
 /// refuse; on throw the image may hold the record's partial effects and
 /// must be discarded (fleet_store poisons its writer; a follower goes
 /// into a desynced error state).
-/// `retired_memory` bounds each device's retired-nonce ring (0 = keep
-/// all), matching hub_config.retired_memory so replayed state equals
-/// live state.
 void apply_record(state_image& img, std::span<const std::uint8_t> payload,
-                  std::size_t record_index, std::size_t retired_memory);
+                  std::size_t record_index);
 
 /// Parse + CRC-check a snapshot file image. Throws typed store_error on
 /// any corruption (fail closed).

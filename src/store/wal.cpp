@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 
@@ -67,8 +66,7 @@ wal_read_result read_wal(std::span<const std::uint8_t> data) {
 
 wal_writer::wal_writer(std::string path, std::uint64_t truncate_to,
                        std::uint64_t existing_records, wal_options opts)
-    : path_(std::move(path)), opts_(opts), records_(existing_records),
-      lsn_(existing_records), synced_lsn_(existing_records) {
+    : path_(std::move(path)), opts_(opts), records_(existing_records) {
   std::error_code ec;
   const auto existing = std::filesystem::file_size(path_, ec);
   if (!ec && existing > truncate_to) {
@@ -87,7 +85,7 @@ wal_writer::~wal_writer() {
   if (f_ != nullptr) std::fclose(f_);
 }
 
-std::uint64_t wal_writer::append(std::span<const std::uint8_t> payload) {
+void wal_writer::append(std::span<const std::uint8_t> payload) {
   std::array<std::uint8_t, 8> header{};
   store_le32(header, 0, static_cast<std::uint32_t>(payload.size()));
   store_le32(header, 4, crc32(payload));
@@ -103,102 +101,19 @@ std::uint64_t wal_writer::append(std::span<const std::uint8_t> payload) {
     fail_locked("append");
   }
   if (std::fflush(f_) != 0) fail_locked("flush");
-  if (opts_.sync == wal_sync::per_record &&
-      ::fsync(fileno(f_)) != 0) {
-    fail_locked("fsync");
+  if (opts_.sync == wal_sync::per_record) {
+    if (::fsync(fileno(f_)) != 0) fail_locked("fsync");
+    ++sync_stats_.syncs;
+    ++sync_stats_.records;
+    ++sync_stats_.batch_hist[0];
   }
   bytes_ += header.size() + payload.size();
   ++records_;
-  const std::uint64_t lsn = ++lsn_;
-  if (opts_.sync != wal_sync::group) {
-    // per_record: the fsync above made it durable. none: no durability
-    // is promised, so the horizon tracks the stage point and sync_to
-    // never blocks. Either way group-commit machinery stays idle.
-    synced_lsn_ = lsn;
-    if (opts_.sync == wal_sync::per_record) note_batch_locked(1);
-  }
-  return lsn;
-}
-
-void wal_writer::sync_to(std::uint64_t lsn) {
-  std::unique_lock<std::mutex> lk(mu_);
-  while (synced_lsn_ < lsn) {
-    if (failed_) {
-      throw store_error(store_error_kind::io_error,
-                        path_ + ": writer poisoned while records were "
-                                "awaiting a group fsync");
-    }
-    if (sync_in_progress_) {
-      // Another waiter is the leader; park until its batch lands (it may
-      // cover us), the leader slot frees up, or the writer dies.
-      cv_.wait(lk, [&] {
-        return synced_lsn_ >= lsn || !sync_in_progress_ || failed_;
-      });
-      continue;
-    }
-    // Become the leader. Absorption window first: concurrent appenders
-    // keep staging while we sleep (the wait releases mu_), so the one
-    // fsync below covers them too — this is where group commit earns
-    // its batch sizes.
-    sync_in_progress_ = true;
-    if (opts_.group_max_delay_us > 0) {
-      cv_.wait_for(lk, std::chrono::microseconds(opts_.group_max_delay_us),
-                   [&] { return failed_; });
-    }
-    if (failed_) {
-      sync_in_progress_ = false;
-      cv_.notify_all();
-      continue;  // loop top throws the poisoned error
-    }
-    const std::uint64_t target = lsn_;       // everything staged so far
-    const std::uint64_t base = synced_lsn_;  // stable: reset_to waits on
-                                             // sync_in_progress_
-    const int fd = fileno(f_);
-    // Fsync outside the mutex: appends keep staging into the (fflush-ed)
-    // file meanwhile. The fd cannot be closed under us — reset_to blocks
-    // until sync_in_progress_ clears.
-    lk.unlock();
-    const int rc = ::fsync(fd);
-    lk.lock();
-    sync_in_progress_ = false;
-    if (rc != 0) {
-      // The batch may or may not be on disk; fail closed for everyone.
-      failed_ = true;
-      cv_.notify_all();
-      io_fail(path_, "group fsync");
-    }
-    if (target > synced_lsn_) {
-      note_batch_locked(target - base);
-      synced_lsn_ = target;
-    }
-    cv_.notify_all();
-  }
-}
-
-std::uint64_t wal_writer::staged_lsn() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return lsn_;
-}
-
-std::uint64_t wal_writer::synced_lsn() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return synced_lsn_;
 }
 
 group_commit_stats wal_writer::sync_stats() const {
   std::lock_guard<std::mutex> lk(mu_);
   return sync_stats_;
-}
-
-void wal_writer::note_batch_locked(std::uint64_t n) {
-  ++sync_stats_.syncs;
-  sync_stats_.records += n;
-  std::size_t b = 0;
-  while (b + 1 < sync_stats_.batch_hist.size() &&
-         (std::uint64_t{1} << b) < n) {
-    ++b;
-  }
-  ++sync_stats_.batch_hist[b];
 }
 
 void wal_writer::fail_locked(const char* what) {
@@ -210,26 +125,12 @@ void wal_writer::fail_locked(const char* what) {
   const int err = errno;
   (void)std::fflush(f_);
   (void)::ftruncate(fileno(f_), static_cast<off_t>(bytes_));
-  cv_.notify_all();  // group-commit waiters must wake up and fail
   errno = err;
   io_fail(path_, what);
 }
 
 void wal_writer::reset_to(std::string path) {
-  std::unique_lock<std::mutex> lk(mu_);
-  // Never close the file under an in-flight batch fsync (it holds the fd
-  // outside the mutex).
-  cv_.wait(lk, [&] { return !sync_in_progress_; });
-  // Durability handoff: staged-but-unsynced records live in THIS file,
-  // and after the roll it leaves the writer's control (compaction
-  // removes it once the snapshot publishes). Settle them now so every
-  // group-commit waiter releases against bytes that are actually on
-  // disk. A failed handoff fsync aborts the roll with the writer
-  // untouched — the caller (compact) backs out cleanly.
-  if (!failed_ && synced_lsn_ < lsn_ && opts_.sync != wal_sync::none) {
-    if (::fsync(fileno(f_)) != 0) io_fail(path_, "handoff fsync");
-    note_batch_locked(lsn_ - synced_lsn_);
-  }
+  std::lock_guard<std::mutex> lk(mu_);
   std::FILE* fresh = std::fopen(path.c_str(), "wb");
   if (fresh == nullptr) io_fail(path, "reset");
   std::fclose(f_);
@@ -238,16 +139,11 @@ void wal_writer::reset_to(std::string path) {
   failed_ = false;  // fresh file, clean boundary
   bytes_ = 0;
   records_ = 0;
-  // LSNs are writer-lifetime, not per-file: lsn_ does NOT reset, and the
-  // settled horizon releases anyone who was waiting on the old file.
-  synced_lsn_ = lsn_;
-  cv_.notify_all();
 }
 
 void wal_writer::poison() {
   std::lock_guard<std::mutex> lk(mu_);
   failed_ = true;
-  cv_.notify_all();  // wake group-commit waiters to fail loudly
 }
 
 std::uint64_t wal_writer::bytes() const {

@@ -30,54 +30,38 @@
 // carries the bulk of the state; closing this fully needs fixed-size
 // block framing (ROADMAP open item).
 //
-// Writers serialize appends behind an internal mutex, so the registry's
-// provisioning lock and every hub shard can emit records concurrently.
-// Each append is flushed to the OS before returning; what happens beyond
-// that is the sync policy's business.
+// Writers serialize appends behind an internal mutex. Each append is
+// flushed to the OS before returning; what happens beyond that is the
+// sync policy's business.
 //
 // Sync policy matrix (wal_options::sync)
 // --------------------------------------
 //
-//   policy      fsync cost            survives          sync_to(lsn)
-//   ----------  --------------------  ----------------  ------------------
-//   per_record  one fsync per append  power loss        returns instantly
-//               (inside append, under                   (already durable)
-//               the append mutex)
-//   group       one fsync per BATCH:  power loss        blocks until an
-//               appends only stage;                     fsync covering lsn
-//               sync_to waiters elect                   completes; one
-//               a leader that waits                     waiter fsyncs for
-//               group_max_delay_us                      the whole group
-//               for more stagers,
-//               fsyncs once, and
-//               releases everyone
-//               the batch covers
-//   none        zero                  process crash     returns instantly
-//                                     (OS page cache);  (no durability
-//                                     NOT power loss    promised, nothing
-//                                                       to wait for)
+//   policy      fsync cost                          survives
+//   ----------  ----------------------------------  ----------------------
+//   per_record  one fsync per append (inside        power loss
+//               append, under the append mutex)
+//   none        zero                                process crash (OS page
+//                                                   cache); NOT power loss
 //
-// `group` gives per_record's guarantee at a fraction of the cost when
-// writers are concurrent: N threads that each append one record and then
-// call sync_to absorb into ONE fsync instead of N. A single-threaded
-// writer degrades to per_record behavior (every batch has size 1) plus
-// the absorption delay — group commit buys throughput under concurrency,
-// never latency for a lone writer.
+// The store journals only provisioning (firmware images, devices) and
+// its boot epoch, never a per-report record, so the fsync count is the
+// provisioning count and per_record costs nothing on the report path.
 //
-// Crash semantics per policy: losing the tail of the log is SAFE in this
-// store's direction — an un-synced challenge issuance or nonce retirement
-// replays as "never issued"/"still outstanding", so a restarted hub
-// REJECTS the affected reports (stale_nonce / replayed classification may
-// soften to stale_nonce, never the reverse). The invariant that must hold
-// is ordering, not completeness: a verdict is only computed AFTER the
-// nonce consumption is journaled (and, under per_record/group, fsynced —
-// see fleet_store::sync_barrier), so no report can verify twice across a
-// crash.
+// Crash semantics per policy: a crash can lose the un-synced tail of the
+// log — under `none`, whatever the OS had not written back. A lost
+// provisioning record means the device is unknown after the restart and
+// must be provisioned again; it can never make a report verify, because
+// no challenge state is journaled at all: every reopened hub draws a new
+// nonce key, so a frame answering a pre-crash challenge is stale_nonce
+// whatever the log kept. The one durability the freshness argument
+// needs is the boot epoch under a pinned hub seed (fleet_store.h): it is
+// fsynced under per_record (or carried by the fsynced open-time
+// snapshot), and under `none` shares the log's process-crash guarantee.
 #ifndef DIALED_STORE_WAL_H
 #define DIALED_STORE_WAL_H
 
 #include <array>
-#include <condition_variable>
 #include <cstdio>
 #include <mutex>
 #include <string>
@@ -91,14 +75,12 @@ namespace dialed::store {
 /// When appended records become durable (see the matrix above).
 enum class wal_sync : std::uint8_t {
   per_record,  ///< fsync inside every append
-  group,       ///< appends stage; sync_to batches fsyncs (group commit)
   none,        ///< flush to the OS only (process-crash durability)
 };
 
 constexpr const char* to_string(wal_sync s) {
   switch (s) {
     case wal_sync::per_record: return "per_record";
-    case wal_sync::group: return "group";
     case wal_sync::none: return "none";
   }
   return "unknown";
@@ -106,15 +88,12 @@ constexpr const char* to_string(wal_sync s) {
 
 struct wal_options {
   wal_sync sync = wal_sync::none;
-  /// Group-commit absorption window: how long a sync_to leader waits for
-  /// more appenders to stage before issuing the batch fsync. 0 = fsync
-  /// immediately (batches only what raced in before the leader won).
-  std::uint32_t group_max_delay_us = 100;
 };
 
-/// Counters for the fsync batching behavior (all policies; `none` never
-/// fsyncs so everything stays 0). batch_hist[i] counts fsyncs whose batch
-/// size fell in (2^(i-1), 2^i]: buckets 1, 2, 4, 8, 16, 32, 64, 128+.
+/// Fsync counters (the /metrics group-commit histogram). per_record
+/// fsyncs every append, so every batch has size 1; `none` never fsyncs
+/// and everything stays 0. batch_hist[i] counts fsyncs whose batch size
+/// fell in (2^(i-1), 2^i]: buckets 1, 2, 4, 8, 16, 32, 64, 128+.
 struct group_commit_stats {
   std::uint64_t syncs = 0;    ///< fsyncs issued
   std::uint64_t records = 0;  ///< records those fsyncs made durable
@@ -154,44 +133,21 @@ class wal_writer {
   wal_writer(const wal_writer&) = delete;
   wal_writer& operator=(const wal_writer&) = delete;
 
-  /// Frame `payload` and append it, returning the record's LSN (a
-  /// writer-lifetime monotone sequence that does NOT reset across
-  /// reset_to — generation rolls never recycle an LSN a waiter may hold).
-  /// Thread-safe. Under wal_sync::group the record is only STAGED
-  /// (written + flushed to the OS); pass the LSN to sync_to for
-  /// durability. Throws store_error(io_error) when the write or flush
+  /// Frame `payload` and append it. Thread-safe. Throws
+  /// store_error(io_error) when the write, flush or (per_record) fsync
   /// fails; a failed append rolls the file back to the last record
   /// boundary and POISONS the writer (every later append throws io_error
   /// immediately) so a half-written record can never get live records
   /// appended after it. Reopen the store (or reset_to) to recover.
-  std::uint64_t append(std::span<const std::uint8_t> payload);
+  void append(std::span<const std::uint8_t> payload);
 
-  /// Block until every record with LSN <= `lsn` is durable (fsynced).
-  /// Instant under per_record (already durable) and none (no promise to
-  /// wait for). Under group this IS the commit protocol: the first
-  /// waiter past the current durable horizon becomes the leader, sleeps
-  /// up to group_max_delay_us absorbing concurrent stagers, issues ONE
-  /// fsync (outside the append mutex — appends keep staging throughout),
-  /// and wakes every waiter the batch covered; late waiters elect the
-  /// next leader. Throws store_error(io_error) if the writer is (or
-  /// becomes) poisoned, or the batch fsync fails.
-  void sync_to(std::uint64_t lsn);
-
-  /// Highest LSN staged (append returned) / made durable so far.
-  std::uint64_t staged_lsn() const;
-  std::uint64_t synced_lsn() const;
-
-  /// Fsync batching counters (see group_commit_stats).
+  /// Fsync counters (see group_commit_stats).
   group_commit_stats sync_stats() const;
 
   /// Replace the log with an empty one at `path` (compaction commit —
   /// typically the next WAL generation's filename). Thread-safe against
-  /// append AND sync_to: waits out any in-flight batch fsync, then (under
-  /// per_record/group) fsyncs the outgoing file so every staged record is
-  /// durable before the file leaves the writer's control, and releases
-  /// all group-commit waiters. Throws store_error(io_error) with the
-  /// writer untouched if that handoff fsync fails. See
-  /// fleet_store::compact's quiescence contract.
+  /// append. Throws store_error(io_error) with the writer untouched if
+  /// the new file cannot be created.
   void reset_to(std::string path);
 
   /// Permanently fail this writer: every later append throws io_error.
@@ -205,25 +161,14 @@ class wal_writer {
 
  private:
   [[noreturn]] void fail_locked(const char* what);
-  void note_batch_locked(std::uint64_t n);
 
   std::string path_;
   wal_options opts_;
   mutable std::mutex mu_;
-  /// Wakes group-commit waiters (durable horizon advanced, leader slot
-  /// freed, or writer poisoned) and reset_to's wait-for-leader.
-  std::condition_variable cv_;
   std::FILE* f_ = nullptr;
   bool failed_ = false;  ///< poisoned by a failed append (see append)
-  /// True while a sync_to leader owns the fsync (issued OUTSIDE mu_, so
-  /// this flag — not the mutex — is what reset_to must wait out before
-  /// closing the file).
-  bool sync_in_progress_ = false;
   std::uint64_t bytes_ = 0;
   std::uint64_t records_ = 0;
-  std::uint64_t lsn_ = 0;         ///< last staged LSN (monotone, never reset)
-  std::uint64_t synced_lsn_ = 0;  ///< durable horizon (== lsn_ for
-                                  ///< per_record/none)
   group_commit_stats sync_stats_;
 };
 

@@ -707,7 +707,8 @@ TEST(net_serve, http_metrics_and_healthz_reflect_traffic) {
 }
 
 // Crash-durability across the wire: a server restarted from its state
-// dir classifies a pre-crash report as a replay, over a real socket.
+// dir keeps its devices and rejects a pre-crash report over a real
+// socket — its hub never issued that nonce, so it is stale.
 TEST(net_serve, restart_from_state_dir_rejects_pre_crash_replay) {
   const auto dir = fs::path(::testing::TempDir()) / "dialed-net-restart";
   fs::remove_all(dir);
@@ -754,7 +755,7 @@ TEST(net_serve, restart_from_state_dir_rejects_pre_crash_replay) {
 
     attest_client client("127.0.0.1", server.tcp_port());
     const auto res = client.submit_report(frame);
-    EXPECT_EQ(res.error, proto::proto_error::replayed_report);
+    EXPECT_EQ(res.error, proto::proto_error::stale_nonce);
     EXPECT_FALSE(res.accepted);
     server.stop();
   }
@@ -1048,13 +1049,13 @@ TEST(net_serve, healthz_standby_depth_and_desync_503) {
   so.master_key = master_key();
   so.hub.workers = 1;
   auto state = store::fleet_store::open((dir / "primary").string(), so);
-  const auto id = state.registry->provision(prog);
-  proto::prover_device dev(prog, state.registry->find(id)->key);
-
   store::wal_follower follower((dir / "standby").string());
   store::wal_shipper shipper;
   shipper.add_follower(&follower);
   state.store->attach_shipper(&shipper);
+  // Provisioning is what ships; the round below ships nothing.
+  const auto id = state.registry->provision(prog);
+  proto::prover_device dev(prog, state.registry->find(id)->key);
 
   server_config cfg;
   cfg.bind_addr = "127.0.0.1";

@@ -376,10 +376,11 @@ TEST_F(partition_test, durable_partitions_recover_replay_state) {
   }  // "crash": drop every partition's in-memory objects
 
   auto fleet = partitioned_fleet::open(dir(), 2, opts());
-  // Every partition rebuilt its anti-replay state from its own store.
+  // Every partition rebuilt its registry from its own store and starts
+  // with no challenge state: every pre-crash frame is stale.
   for (const auto& frame : frames) {
     EXPECT_EQ(fleet.router().submit(frame).error,
-              proto::proto_error::replayed_report);
+              proto::proto_error::stale_nonce);
   }
   for (std::size_t p = 0; p < ids.size(); ++p) {
     run_round(fleet.router(), fleet.registry_of(p), ids[p], 6, 7);
@@ -400,6 +401,8 @@ TEST_F(partition_test, follower_tracks_primary_and_promotes) {
   EXPECT_TRUE(follower.synced());
 
   const auto id = st.registry->provision(prog_for(adder));
+  EXPECT_EQ(shipper.records_shipped(), 2u);  // firmware + provision
+  // A round ships nothing: challenges are soft state.
   const auto pre_crash = run_round(*st.hub, *st.registry, id, 20, 22);
   EXPECT_EQ(follower.records_applied(), shipper.records_shipped());
   EXPECT_EQ(shipper.records_shipped(), st.store->wal_records());
@@ -410,20 +413,23 @@ TEST_F(partition_test, follower_tracks_primary_and_promotes) {
   st.store->compact();
   EXPECT_EQ(shipper.snapshots_shipped(), 2u);
   EXPECT_EQ(follower.generation(), st.store->generation());
-  run_round(*st.hub, *st.registry, id, 6, 7);
+  const auto id2 = st.registry->provision(prog_for(adder));
+  EXPECT_EQ(follower.records_applied(), 3u);
+  run_round(*st.hub, *st.registry, id2, 6, 7);
   EXPECT_FALSE(follower.error().has_value());
 
   // Promote: the standby is exactly a restarted primary — pre-crash
-  // frames are replays, fresh rounds verify.
+  // frames are stale, fresh rounds verify.
   auto promoted = follower.promote(opts());
-  EXPECT_EQ(promoted.registry->size(), 1u);
+  EXPECT_EQ(promoted.registry->size(), 2u);
   EXPECT_EQ(promoted.hub->submit(pre_crash).error,
-            proto::proto_error::replayed_report);
+            proto::proto_error::stale_nonce);
   run_round(*promoted.hub, *promoted.registry, id, 30, 12);
+  run_round(*promoted.hub, *promoted.registry, id2, 30, 12);
 
   // The old primary does not know its standby left: the next shipped
   // record latches the follower into the sticky desync state.
-  run_round(*st.hub, *st.registry, id, 1, 2);
+  (void)st.registry->provision(prog_for(adder));
   ASSERT_TRUE(follower.error().has_value());
   EXPECT_EQ(follower.error()->kind(), store_error_kind::ship_desync);
   EXPECT_FALSE(follower.synced());
@@ -488,8 +494,7 @@ TEST_F(partition_test, shipper_stats_track_lag_and_desync) {
   EXPECT_EQ(ss.max_lag_records, 0u);
   EXPECT_FALSE(ss.any_desync);
 
-  const auto id = st.registry->provision(prog_for(adder));
-  run_round(*st.hub, *st.registry, id, 3, 4);
+  (void)st.registry->provision(prog_for(adder));
   ss = shipper.stats();
   EXPECT_GT(ss.records_shipped, 0u);
   EXPECT_EQ(ss.max_lag_records, 0u);  // synchronous apply: no lag
@@ -497,7 +502,7 @@ TEST_F(partition_test, shipper_stats_track_lag_and_desync) {
   // Latch a desync, then keep shipping: the follower stops applying, so
   // its lag now grows with every record while any_desync holds.
   follower.on_record(/*generation=*/999, byte_vec{0xde, 0xad});
-  run_round(*st.hub, *st.registry, id, 5, 6);
+  (void)st.registry->provision(prog_for(adder));
   ss = shipper.stats();
   EXPECT_TRUE(ss.any_desync);
   EXPECT_EQ(ss.max_lag_records,
@@ -549,17 +554,18 @@ TEST_F(partition_test, promotion_mid_campaign_rejects_pre_crash_replays) {
   auto fleet = partitioned_fleet::open(sub("fleet"), 3, opts());
   const auto ids = one_id_per_partition(fleet.router());
   const auto prog = prog_for(adder);
-  for (const auto id : ids) fleet.provision(id, prog);
 
-  // Partition 1 gets a warm standby.
+  // Partition 1 gets a warm standby, attached before provisioning so the
+  // victim's device reaches it as shipped records.
   const std::size_t victim = 1;
   store::wal_shipper shipper;
   store::wal_follower follower(sub("standby"));
   shipper.add_follower(&follower);
   fleet.store_of(victim)->attach_shipper(&shipper);
+  for (const auto id : ids) fleet.provision(id, prog);
 
-  // Mid-campaign: K accepted rounds on the victim partition (each one
-  // several shipped records), plus live traffic everywhere else.
+  // Mid-campaign: K accepted rounds on the victim partition (none of
+  // them shipped), plus live traffic everywhere else.
   std::vector<byte_vec> pre_crash;
   for (std::uint16_t k = 0; k < 3; ++k) {
     pre_crash.push_back(run_round(fleet.router(),
@@ -585,16 +591,16 @@ TEST_F(partition_test, promotion_mid_campaign_rejects_pre_crash_replays) {
   fleet.install_partition(victim, follower.promote(opts()));
 
   // The successor's counters start at zero: they are process-local and
-  // never shipped. Its anti-replay state is the dead partition's.
+  // never shipped. So does its challenge state.
   EXPECT_EQ(fleet.hub_of(victim).stats().reports_submitted(), 0u);
   EXPECT_EQ(fleet.hub_of(victim).stats().challenges_issued, 0u);
   EXPECT_EQ(fleet.router().outstanding(ids[victim]), 0u);
 
   // THE property, across the router: every report the dead partition
-  // accepted is a replay at its successor.
+  // accepted is rejected at its successor, which never issued its nonce.
   for (const auto& frame : pre_crash) {
     EXPECT_EQ(fleet.router().submit(frame).error,
-              proto::proto_error::replayed_report);
+              proto::proto_error::stale_nonce);
   }
   // And the promoted partition serves fresh rounds.
   run_round(fleet.router(), fleet.registry_of(victim), ids[victim], 20,
@@ -620,6 +626,7 @@ TEST_F(partition_test, promotion_mid_campaign_rejects_pre_crash_replays) {
 TEST_F(partition_test, online_compaction_under_concurrent_traffic) {
   constexpr std::size_t devices = 3;
   constexpr std::size_t rounds = 10;
+  constexpr std::size_t late_devices = 8;
   std::vector<std::vector<byte_vec>> frames(devices);
   std::vector<device_id> ids;
   std::atomic<std::size_t> accepted{0};
@@ -638,7 +645,8 @@ TEST_F(partition_test, online_compaction_under_concurrent_traffic) {
     }
 
     // The point of ONLINE compaction: these run at the same time, with
-    // no quiescence handshake, and nothing is lost or torn.
+    // no quiescence handshake, and nothing is lost or torn. Rounds do not
+    // journal, so a provisioner keeps records racing the compactor.
     std::atomic<bool> done{false};
     std::thread compactor([&] {
       while (!done.load(std::memory_order_relaxed) || compactions < 3) {
@@ -648,6 +656,11 @@ TEST_F(partition_test, online_compaction_under_concurrent_traffic) {
       }
     });
     std::vector<std::thread> workers;
+    workers.emplace_back([&] {
+      for (std::size_t d = 0; d < late_devices; ++d) {
+        (void)st.registry->provision(prog);
+      }
+    });
     for (std::size_t d = 0; d < devices; ++d) {
       workers.emplace_back([&, d] {
         const auto* rec = st.registry->find(ids[d]);
@@ -678,15 +691,15 @@ TEST_F(partition_test, online_compaction_under_concurrent_traffic) {
 
   // Reopen from the primary's directory: whatever mix of snapshot
   // generation + WAL tail the compactor left behind replays to the full
-  // campaign — every accepted frame is a replay, no challenge is left
-  // over, and every device still attests.
+  // registry — every accepted frame is stale, no challenge is left over,
+  // and every device still attests.
   auto st = store::fleet_store::open(sub("primary"), opts());
-  EXPECT_EQ(st.registry->size(), devices);
+  EXPECT_EQ(st.registry->size(), devices + late_devices);
   for (std::size_t d = 0; d < devices; ++d) {
     ASSERT_EQ(frames[d].size(), rounds);
     for (const auto& frame : frames[d]) {
       EXPECT_EQ(st.hub->submit(frame).error,
-                proto::proto_error::replayed_report);
+                proto::proto_error::stale_nonce);
     }
     EXPECT_EQ(st.hub->outstanding(ids[d]), 0u);
     run_round(*st.hub, *st.registry, ids[d], 4, 5);

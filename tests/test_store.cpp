@@ -1,7 +1,8 @@
 // Durable fleet state: codec round trips, WAL torn-tail/corruption
-// semantics, and the crash-recovery property end to end — a hub rebuilt
-// from snapshot + WAL rejects pre-crash replays and re-interns firmware
-// artifacts by content id.
+// semantics, and the crash-recovery property end to end — a store
+// rebuilt from snapshot + WAL re-interns firmware artifacts by content
+// id, and its hub, which starts with no challenge state, rejects every
+// pre-crash frame.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -60,13 +61,13 @@ fleet::attest_result fresh_round(fleet_state& st, fleet::device_id id,
   return st.hub->submit(frame_for(id, g, dev.invoke(g.nonce, args(a0, a1))));
 }
 
-/// The anti-replay recovery oracle: every frame accepted before the
-/// crash is a replay now, and none of `ids` holds a challenge.
-void expect_replays(fleet_state& st, const std::vector<byte_vec>& frames,
-                    const std::vector<fleet::device_id>& ids) {
+/// The recovery oracle: every frame from before the crash matches no
+/// challenge of the reopened hub, and none of `ids` holds a challenge.
+void expect_stale(fleet_state& st, const std::vector<byte_vec>& frames,
+                  const std::vector<fleet::device_id>& ids) {
   for (std::size_t i = 0; i < frames.size(); ++i) {
     EXPECT_EQ(st.hub->submit(frames[i]).error,
-              proto::proto_error::replayed_report)
+              proto::proto_error::stale_nonce)
         << "frame " << i;
   }
   for (const auto id : ids) EXPECT_EQ(st.hub->outstanding(id), 0u) << id;
@@ -84,35 +85,94 @@ void expect_zero_counters(const fleet::hub_stats& s) {
   }
 }
 
-/// Both checked-in store fixtures (tests/fuzz_corpus/store_v2 and
-/// store_v3) accepted two rounds for device 1, the adder: (20, 22) at
-/// seq 1 and (7, 8) at seq 2. Rebuilds those two frames from the nonces
-/// the fixture in `dir` records as consumed.
-std::vector<byte_vec> fixture_frames(const fs::path& dir,
-                                     const fleet::device_record& rec) {
-  auto img = parse_snapshot(*read_file(dir / fleet_store::snapshot_file),
-                            "fixture snapshot");
-  const auto wal = read_wal(*read_file(dir / "wal-1.log"));
-  for (std::size_t i = 0; i < wal.records.size(); ++i) {
-    apply_record(img, wal.records[i].payload, i, 0);
-  }
-  std::vector<fleet::nonce16> nonces;
-  for (const auto& n : img.states.at(rec.id).retired) {
-    if (n.fate == fleet::nonce_fate::consumed) nonces.push_back(n.nonce);
-  }
-  EXPECT_EQ(nonces.size(), 2u);
+/// One round a checked-in store fixture's writer issued: the seq, the
+/// nonce (read off the fixture's challenge rows and records by the build
+/// that wrote it), and the op inputs the frame is built with.
+struct fixture_round {
+  std::uint32_t seq = 0;
+  fleet::nonce16 nonce{};
+  std::uint16_t a0 = 0;
+  std::uint16_t a1 = 0;
+};
+
+/// tests/fuzz_corpus/store_v2 and store_v3 both accepted two rounds for
+/// device 1, the adder: (20, 22) at seq 1 and (7, 8) at seq 2.
+const std::vector<fixture_round> v2_v3_rounds = {
+    {1,
+     {0x7a, 0x97, 0x4b, 0xd9, 0xf5, 0x7b, 0x24, 0x0b, 0x0b, 0xa3, 0xa5,
+      0x6c, 0xe4, 0x1d, 0x04, 0xba},
+     20,
+     22},
+    {2,
+     {0xac, 0x9f, 0x42, 0x22, 0x17, 0x33, 0x45, 0x17, 0x4b, 0x8b, 0xec,
+      0xcb, 0x7c, 0x34, 0x63, 0x4e},
+     7,
+     8},
+};
+
+/// tests/fuzz_corpus/store_v4 issued seven challenges to device 1, the
+/// adder, under max_outstanding = 2: seq 1, 4 and 5 consumed by accepted
+/// rounds (20, 22), (7, 8) and (30, 12); seq 2 and 3 superseded; seq 6
+/// and 7 still outstanding. The unanswered ones get frames on (1, 2).
+const std::vector<fixture_round> v4_rounds = {
+    {1,
+     {0x1c, 0x39, 0x9b, 0x32, 0x9e, 0x77, 0xfc, 0xee, 0x2c, 0xf0, 0xd0,
+      0x80, 0xf4, 0xed, 0x32, 0x83},
+     20,
+     22},
+    {2,
+     {0x51, 0x4d, 0x53, 0x49, 0x0a, 0x23, 0x6c, 0x7b, 0x7c, 0x9d, 0xce,
+      0xc3, 0xf2, 0x1b, 0x5e, 0x67},
+     1,
+     2},
+    {3,
+     {0x2d, 0x5c, 0xec, 0x89, 0x55, 0x81, 0x21, 0xf5, 0xb8, 0x2e, 0x29,
+      0xff, 0x29, 0xd7, 0x9f, 0xee},
+     1,
+     2},
+    {4,
+     {0xcc, 0x17, 0xbb, 0xcf, 0x22, 0x66, 0x18, 0x50, 0x87, 0x5a, 0x2f,
+      0x73, 0xf6, 0xf5, 0x84, 0x80},
+     7,
+     8},
+    {5,
+     {0x8b, 0x97, 0x0a, 0x79, 0x84, 0x24, 0x9d, 0x9c, 0x2c, 0xa6, 0x2c,
+      0x19, 0xe2, 0x44, 0x28, 0x7e},
+     30,
+     12},
+    {6,
+     {0x6b, 0x7b, 0x77, 0x41, 0xf5, 0x47, 0xbb, 0x85, 0x51, 0x28, 0x37,
+      0x85, 0x01, 0x6e, 0x30, 0xed},
+     1,
+     2},
+    {7,
+     {0x54, 0x4f, 0xd6, 0xc2, 0x04, 0x5f, 0x99, 0xdf, 0x61, 0xee, 0xd3,
+      0x8b, 0x18, 0x29, 0xe7, 0xef},
+     1,
+     2},
+};
+
+/// The frames device `rec` would have sent for `rounds`.
+std::vector<byte_vec> fixture_frames(const fleet::device_record& rec,
+                                     const std::vector<fixture_round>& rounds) {
   proto::prover_device dev(*rec.program, rec.key);
-  const std::pair<std::uint16_t, std::uint16_t> inputs[] = {{20, 22},
-                                                            {7, 8}};
   std::vector<byte_vec> frames;
-  for (std::uint32_t k = 0; k < 2 && k < nonces.size(); ++k) {
+  for (const auto& r : rounds) {
     fleet::challenge_grant g;
-    g.seq = k + 1;
-    frames.push_back(frame_for(
-        rec.id, g,
-        dev.invoke(nonces[k], args(inputs[k].first, inputs[k].second))));
+    g.seq = r.seq;
+    frames.push_back(
+        frame_for(rec.id, g, dev.invoke(r.nonce, args(r.a0, r.a1))));
   }
   return frames;
+}
+
+/// Copy a checked-in store fixture into `dir`.
+void copy_fixture(const char* name, const fs::path& dir) {
+  const fs::path fixture = fs::path(DIALED_FUZZ_CORPUS_DIR) / name;
+  fs::create_directories(dir);
+  for (const char* f : {"snapshot.dls", "wal-1.log"}) {
+    fs::copy_file(fixture / f, dir / f);
+  }
 }
 
 /// Fresh per-test state directory, removed on teardown.
@@ -281,10 +341,10 @@ TEST_F(store_test, accepted_report_is_replay_after_reopen) {
     const auto r = st.hub->submit(frame_a);
     ASSERT_TRUE(r.accepted());
     EXPECT_EQ(r.verdict.replayed_result, 42);
-    // The store saw every event (2 firmware + 2 provision + 1 challenge
-    // + 1 retire). Neither the verdict nor the accepted OR is journaled:
-    // counters are process-local and delta baselines soft state.
-    EXPECT_EQ(st.store->wal_records(), 6u);
+    // The store journaled the registry only (2 firmware + 2 provision).
+    // The round costs no record: challenges, counters and delta
+    // baselines are all soft state.
+    EXPECT_EQ(st.store->wal_records(), 4u);
   }  // "crash": drop every in-memory object
 
   auto st = fleet_store::open(dir(), opts());
@@ -297,9 +357,10 @@ TEST_F(store_test, accepted_report_is_replay_after_reopen) {
   EXPECT_EQ(st.registry->find(id_a)->firmware,
             st.catalog->find(st.registry->find(id_a)->firmware->id()));
 
-  // THE property: the frame accepted before the crash is a replay now.
+  // THE property: the frame accepted before the crash is rejected. The
+  // restarted hub never issued its nonce, so it is stale.
   const auto replayed = st.hub->submit(frame_a);
-  EXPECT_EQ(replayed.error, proto::proto_error::replayed_report);
+  EXPECT_EQ(replayed.error, proto::proto_error::stale_nonce);
 
   // And the restarted hub still serves fresh rounds on both firmwares.
   for (const auto [id, a, b, want] :
@@ -392,38 +453,35 @@ TEST_F(store_test, restart_forgets_delta_baseline) {
   }
 }
 
-TEST_F(store_test, v2_store_with_persisted_baselines_loads_and_rewrites_v4) {
+TEST_F(store_test, v2_store_with_persisted_baselines_loads_and_rewrites_v5) {
   // tests/fuzz_corpus/store_v2 was written by a build that persisted
-  // delta baselines and counters: a v2 snapshot whose one device (id 1,
-  // the adder) carries the baseline section for round (20, 22) at seq 1,
-  // and a wal-1.log holding round (7, 8) at seq 2 with its type-7
-  // baseline and type-5 verdict records. Both load; the baselines and
-  // counters are checked and dropped.
-  const fs::path fixture = fs::path(DIALED_FUZZ_CORPUS_DIR) / "store_v2";
-  fs::create_directories(dir_);
-  for (const char* f : {"snapshot.dls", "wal-1.log"}) {
-    fs::copy_file(fixture / f, dir_ / f);
-  }
+  // delta baselines, counters and challenges: a v2 snapshot whose one
+  // device (id 1, the adder) carries the baseline section for round
+  // (20, 22) at seq 1, and a wal-1.log holding round (7, 8) at seq 2 with
+  // its challenge, retire, type-7 baseline and type-5 verdict records.
+  // Both load; everything but the registry and catalog is checked and
+  // dropped.
+  copy_fixture("store_v2", dir_);
   ASSERT_EQ(load_le32(*read_file(snapshot()), 4), snapshot_version_v2);
   const fleet::device_id id = 1;
   auto o = opts();
   o.hub.shards = 1;
   o.compact_on_open = false;
-  std::vector<byte_vec> accepted;
+  std::vector<byte_vec> pre_crash;
   {
     auto st = fleet_store::open(dir(), o);
     ASSERT_EQ(st.registry->size(), 1u);
     ASSERT_NE(st.registry->find(id), nullptr);
     expect_zero_counters(st.hub->stats());
 
-    // The two rounds the old build accepted are replays.
-    accepted = fixture_frames(dir_, *st.registry->find(id));
-    expect_replays(st, accepted, {id});
+    // The two rounds the old build accepted are rejected.
+    pre_crash = fixture_frames(*st.registry->find(id), v2_v3_rounds);
+    expect_stale(st, pre_crash, {id});
     proto::prover_device dev(*st.registry->find(id)->program,
                              st.registry->find(id)->key);
 
     const auto g = st.hub->challenge(id);
-    EXPECT_EQ(g.seq, 3u);
+    EXPECT_EQ(g.seq, 1u);  // seq is soft state too
     // Same inputs as the persisted round 2, so the same OR bytes: a delta
     // against the baseline the old build journaled.
     const auto rep = dev.invoke(g.nonce, args(7, 8));
@@ -435,60 +493,57 @@ TEST_F(store_test, v2_store_with_persisted_baselines_loads_and_rewrites_v4) {
     EXPECT_EQ(delta.error, proto::proto_error::baseline_mismatch);
     EXPECT_EQ(st.hub->outstanding(id), 1u);
 
-    accepted.push_back(frame_for(id, g, rep));
-    const auto full = st.hub->submit(accepted.back());
+    pre_crash.push_back(frame_for(id, g, rep));
+    const auto full = st.hub->submit(pre_crash.back());
     ASSERT_TRUE(full.accepted());
     EXPECT_EQ(full.verdict.replayed_result, 15);
     EXPECT_EQ(full.verdict.replay, verifier::replay_path::replayed);
     st.store->compact();
   }
-  EXPECT_EQ(snapshot_version, 4u);
+  EXPECT_EQ(snapshot_version, 5u);
   EXPECT_EQ(load_le32(*read_file(snapshot()), 4), snapshot_version);
   auto st = fleet_store::open(dir(), o);
   EXPECT_EQ(st.registry->size(), 1u);
-  expect_replays(st, accepted, {id});
+  expect_stale(st, pre_crash, {id});
   EXPECT_TRUE(fresh_round(st, id, 1, 2).accepted());
 }
 
-TEST_F(store_test, v3_store_with_persisted_counters_loads_and_rewrites_v4) {
+TEST_F(store_test, v3_store_with_persisted_counters_loads_and_rewrites_v5) {
   // tests/fuzz_corpus/store_v3 was written by a build that journaled
-  // stats counters: a v3 snapshot whose counters are nonzero (round
-  // (20, 22) accepted at seq 1 for device 1, the adder, then replayed
-  // once) and a wal-1.log holding round (7, 8) at seq 2 as challenge,
-  // retire and type-5 verdict records. The counter sections and the
-  // type-5 record are checked and dropped.
-  const fs::path fixture = fs::path(DIALED_FUZZ_CORPUS_DIR) / "store_v3";
-  fs::create_directories(dir_);
-  for (const char* f : {"snapshot.dls", "wal-1.log"}) {
-    fs::copy_file(fixture / f, dir_ / f);
-  }
+  // stats counters and challenges: a v3 snapshot whose counters are
+  // nonzero (round (20, 22) accepted at seq 1 for device 1, the adder,
+  // then replayed once) and a wal-1.log holding round (7, 8) at seq 2 as
+  // challenge, retire and type-5 verdict records. The counter sections,
+  // the challenge rows and the records are checked and dropped.
+  copy_fixture("store_v3", dir_);
   ASSERT_EQ(load_le32(*read_file(snapshot()), 4), snapshot_version_v3);
   const fleet::device_id id = 1;
   auto o = opts();
   o.hub.shards = 1;
   o.compact_on_open = false;
-  std::vector<byte_vec> accepted;
+  std::vector<byte_vec> pre_crash;
   {
     auto st = fleet_store::open(dir(), o);
     ASSERT_EQ(st.registry->size(), 1u);
     ASSERT_NE(st.registry->find(id), nullptr);
     expect_zero_counters(st.hub->stats());
 
-    accepted = fixture_frames(dir_, *st.registry->find(id));
-    expect_replays(st, accepted, {id});
+    pre_crash = fixture_frames(*st.registry->find(id), v2_v3_rounds);
+    expect_stale(st, pre_crash, {id});
     // Only this process's rejections count.
     const auto s = st.hub->stats();
     EXPECT_EQ(s.rejected_by_error[static_cast<std::size_t>(
-                  proto::proto_error::replayed_report)],
+                  proto::proto_error::stale_nonce)],
               2u);
     EXPECT_EQ(s.reports_accepted, 0u);
 
     proto::prover_device dev(*st.registry->find(id)->program,
                              st.registry->find(id)->key);
     const auto g = st.hub->challenge(id);
-    EXPECT_EQ(g.seq, 3u);
-    accepted.push_back(frame_for(id, g, dev.invoke(g.nonce, args(30, 12))));
-    const auto r = st.hub->submit(accepted.back());
+    EXPECT_EQ(g.seq, 1u);
+    pre_crash.push_back(
+        frame_for(id, g, dev.invoke(g.nonce, args(30, 12))));
+    const auto r = st.hub->submit(pre_crash.back());
     ASSERT_TRUE(r.accepted());
     EXPECT_EQ(r.verdict.replayed_result, 42);
     st.store->compact();
@@ -497,7 +552,59 @@ TEST_F(store_test, v3_store_with_persisted_counters_loads_and_rewrites_v4) {
   auto st = fleet_store::open(dir(), o);
   EXPECT_EQ(st.registry->size(), 1u);
   expect_zero_counters(st.hub->stats());
-  expect_replays(st, accepted, {id});
+  expect_stale(st, pre_crash, {id});
+  EXPECT_TRUE(fresh_round(st, id, 1, 2).accepted());
+}
+
+TEST_F(store_test, v4_store_with_persisted_challenges_loads_and_rewrites_v5) {
+  // tests/fuzz_corpus/store_v4 was written by the last build that
+  // journaled challenges (hub seed 22, max_outstanding 2): a v4 snapshot
+  // holding device 1's consumed, superseded and outstanding nonces and
+  // the hub clock, and a wal-1.log holding tick, challenge and retire
+  // records (see v4_rounds). The challenge rows, the clock and records
+  // of types 3, 4 and 6 are checked and dropped.
+  copy_fixture("store_v4", dir_);
+  ASSERT_EQ(load_le32(*read_file(snapshot()), 4), snapshot_version_v4);
+  {
+    const auto wal = read_wal(*read_file(dir_ / "wal-1.log"));
+    std::set<std::uint8_t> types;
+    for (const auto& r : wal.records) types.insert(r.payload.at(0));
+    EXPECT_EQ(types, (std::set<std::uint8_t>{
+                         static_cast<std::uint8_t>(rec::challenge),
+                         static_cast<std::uint8_t>(rec::retire),
+                         static_cast<std::uint8_t>(rec::tick)}));
+  }
+  const fleet::device_id id = 1;
+  auto o = opts();
+  o.hub.shards = 1;
+  o.hub.seed = 22;  // the writer's seed: the epoch must still separate
+  o.compact_on_open = false;
+  std::vector<byte_vec> pre_crash;
+  {
+    auto st = fleet_store::open(dir(), o);
+    ASSERT_EQ(st.registry->size(), 1u);
+    ASSERT_NE(st.registry->find(id), nullptr);
+    EXPECT_EQ(st.hub->now(), 0u);
+    EXPECT_EQ(st.hub->outstanding(id), 0u);
+    pre_crash = fixture_frames(*st.registry->find(id), v4_rounds);
+    // Every pre-crash frame is rejected, even with the reopened hub's
+    // own challenge for the frame's seq outstanding.
+    for (std::size_t i = 0; i < pre_crash.size(); ++i) {
+      const auto g = st.hub->challenge(id);
+      ASSERT_EQ(g.seq, v4_rounds[i].seq);
+      EXPECT_NE(g.nonce, v4_rounds[i].nonce) << "seq " << g.seq;
+      EXPECT_EQ(st.hub->submit(pre_crash[i]).error,
+                proto::proto_error::stale_nonce)
+          << "seq " << v4_rounds[i].seq;
+    }
+    EXPECT_EQ(st.hub->outstanding(id), pre_crash.size());
+    EXPECT_TRUE(fresh_round(st, id, 20, 22).accepted());
+    st.store->compact();
+  }
+  EXPECT_EQ(load_le32(*read_file(snapshot()), 4), snapshot_version);
+  auto st = fleet_store::open(dir(), o);
+  EXPECT_EQ(st.registry->size(), 1u);
+  expect_stale(st, pre_crash, {id});
   EXPECT_TRUE(fresh_round(st, id, 1, 2).accepted());
 }
 
@@ -511,40 +618,6 @@ TEST_F(store_test, auto_provision_after_reopen_never_reuses_ids) {
   const auto second = st.registry->provision(prog_for(adder));
   EXPECT_GT(second, first);
   EXPECT_EQ(st.catalog->size(), 1u);  // re-interned, not duplicated
-}
-
-TEST_F(store_test, outstanding_challenges_and_clock_survive) {
-  fleet::device_id id = 0;
-  fleet::challenge_grant g2;
-  byte_vec key;
-  {
-    auto o = opts();
-    o.hub.challenge_ttl = 10;
-    auto st = fleet_store::open(dir(), o);
-    id = st.registry->provision(prog_for(adder));
-    key = st.registry->find(id)->key;
-    st.hub->tick(3);
-    (void)st.hub->challenge(id);
-    g2 = st.hub->challenge(id);
-    EXPECT_EQ(st.hub->outstanding(id), 2u);
-  }
-  auto o = opts();
-  o.hub.challenge_ttl = 10;
-  auto st = fleet_store::open(dir(), o);
-  EXPECT_EQ(st.hub->now(), 3u);
-  EXPECT_EQ(st.hub->outstanding(id), 2u);
-  // A pre-crash grant still verifies after the restart (the answer was
-  // only delayed, not lost).
-  proto::prover_device dev(*st.registry->find(id)->program, key);
-  const auto r =
-      st.hub->submit(frame_for(id, g2, dev.invoke(g2.nonce, args(1, 2))));
-  EXPECT_TRUE(r.accepted());
-  // And the TTL keeps counting on the restored clock.
-  const auto g3 = st.hub->challenge(id);
-  st.hub->tick(11);
-  const auto late =
-      st.hub->submit(frame_for(id, g3, dev.invoke(g3.nonce, args(1))));
-  EXPECT_EQ(late.error, proto::proto_error::challenge_expired);
 }
 
 TEST_F(store_test, kill_after_k_wal_records_recovers_prefix_state) {
@@ -561,7 +634,7 @@ TEST_F(store_test, kill_after_k_wal_records_recovers_prefix_state) {
     const auto g = st.hub->challenge(id);
     frame = frame_for(id, g, dev.invoke(g.nonce, args(20, 22)));
     ASSERT_TRUE(st.hub->submit(frame).accepted());
-    ASSERT_EQ(st.store->wal_records(), 4u);
+    ASSERT_EQ(st.store->wal_records(), 3u);
   }
   const auto full = [&] {
     std::ifstream in(wal_file(0), std::ios::binary);
@@ -571,7 +644,7 @@ TEST_F(store_test, kill_after_k_wal_records_recovers_prefix_state) {
 
   // Record boundaries from the framing itself.
   const auto parsed = read_wal(full);
-  ASSERT_EQ(parsed.records.size(), 4u);
+  ASSERT_EQ(parsed.records.size(), 3u);
   std::vector<std::size_t> ends;
   std::size_t pos = 0;
   for (const auto& rec : parsed.records) {
@@ -579,15 +652,10 @@ TEST_F(store_test, kill_after_k_wal_records_recovers_prefix_state) {
     ends.push_back(pos);
   }
 
-  // The frame's fate in each prefix: no device yet, no challenge yet,
-  // issued but not consumed (the crash beat the verdict, so the report
-  // still verifies), consumed.
-  const proto::proto_error frame_error[] = {
-      proto::proto_error::unknown_device, proto::proto_error::unknown_device,
-      proto::proto_error::stale_nonce, proto::proto_error::none,
-      proto::proto_error::replayed_report};
-  const std::size_t outstanding_after[] = {0, 0, 0, 1, 0};
-  for (std::size_t k = 0; k <= 4; ++k) {
+  // Records: [boot, firmware, provision]. The frame's fate in each
+  // prefix: no device yet, then a device whose pre-crash challenge the
+  // reopened hub never issued.
+  for (std::size_t k = 0; k <= 3; ++k) {
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     const std::size_t bytes = k == 0 ? 0 : ends[k - 1];
@@ -597,20 +665,15 @@ TEST_F(store_test, kill_after_k_wal_records_recovers_prefix_state) {
     out.close();
 
     auto st = fleet_store::open(dir(), o);
-    // Records: [firmware, provision, challenge, retire].
-    EXPECT_EQ(st.registry->size(), k >= 2 ? 1u : 0u) << "k=" << k;
-    EXPECT_EQ(st.catalog->size(), k >= 1 ? 1u : 0u) << "k=" << k;
+    EXPECT_EQ(st.registry->size(), k >= 3 ? 1u : 0u) << "k=" << k;
+    EXPECT_EQ(st.catalog->size(), k >= 2 ? 1u : 0u) << "k=" << k;
     expect_zero_counters(st.hub->stats());
-    if (k >= 2) {
-      EXPECT_EQ(st.hub->outstanding(id), outstanding_after[k])
-          << "k=" << k;
-    }
-    const auto r = st.hub->submit(frame);
-    EXPECT_EQ(r.error, frame_error[k]) << "k=" << k;
-    if (frame_error[k] == proto::proto_error::none) {
-      EXPECT_TRUE(r.accepted()) << "k=" << k;
-    }
-    if (k >= 2) {
+    EXPECT_EQ(st.hub->outstanding(id), 0u) << "k=" << k;
+    EXPECT_EQ(st.hub->submit(frame).error,
+              k >= 3 ? proto::proto_error::stale_nonce
+                     : proto::proto_error::unknown_device)
+        << "k=" << k;
+    if (k >= 3) {
       const auto fresh = fresh_round(st, id, 6, 7);
       EXPECT_TRUE(fresh.accepted()) << "k=" << k;
       EXPECT_EQ(fresh.verdict.replayed_result, 13) << "k=" << k;
@@ -625,21 +688,21 @@ TEST_F(store_test, torn_final_wal_record_is_dropped_cleanly) {
   {
     auto st = fleet_store::open(dir(), o);
     id = st.registry->provision(prog_for(adder));
-    (void)st.hub->challenge(id);
-    ASSERT_EQ(st.store->wal_records(), 3u);
+    ASSERT_EQ(st.store->wal_records(), 3u);  // boot, firmware, provision
   }
-  // Tear the challenge record: chop the last byte off the file.
+  // Tear the provision record: chop the last byte off the file.
   const auto before = fs::file_size(wal_file(0));
   fs::resize_file(wal_file(0), before - 1);
 
   auto st = fleet_store::open(dir(), o);
-  EXPECT_EQ(st.registry->size(), 1u);
-  EXPECT_EQ(st.hub->outstanding(id), 0u);  // torn grant never happened
+  EXPECT_EQ(st.catalog->size(), 1u);
+  EXPECT_EQ(st.registry->size(), 0u);  // the torn provision never happened
   // The torn bytes were truncated away; the log keeps appending cleanly
-  // from the cut (2 surviving records + the new challenge). The torn
-  // grant's seq is lost with its record, so it is issued again.
-  EXPECT_EQ(st.hub->challenge(id).seq, 1u);
-  EXPECT_EQ(st.store->wal_records(), 3u);
+  // from the cut (2 surviving records + this open's boot record + the
+  // provision again, on the firmware already journaled).
+  EXPECT_EQ(st.registry->provision(id, prog_for(adder)), id);
+  EXPECT_EQ(st.store->wal_records(), 4u);
+  EXPECT_TRUE(fresh_round(st, id, 1, 2).accepted());
 }
 
 TEST_F(store_test, zero_filled_wal_tail_reads_as_torn) {
@@ -677,28 +740,6 @@ TEST_F(store_test, zero_filled_wal_tail_reads_as_torn) {
   } catch (const store_error& e) {
     EXPECT_EQ(e.kind(), store_error_kind::bad_record);
   }
-}
-
-TEST_F(store_test, restore_under_smaller_cap_reconverges) {
-  fleet::device_id id = 0;
-  {
-    auto o = opts();
-    o.hub.max_outstanding = 8;
-    auto st = fleet_store::open(dir(), o);
-    id = st.registry->provision(prog_for(adder));
-    for (int i = 0; i < 8; ++i) (void)st.hub->challenge(id);
-    EXPECT_EQ(st.hub->outstanding(id), 8u);
-  }
-  auto o = opts();
-  o.hub.max_outstanding = 1;
-  auto st = fleet_store::open(dir(), o);
-  EXPECT_EQ(st.hub->outstanding(id), 8u);  // restored as persisted...
-  const auto g = st.hub->challenge(id);
-  // ...but one grant under the smaller cap re-establishes the invariant
-  // (all 8 restored entries evicted, the new one outstanding).
-  EXPECT_EQ(g.note, proto::proto_error::challenge_superseded);
-  EXPECT_EQ(st.hub->outstanding(id), 1u);
-  EXPECT_EQ(st.hub->stats().challenges_superseded, 8u);
 }
 
 TEST_F(store_test, corrupt_state_fails_closed_with_typed_errors) {
@@ -780,7 +821,7 @@ TEST_F(store_test, master_key_mismatch_is_rejected) {
   EXPECT_EQ(st.registry->master_key(), master_key());
 }
 
-TEST_F(store_test, counters_restart_at_zero_while_replay_state_survives) {
+TEST_F(store_test, counters_restart_at_zero_after_reopen) {
   fleet::device_id id = 0;
   byte_vec frame;
   byte_vec stale;
@@ -807,10 +848,10 @@ TEST_F(store_test, counters_restart_at_zero_while_replay_state_survives) {
     EXPECT_EQ(s.per_device.at(id).rejected_protocol, 1u);
   }
   auto st = fleet_store::open(dir(), opts());
-  // The counters did not survive; the anti-replay state did.
+  // The counters did not survive, and neither did the challenge: both
+  // pre-crash frames are stale to the reopened hub.
   expect_zero_counters(st.hub->stats());
-  EXPECT_EQ(st.hub->submit(frame).error,
-            proto::proto_error::replayed_report);
+  EXPECT_EQ(st.hub->submit(frame).error, proto::proto_error::stale_nonce);
   EXPECT_EQ(st.hub->submit(stale).error, proto::proto_error::stale_nonce);
   EXPECT_TRUE(fresh_round(st, id, 3, 4).accepted());
 
@@ -818,13 +859,13 @@ TEST_F(store_test, counters_restart_at_zero_while_replay_state_survives) {
   const auto s = st.hub->stats();
   ASSERT_EQ(s.per_device.count(id), 1u);
   EXPECT_EQ(s.per_device.at(id).accepted, 1u);
-  EXPECT_EQ(s.per_device.at(id).replayed, 1u);
-  EXPECT_EQ(s.per_device.at(id).rejected_protocol, 1u);
+  EXPECT_EQ(s.per_device.at(id).replayed, 0u);
+  EXPECT_EQ(s.per_device.at(id).rejected_protocol, 2u);
   EXPECT_EQ(s.reports_accepted, 1u);
   EXPECT_EQ(s.challenges_issued, 1u);
   EXPECT_EQ(s.rejected_by_error[static_cast<std::size_t>(
-                proto::proto_error::replayed_report)],
-            1u);
+                proto::proto_error::stale_nonce)],
+            2u);
 }
 
 TEST_F(store_test, fixed_seed_nonces_never_repeat_across_reopen) {
@@ -863,7 +904,7 @@ TEST_F(store_test, fixed_seed_nonces_never_repeat_across_reopen) {
       }
     }  // "crash"
     auto st = fleet_store::open(dir(), o);
-    EXPECT_EQ(st.hub->outstanding(id), static_cast<std::size_t>(k / 2));
+    EXPECT_EQ(st.hub->outstanding(id), 0u);  // challenges are soft state
     for (int i = 0; i < k; ++i) nonces.insert(st.hub->challenge(id).nonce);
     EXPECT_EQ(nonces.size(), static_cast<std::size_t>(2 * k));
   }
@@ -904,16 +945,16 @@ TEST_F(store_test, made_up_nonces_cost_no_journal_records) {
 
 TEST_F(store_test, compaction_preserves_state_and_resets_wal) {
   fleet::device_id id = 0;
-  byte_vec frame;
-  fleet::challenge_grant pending;
+  fleet::device_id late = 0;
+  std::vector<byte_vec> pre_crash;
   {
     auto st = fleet_store::open(dir(), opts());
     id = st.registry->provision(prog_for(adder));
     proto::prover_device dev(*st.registry->find(id)->program,
                              st.registry->find(id)->key);
     const auto g = st.hub->challenge(id);
-    frame = frame_for(id, g, dev.invoke(g.nonce, args(20, 22)));
-    ASSERT_TRUE(st.hub->submit(frame).accepted());
+    pre_crash.push_back(frame_for(id, g, dev.invoke(g.nonce, args(20, 22))));
+    ASSERT_TRUE(st.hub->submit(pre_crash.back()).accepted());
 
     const auto gen_before = st.store->generation();
     st.store->compact();
@@ -921,21 +962,23 @@ TEST_F(store_test, compaction_preserves_state_and_resets_wal) {
     EXPECT_EQ(st.store->generation(), gen_before + 1);
     EXPECT_FALSE(fs::exists(wal_file(gen_before)));
 
-    // Post-compaction events land in the new generation's log.
-    pending = st.hub->challenge(id);
-    EXPECT_EQ(st.store->wal_records(), 1u);
+    // A grant costs no record; a provision lands in the new generation.
+    const auto pending = st.hub->challenge(id);
+    pre_crash.push_back(
+        frame_for(id, pending, dev.invoke(pending.nonce, args(6, 7))));
+    EXPECT_EQ(st.store->wal_records(), 0u);
+    late = st.registry->provision(prog_for(muler));
+    EXPECT_EQ(st.store->wal_records(), 2u);  // firmware + provision
   }
   auto st = fleet_store::open(dir(), opts());
-  EXPECT_EQ(st.hub->submit(frame).error,
-            proto::proto_error::replayed_report);
-  EXPECT_EQ(st.hub->outstanding(id), 1u);
-  // The grant issued after the compaction is still answerable.
-  proto::prover_device dev(*st.registry->find(id)->program,
-                           st.registry->find(id)->key);
-  const auto r = st.hub->submit(
-      frame_for(id, pending, dev.invoke(pending.nonce, args(6, 7))));
+  EXPECT_EQ(st.registry->size(), 2u);
+  EXPECT_EQ(st.catalog->size(), 2u);
+  // The accepted frame and the answer to the still-pending grant are
+  // both stale to the reopened hub.
+  expect_stale(st, pre_crash, {id});
+  const auto r = fresh_round(st, late, 6, 7);
   ASSERT_TRUE(r.accepted());
-  EXPECT_EQ(r.verdict.replayed_result, 13);
+  EXPECT_EQ(r.verdict.replayed_result, 42);
 }
 
 TEST_F(store_test, interrupted_compaction_chain_replays_both_logs) {
@@ -944,16 +987,18 @@ TEST_F(store_test, interrupted_compaction_chain_replays_both_logs) {
   // Simulate that layout by splitting a real log at a record boundary.
   auto o = opts();
   o.compact_on_open = false;
-  fleet::device_id id = 0;
+  fleet::device_id id = 0, id2 = 0;
   byte_vec frame;
   {
     auto st = fleet_store::open(dir(), o);
     id = st.registry->provision(prog_for(adder));
+    id2 = st.registry->provision(prog_for(adder));
     proto::prover_device dev(*st.registry->find(id)->program,
                              st.registry->find(id)->key);
     const auto g = st.hub->challenge(id);
     frame = frame_for(id, g, dev.invoke(g.nonce, args(20, 22)));
     ASSERT_TRUE(st.hub->submit(frame).accepted());
+    // boot, firmware, provision, provision
     ASSERT_EQ(st.store->wal_records(), 4u);
   }
   const auto bytes = *read_file(wal_file(0));
@@ -971,15 +1016,16 @@ TEST_F(store_test, interrupted_compaction_chain_replays_both_logs) {
   rewrite(1, 3, 4);
 
   {
-    // The chain replays in order: full pre-crash state, generation
+    // The chain replays in order: full pre-crash registry, generation
     // advanced to the newest log, new appends land there.
     auto st = fleet_store::open(dir(), o);
     EXPECT_EQ(st.store->generation(), 1u);
-    EXPECT_EQ(st.hub->submit(frame).error,
-              proto::proto_error::replayed_report);
+    EXPECT_EQ(st.registry->size(), 2u);
+    ASSERT_NE(st.registry->find(id2), nullptr);
+    EXPECT_EQ(st.hub->submit(frame).error, proto::proto_error::stale_nonce);
+    // 1 replayed in wal-1 + this open's boot record; neither the grant
+    // nor the rejection is journaled.
     (void)st.hub->challenge(id);
-    // 1 replayed in wal-1 + 1 challenge; the replay rejection is not
-    // journaled.
     EXPECT_EQ(st.store->wal_records(), 2u);
   }
 
@@ -993,8 +1039,8 @@ TEST_F(store_test, interrupted_compaction_chain_replays_both_logs) {
     EXPECT_EQ(st.store->wal_records(), 0u);
     EXPECT_FALSE(fs::exists(wal_file(0)));
     EXPECT_FALSE(fs::exists(wal_file(1)));
-    EXPECT_EQ(st.hub->submit(frame).error,
-              proto::proto_error::replayed_report);
+    EXPECT_EQ(st.registry->size(), 2u);
+    EXPECT_EQ(st.hub->submit(frame).error, proto::proto_error::stale_nonce);
   }
 }
 
@@ -1006,13 +1052,9 @@ TEST_F(store_test, damaged_wal_chain_fails_closed) {
   o.compact_on_open = false;
   {
     auto st = fleet_store::open(dir(), o);
-    const auto id = st.registry->provision(prog_for(adder));
-    proto::prover_device dev(*st.registry->find(id)->program,
-                             st.registry->find(id)->key);
-    const auto g = st.hub->challenge(id);
-    ASSERT_TRUE(
-        st.hub->submit(frame_for(id, g, dev.invoke(g.nonce, args(1, 2))))
-            .accepted());
+    (void)st.registry->provision(prog_for(adder));
+    (void)st.registry->provision(prog_for(adder));
+    ASSERT_EQ(st.store->wal_records(), 4u);
   }
   const auto bytes = *read_file(wal_file(0));
   const auto parsed = read_wal(bytes);
@@ -1047,9 +1089,9 @@ TEST_F(store_test, damaged_wal_chain_fails_closed) {
 }
 
 TEST_F(store_test, concurrent_traffic_journals_consistently) {
-  // Four devices hammered from four threads, every event journaled
-  // through the store's shared appender (shard locks + registry lock all
-  // feeding one WAL). The reopened hub must agree with the live one.
+  // Four devices hammered from four threads. No round journals anything,
+  // so the log does not move; the reopened hub rejects every pre-crash
+  // frame and every device still attests.
   auto o = opts();
   o.hub.sequential_batch = false;
   o.hub.workers = 2;
@@ -1063,6 +1105,7 @@ TEST_F(store_test, concurrent_traffic_journals_consistently) {
     for (int t = 0; t < kthreads; ++t) {
       ids.push_back(st.registry->provision(prog_for(adder)));
     }
+    const auto records = st.store->wal_records();
     std::vector<std::thread> threads;
     for (int t = 0; t < kthreads; ++t) {
       threads.emplace_back([&, t] {
@@ -1081,14 +1124,13 @@ TEST_F(store_test, concurrent_traffic_journals_consistently) {
     for (auto& th : threads) th.join();
     EXPECT_EQ(st.hub->stats().reports_accepted,
               static_cast<std::uint64_t>(kthreads * kiters));
+    EXPECT_EQ(st.store->wal_records(), records);
   }
-  // Every accepted frame replays, no challenge is left, and every
-  // device still attests.
   auto st = fleet_store::open(dir(), o);
   for (int t = 0; t < kthreads; ++t) {
     const auto& f = frames[static_cast<std::size_t>(t)];
     ASSERT_EQ(f.size(), static_cast<std::size_t>(kiters));
-    expect_replays(st, f, {ids[static_cast<std::size_t>(t)]});
+    expect_stale(st, f, {ids[static_cast<std::size_t>(t)]});
   }
   for (const auto id : ids) {
     EXPECT_TRUE(fresh_round(st, id, 3, 4).accepted()) << id;
@@ -1111,7 +1153,7 @@ TEST_F(store_test, enrolled_devices_keep_their_external_keys) {
 }
 
 // ---------------------------------------------------------------------------
-// wal_writer sync policies: the group-commit protocol (PR 8)
+// wal_writer sync policies
 // ---------------------------------------------------------------------------
 
 class wal_sync_test : public ::testing::Test {
@@ -1127,10 +1169,9 @@ class wal_sync_test : public ::testing::Test {
   }
   void TearDown() override { fs::remove(path_); }
 
-  static wal_options with(wal_sync s, std::uint32_t delay_us = 100) {
+  static wal_options with(wal_sync s) {
     wal_options o;
     o.sync = s;
-    o.group_max_delay_us = delay_us;
     return o;
   }
 
@@ -1140,10 +1181,9 @@ class wal_sync_test : public ::testing::Test {
 TEST_F(wal_sync_test, per_record_is_durable_at_append_return) {
   wal_writer w(path_.string(), 0, 0, with(wal_sync::per_record));
   for (std::uint64_t i = 1; i <= 5; ++i) {
-    EXPECT_EQ(w.append(byte_vec{static_cast<std::uint8_t>(i)}), i);
-    // Horizon tracks the staged LSN exactly: every append fsynced inline.
-    EXPECT_EQ(w.synced_lsn(), i);
-    w.sync_to(i);  // already covered — must return instantly
+    w.append(byte_vec{static_cast<std::uint8_t>(i)});
+    // Every append fsynced inline: one batch of one record each.
+    EXPECT_EQ(w.sync_stats().syncs, i);
   }
   const auto s = w.sync_stats();
   EXPECT_EQ(s.syncs, 5u);
@@ -1154,245 +1194,178 @@ TEST_F(wal_sync_test, per_record_is_durable_at_append_return) {
 TEST_F(wal_sync_test, none_never_fsyncs_but_reports_covered) {
   wal_writer w(path_.string(), 0, 0, with(wal_sync::none));
   for (std::uint64_t i = 1; i <= 4; ++i) w.append(byte_vec{7});
-  // `none` treats flush-to-OS as its durability ceiling, so sync_to has
-  // nothing to wait for and the counters stay zero.
-  EXPECT_EQ(w.staged_lsn(), 4u);
-  EXPECT_EQ(w.synced_lsn(), 4u);
-  w.sync_to(4);
+  // `none` treats flush-to-OS as its durability ceiling: the records are
+  // in the file, and the counters stay zero.
+  EXPECT_EQ(w.records(), 4u);
+  EXPECT_EQ(read_wal(*read_file(path_)).records.size(), 4u);
   const auto s = w.sync_stats();
   EXPECT_EQ(s.syncs, 0u);
   EXPECT_EQ(s.records, 0u);
 }
 
-TEST_F(wal_sync_test, group_sync_to_advances_horizon_and_batches) {
-  wal_writer w(path_.string(), 0, 0, with(wal_sync::group));
-  const auto a = w.append(byte_vec{1});
-  const auto b = w.append(byte_vec{2});
-  const auto c = w.append(byte_vec{3});
-  EXPECT_EQ(c, 3u);
-  // Staged but not yet durable.
-  EXPECT_EQ(w.staged_lsn(), 3u);
-  EXPECT_EQ(w.synced_lsn(), 0u);
-
-  // One sync_to covers everything staged at fsync time — a and b ride
-  // along with c's batch.
-  w.sync_to(c);
-  EXPECT_GE(w.synced_lsn(), c);
-  const auto s = w.sync_stats();
-  EXPECT_EQ(s.syncs, 1u);
-  EXPECT_EQ(s.records, 3u);
-  EXPECT_EQ(s.batch_hist[2], 1u);  // batch of 3 → (2,4] bucket
-
-  // Already-covered LSNs never trigger another fsync.
-  w.sync_to(a);
-  w.sync_to(b);
-  EXPECT_EQ(w.sync_stats().syncs, 1u);
-}
-
-TEST_F(wal_sync_test, reset_to_hands_off_durability_and_keeps_lsns) {
-  const auto next = fs::path(path_.string() + ".g1");
-  fs::remove(next);
-  wal_writer w(path_.string(), 0, 0, with(wal_sync::group));
-  w.append(byte_vec{1});
-  w.append(byte_vec{2});
-  ASSERT_EQ(w.synced_lsn(), 0u);
-
-  // Rotation fsyncs the outgoing file (handoff) and releases the
-  // horizon: nothing staged before the rotation can be lost by it.
-  w.reset_to(next.string());
-  EXPECT_EQ(w.synced_lsn(), 2u);
-  EXPECT_EQ(w.records(), 0u);  // per-file count reset...
-  EXPECT_EQ(w.append(byte_vec{3}), 3u);  // ...but LSNs stay monotone
-  EXPECT_EQ(w.staged_lsn(), 3u);
-  w.sync_to(3);
-  EXPECT_EQ(w.synced_lsn(), 3u);
-  fs::remove(next);
-}
-
-TEST_F(wal_sync_test, group_commit_multithread_hammer) {
-  // N appender threads each staging then waiting for durability, the
-  // way verifier-hub traffic drives the store. Every record must end
-  // covered, LSNs must be unique, and the batching counters must add up
-  // (records == total appends; syncs <= that, usually far fewer).
-  constexpr int kthreads = 8;
-  constexpr int kiters = 25;
-  wal_writer w(path_.string(), 0, 0, with(wal_sync::group, 200));
-  std::vector<std::thread> threads;
-  std::array<std::array<std::uint64_t, kiters>, kthreads> lsns{};
-  for (int t = 0; t < kthreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kiters; ++i) {
-        const auto lsn = w.append(byte_vec{static_cast<std::uint8_t>(t),
-                                           static_cast<std::uint8_t>(i)});
-        w.sync_to(lsn);
-        ASSERT_GE(w.synced_lsn(), lsn);
-        lsns[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)] =
-            lsn;
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  constexpr auto total =
-      static_cast<std::uint64_t>(kthreads) * kiters;
-  EXPECT_EQ(w.staged_lsn(), total);
-  EXPECT_EQ(w.synced_lsn(), total);
-
-  // Every LSN unique (the per-thread sequences interleave arbitrarily).
-  std::vector<std::uint64_t> flat;
-  for (const auto& row : lsns) {
-    flat.insert(flat.end(), row.begin(), row.end());
-  }
-  std::sort(flat.begin(), flat.end());
-  EXPECT_EQ(std::adjacent_find(flat.begin(), flat.end()), flat.end());
-  EXPECT_EQ(flat.front(), 1u);
-  EXPECT_EQ(flat.back(), total);
-
-  // Accounting: every record was made durable by exactly one batch.
-  const auto s = w.sync_stats();
-  EXPECT_EQ(s.records, total);
-  EXPECT_GE(s.syncs, 1u);
-  EXPECT_LE(s.syncs, total);
-  std::uint64_t hist_syncs = 0;
-  for (const auto n : s.batch_hist) hist_syncs += n;
-  EXPECT_EQ(hist_syncs, s.syncs);
-
-  // And the file itself holds all records intact.
-  const auto bytes = *read_file(path_);
-  const auto parsed = read_wal(bytes);
-  EXPECT_FALSE(parsed.torn_tail);
-  EXPECT_EQ(parsed.records.size(), total);
-}
-
 // ---------------------------------------------------------------------------
-// fleet_store under group commit: the verdict-durability invariant
+// Challenges are soft state: nothing on the report path touches the store
 // ---------------------------------------------------------------------------
 
-TEST_F(store_test, verdict_never_precedes_consumed_nonce_on_disk) {
-  // THE group-commit safety property: by the time submit() returns a
-  // verdict, the retire record consuming that nonce is durable — the
-  // hub's sync_barrier between nonce consumption and crypto guarantees
-  // a crash after the verdict can only lose *later* records, so replay
-  // protection never regresses.
-  auto o = opts();
-  o.wal.sync = wal_sync::group;
-  auto st = fleet_store::open(dir(), o);
-  EXPECT_EQ(st.store->wal_sync_policy(), wal_sync::group);
-  const auto id = st.registry->provision(prog_for(adder));
-  proto::prover_device dev(*st.registry->find(id)->program,
-                           st.registry->find(id)->key);
-  const auto g = st.hub->challenge(id);
-  ASSERT_TRUE(
-      st.hub->submit(frame_for(id, g, dev.invoke(g.nonce, args(20, 22))))
-          .accepted());
-
-  // Read the WAL straight off disk while the store is still live: the
-  // retire record for g.nonce must already be there.
-  const auto maybe_bytes = read_file(wal_file(st.store->generation()));
-  ASSERT_TRUE(maybe_bytes.has_value());
-  const auto& bytes = *maybe_bytes;
-  const auto parsed = read_wal(bytes);
-  bool retired_on_disk = false;
-  for (const auto& r : parsed.records) {
-    if (r.payload.size() > 1 + 4 + g.nonce.size() &&
-        r.payload[0] == static_cast<std::uint8_t>(rec::retire) &&
-        std::equal(g.nonce.begin(), g.nonce.end(),
-                   r.payload.begin() + 1 + 4)) {
-      retired_on_disk = true;
-    }
-  }
-  EXPECT_TRUE(retired_on_disk)
-      << "verdict returned but consumed nonce not durable";
-
-  // The barrier fsyncs: the store's group-commit counters saw it.
-  const auto s = st.store->group_commit();
-  EXPECT_GE(s.syncs, 1u);
-  EXPECT_GE(s.records, 1u);
-}
-
-TEST_F(store_test, group_commit_crash_recovery_matches_per_record) {
-  // Same crash-recovery property the per-record suite proves, under
-  // group commit: an accepted frame is a replay after reopen, and the
-  // counters show batched fsyncs did the journaling.
-  auto o = opts();
-  o.wal.sync = wal_sync::group;
-  byte_vec frame;
-  fleet::device_id id = 0;
-  {
-    auto st = fleet_store::open(dir(), o);
-    id = st.registry->provision(prog_for(adder));
-    proto::prover_device dev(*st.registry->find(id)->program,
-                             st.registry->find(id)->key);
-    const auto g = st.hub->challenge(id);
-    frame = frame_for(id, g, dev.invoke(g.nonce, args(20, 22)));
-    ASSERT_TRUE(st.hub->submit(frame).accepted());
-    EXPECT_GE(st.store->group_commit().syncs, 1u);
-  }  // crash
-
-  auto st = fleet_store::open(dir(), o);
-  EXPECT_EQ(st.hub->submit(frame).error,
-            proto::proto_error::replayed_report);
-  // Fresh rounds still verify after recovery.
-  proto::prover_device dev(*st.registry->find(id)->program,
-                           st.registry->find(id)->key);
-  const auto g = st.hub->challenge(id);
-  const auto r =
-      st.hub->submit(frame_for(id, g, dev.invoke(g.nonce, args(6, 7))));
-  ASSERT_TRUE(r.accepted());
-  EXPECT_EQ(r.verdict.replayed_result, 13);
-}
-
-TEST_F(store_test, group_commit_concurrent_hub_traffic) {
-  // The store-level hammer: concurrent verifier traffic over a
-  // group-commit WAL. Each submit crosses the sync_barrier, so
-  // concurrent rounds' retire records fold into shared fsyncs.
-  auto o = opts();
-  o.hub.sequential_batch = false;
-  o.hub.workers = 2;
-  o.hub.max_outstanding = 64;
-  o.wal.sync = wal_sync::group;
-  constexpr int kthreads = 4;
-  constexpr int kiters = 6;
-  std::vector<fleet::device_id> ids;
-  std::vector<std::vector<byte_vec>> frames(kthreads);
-  {
-    auto st = fleet_store::open(dir(), o);
-    for (int t = 0; t < kthreads; ++t) {
-      ids.push_back(st.registry->provision(prog_for(adder)));
-    }
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kthreads; ++t) {
-      threads.emplace_back([&, t] {
-        const auto id = ids[static_cast<std::size_t>(t)];
+TEST_F(store_test, pre_crash_frames_are_stale_after_reopen) {
+  // Pre-crash frames of every kind — consumed by an accepted round,
+  // superseded by capacity, still outstanding — after a reopen on the
+  // snapshot path and on the WAL-only path, under the default key and a
+  // pinned seed. Each is submitted while the reopened hub holds its own
+  // outstanding challenge for the frame's seq, so a key that repeated
+  // across the reopen would be caught accepting it. And no round costs
+  // a journal record.
+  for (const bool snapshot_path : {true, false}) {
+    for (const bool pinned : {false, true}) {
+      SCOPED_TRACE(std::string(snapshot_path ? "snapshot" : "wal-only") +
+                   (pinned ? ", pinned seed" : ", default key"));
+      fs::remove_all(dir_);
+      auto o = opts();
+      o.compact_on_open = snapshot_path;
+      o.hub.max_outstanding = 2;
+      if (pinned) o.hub.seed = 7;
+      fleet::device_id id = 0;
+      std::vector<fleet::challenge_grant> grants;
+      std::vector<byte_vec> pre_crash;
+      {
+        auto st = fleet_store::open(dir(), o);
+        id = st.registry->provision(prog_for(adder));
         proto::prover_device dev(*st.registry->find(id)->program,
                                  st.registry->find(id)->key);
-        for (int i = 0; i < kiters; ++i) {
-          const auto g = st.hub->challenge(id);
-          auto frame = frame_for(id, g, dev.invoke(g.nonce, args(1, 2)));
-          ASSERT_TRUE(st.hub->submit(frame).accepted());
-          frames[static_cast<std::size_t>(t)].push_back(std::move(frame));
+        for (int i = 0; i < 4; ++i) {
+          grants.push_back(st.hub->challenge(id));
+          pre_crash.push_back(frame_for(
+              id, grants.back(), dev.invoke(grants.back().nonce, args(1, 2))));
+          if (i == 0) ASSERT_TRUE(st.hub->submit(pre_crash[0]).accepted());
         }
-      });
+        // seq 1 consumed, seq 2 superseded by seq 4, seq 3 and 4
+        // outstanding.
+        EXPECT_EQ(grants[3].note, proto::proto_error::challenge_superseded);
+        EXPECT_EQ(st.hub->outstanding(id), 2u);
+        if (snapshot_path) st.store->compact();
+      }  // "crash"
+
+      auto st = fleet_store::open(dir(), o);
+      EXPECT_EQ(st.hub->outstanding(id), 0u);
+      for (std::size_t i = 0; i < pre_crash.size(); ++i) {
+        const auto g = st.hub->challenge(id);
+        ASSERT_EQ(g.seq, grants[i].seq);
+        EXPECT_NE(g.nonce, grants[i].nonce) << "seq " << g.seq;
+        EXPECT_EQ(st.hub->submit(pre_crash[i]).error,
+                  proto::proto_error::stale_nonce)
+            << "seq " << grants[i].seq;
+      }
+      const auto records = st.store->wal_records();
+      const auto bytes = st.store->wal_bytes();
+      for (std::uint16_t i = 0; i < 100; ++i) {
+        ASSERT_TRUE(fresh_round(st, id, i, 1).accepted()) << i;
+      }
+      EXPECT_EQ(st.store->wal_records(), records);
+      EXPECT_EQ(st.store->wal_bytes(), bytes);
     }
-    for (auto& th : threads) th.join();
-    const auto s = st.store->group_commit();
-    // Every accepted round's retire record crossed a sync_barrier, so at
-    // least that many records are durable — but concurrent barriers fold
-    // into shared fsyncs, so syncs can be (and usually is) far fewer.
-    EXPECT_GE(s.records, static_cast<std::uint64_t>(kthreads * kiters));
-    EXPECT_GE(s.syncs, 1u);
-    EXPECT_LE(s.syncs, s.records);
   }
-  // Reopen: every journaled consumption replays, so every accepted
-  // frame is a replay and every device still attests.
-  auto st = fleet_store::open(dir(), o);
-  for (int t = 0; t < kthreads; ++t) {
-    const auto& f = frames[static_cast<std::size_t>(t)];
-    ASSERT_EQ(f.size(), static_cast<std::size_t>(kiters));
-    expect_replays(st, f, {ids[static_cast<std::size_t>(t)]});
+}
+
+TEST_F(store_test, boot_epoch_is_durable_before_the_first_grant) {
+  // Every open() bumps the epoch: a fresh directory carries it in the
+  // open-time snapshot (no WAL record); a reopen that does not compact
+  // journals one boot record; the next reopen folds that into a new
+  // snapshot.
+  const auto epoch_on_disk = [&] {
+    auto img = parse_snapshot(*read_file(snapshot()), "snapshot");
+    if (const auto wal = read_file(wal_file(img.wal_generation))) {
+      const auto parsed = read_wal(*wal);
+      for (std::size_t i = 0; i < parsed.records.size(); ++i) {
+        apply_record(img, parsed.records[i].payload, i);
+      }
+    }
+    return img.boot_epoch;
+  };
+  {
+    auto st = fleet_store::open(dir(), opts());
+    EXPECT_EQ(st.store->wal_records(), 0u);
+    EXPECT_EQ(epoch_on_disk(), 1u);
   }
-  for (const auto id : ids) {
-    EXPECT_TRUE(fresh_round(st, id, 3, 4).accepted()) << id;
+  {
+    auto st = fleet_store::open(dir(), opts());
+    EXPECT_EQ(st.store->wal_records(), 1u);  // the boot record
+    EXPECT_EQ(epoch_on_disk(), 2u);
+  }
+  {
+    auto st = fleet_store::open(dir(), opts());
+    EXPECT_EQ(st.store->wal_records(), 0u);  // folded into the snapshot
+    EXPECT_EQ(epoch_on_disk(), 3u);
+  }
+}
+
+TEST(store_records, older_builds_challenge_records_are_checked_then_dropped) {
+  // Types 3 (challenge), 4 (retire) and 6 (tick) are no longer written;
+  // replay checks their structure and drops them.
+  state_image img;
+  const auto fw = prog_for(adder);
+  const auto fid = verifier::firmware_artifact::fingerprint(fw);
+  {
+    writer w;
+    w.u8(static_cast<std::uint8_t>(rec::firmware));
+    w.raw(fid);
+    writer pw;
+    write_program(pw, fw);
+    w.bytes(pw.data());
+    apply_record(img, w.data(), 0);
+    writer d;
+    d.u8(static_cast<std::uint8_t>(rec::provision));
+    d.u32(1);
+    d.bytes(byte_vec(32, 0x11));
+    d.raw(fid);
+    apply_record(img, d.data(), 1);
+  }
+  const auto challenge = [](fleet::device_id id) {
+    writer w;
+    w.u8(static_cast<std::uint8_t>(rec::challenge));
+    w.u32(id);
+    w.u32(1);
+    w.raw(fleet::nonce16{});
+    w.u64(0);
+    return w.take();
+  };
+  const auto retire = [](fleet::device_id id, std::uint8_t fate) {
+    writer w;
+    w.u8(static_cast<std::uint8_t>(rec::retire));
+    w.u32(id);
+    w.raw(fleet::nonce16{});
+    w.u8(fate);
+    return w.take();
+  };
+  writer tick;
+  tick.u8(static_cast<std::uint8_t>(rec::tick));
+  tick.u64(9);
+  // A retire whose nonce was never issued is fine now: nothing is kept
+  // to match it against.
+  for (const auto& ok : {challenge(1), retire(1, 0), retire(1, 2),
+                         tick.data()}) {
+    EXPECT_NO_THROW(apply_record(img, ok, 2));
+  }
+  EXPECT_EQ(img.devices.size(), 1u);
+  EXPECT_EQ(img.boot_epoch, 0u);
+
+  auto trailing = challenge(1);
+  trailing.push_back(0);
+  auto short_tick = tick.take();
+  short_tick.pop_back();
+  const std::pair<byte_vec, store_error_kind> bad[] = {
+      {challenge(2), store_error_kind::bad_record},  // unprovisioned
+      {retire(2, 0), store_error_kind::bad_record},  // unprovisioned
+      {retire(1, 3), store_error_kind::bad_record},  // no such fate
+      {trailing, store_error_kind::bad_record},
+      {short_tick, store_error_kind::truncated_record},
+  };
+  for (const auto& [payload, kind] : bad) {
+    try {
+      apply_record(img, payload, 3);
+      ADD_FAILURE() << "record of type " << int{payload[0]} << " loaded";
+    } catch (const store_error& e) {
+      EXPECT_EQ(e.kind(), kind) << e.what();
+    }
   }
 }
 

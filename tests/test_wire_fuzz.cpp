@@ -677,14 +677,16 @@ TEST(wire_fuzz, wal_images_parse_or_throw_typed_errors) {
 }
 
 TEST(wire_fuzz, mutated_store_dirs_load_exactly_or_fail_closed) {
-  // Three seed stores: one real store with real history written by this
-  // build (snapshot v4), the checked-in v2 fixture from a build that
-  // persisted delta baselines (the v2 baseline section and a type-7 WAL
-  // record), and the checked-in v3 fixture from a build that persisted
-  // stats counters (the v3 counter sections and type-5 WAL records) —
-  // all checked and dropped on load. Every iteration mutates one seed's
-  // bytes into a fresh dir and reopens: open() must load a coherent
-  // fleet or throw typed.
+  // Four seed stores: one real store with real history written by this
+  // build (snapshot v5 plus a provisioning record), the checked-in v2
+  // fixture from a build that persisted delta baselines (the v2 baseline
+  // section and a type-7 WAL record), the checked-in v3 fixture from a
+  // build that persisted stats counters (the v3 counter sections and
+  // type-5 WAL records), and the checked-in v4 fixture from a build that
+  // persisted challenges (the v4 hub-state rows and clock, and type-3,
+  // type-4 and type-6 WAL records) — all checked and dropped on load.
+  // Every iteration mutates one seed's bytes into a fresh dir and
+  // reopens: open() must load a coherent fleet or throw typed.
   const fs::path root =
       fs::path(::testing::TempDir()) / "dialed-wire-fuzz-store";
   fs::remove_all(root);
@@ -711,8 +713,10 @@ TEST(wire_fuzz, mutated_store_dirs_load_exactly_or_fail_closed) {
           proto::encode_frame(info, dev.invoke(g.nonce, inv)));
       ASSERT_TRUE(r.accepted());
     }
-    st.store->compact();          // snapshot with hub state
-    (void)st.hub->challenge(id);  // plus a live WAL record on top
+    st.store->compact();  // snapshot with the registry
+    // plus a live WAL record on top: rounds journal nothing, so a second
+    // device on the same firmware
+    (void)st.registry->provision(prog);
   }
   const auto read_all = [](const fs::path& p) {
     std::ifstream in(p, std::ios::binary);
@@ -725,10 +729,12 @@ TEST(wire_fuzz, mutated_store_dirs_load_exactly_or_fail_closed) {
   };
   const fs::path v2 = fs::path(corpus_dir()) / "store_v2";
   const fs::path v3 = fs::path(corpus_dir()) / "store_v3";
+  const fs::path v4 = fs::path(corpus_dir()) / "store_v4";
   const store_seed seeds[] = {
       {read_all(pristine / "snapshot.dls"), read_all(pristine / "wal-1.log")},
       {read_all(v2 / "snapshot.dls"), read_all(v2 / "wal-1.log")},
       {read_all(v3 / "snapshot.dls"), read_all(v3 / "wal-1.log")},
+      {read_all(v4 / "snapshot.dls"), read_all(v4 / "wal-1.log")},
   };
   constexpr std::size_t nseeds = std::size(seeds);
   for (const auto& seed : seeds) {
@@ -737,7 +743,7 @@ TEST(wire_fuzz, mutated_store_dirs_load_exactly_or_fail_closed) {
   }
 
   std::mt19937_64 rng(0x5707ef0220005ull);
-  const std::uint64_t iters = scaled(600);  // 200 per seed
+  const std::uint64_t iters = scaled(800);  // 200 per seed
   const fs::path work = root / "mutated";
   std::size_t loaded[nseeds] = {};
   for (std::uint64_t i = 0; i < iters; ++i) {
@@ -781,7 +787,8 @@ TEST(wire_fuzz, mutated_store_dirs_load_exactly_or_fail_closed) {
     try {
       auto st = store::fleet_store::open(work.string(), o);
       // Loaded: it must be a coherent fleet (never a half-applied one).
-      ASSERT_LE(st.registry->size(), 1u);
+      // No seed holds more than two devices.
+      ASSERT_LE(st.registry->size(), 2u);
       for (const auto did : st.registry->ids()) {
         ASSERT_NE(st.registry->find(did), nullptr);
         ASSERT_NE(st.registry->find(did)->firmware, nullptr);

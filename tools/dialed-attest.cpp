@@ -27,11 +27,11 @@
 // frame and re-syncs the lockstep immediately.
 //
 // --state-dir DIR opens (or initializes) a durable fleet store there and
-// resumes it: the device registry, firmware catalog and anti-replay
-// history survive across invocations, so a second run reuses the
-// provisioned device, continues its seq numbers, and a captured frame
-// from a previous run is rejected as a replay. The stats counters do not
-// survive: they are process-local. The demo master key is fixed
+// resumes it: the device registry and firmware catalog survive across
+// invocations, so a second run reuses the provisioned device. The hub's
+// challenges do not: each run's seq restarts at 1 under a new nonce key,
+// and a frame captured in an earlier run is rejected as stale_nonce. The
+// stats counters do not survive either: they are process-local. The demo master key is fixed
 // (0xAB * 32) — real deployments must supply their own. Challenge nonces
 // are keyed per process, so they differ from run to run.
 //
@@ -384,9 +384,9 @@ int main(int argc, char** argv) {
     // Fleet-side provisioning: the hub holds only the master key; the
     // device is burned with the derived K_dev. The registry interns the
     // program into its firmware catalog — the shared-artifact path every
-    // batch report verifies on. With --state-dir, registry/catalog/hub
+    // batch report verifies on. With --state-dir, registry and catalog
     // are resumed from (and journaled to) the durable store instead of
-    // built fresh.
+    // built fresh; the hub starts empty either way.
     const byte_vec demo_master_key(32, 0xAB);
     std::optional<fleet::device_registry> local_registry;
     store::fleet_state persisted;

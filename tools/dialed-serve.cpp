@@ -9,18 +9,20 @@
 //                [--max-outstanding N] [--max-pending N]
 //                [--idle-timeout-ms MS] [--state-dir DIR]
 //                [--standby-dir DIR]
-//                [--partitions N] [--wal-sync per_record|group|none]
+//                [--partitions N] [--wal-sync per_record|none]
 //                [--log-level trace|debug|info|warn|error|off]
 //                [--log-json]
 //
 // Devices 1..N are provisioned from the fleet demo master key (0xAB*32 —
 // real deployments must supply their own), so any dialed-attest --connect
 // client that derives K_dev from the same key can attest. With
-// --state-dir the registry/catalog/hub are resumed from (and journaled
-// to) a durable fleet store: a report accepted before a crash is
-// rejected as a replay after the restart. The store keeps only what
-// anti-replay needs, so the /metrics counters start again at zero after
-// a restart (Prometheus rate() treats that as a counter reset).
+// --state-dir the registry and catalog are resumed from (and journaled
+// to) a durable fleet store. The hub is not: its challenges and counters
+// start empty after a restart, so every frame answering a pre-restart
+// challenge is rejected as stale_nonce and the prover asks for a new
+// one, and the /metrics counters start again at zero (Prometheus rate()
+// treats that as a counter reset). No report costs a WAL record, so
+// --wal-sync only sets how provisioning is made durable.
 //
 // Challenge nonces are keyed by a per-process random key, so two runs
 // never hand a device the same nonce, not even on a fresh state dir.
@@ -93,7 +95,7 @@ void usage() {
       "[--batch-max N] [--batch-latency-ms MS] [--workers N] "
       "[--max-outstanding N] [--max-pending N] [--idle-timeout-ms MS] "
       "[--state-dir DIR] [--standby-dir DIR] [--partitions N] "
-      "[--wal-sync per_record|group|none] "
+      "[--wal-sync per_record|none] "
       "[--log-level trace|debug|info|warn|error|off] [--log-json]\n");
 }
 
@@ -163,12 +165,10 @@ int main(int argc, char** argv) {
         const std::string v = next();
         if (v == "per_record") {
           wal_opts.sync = store::wal_sync::per_record;
-        } else if (v == "group") {
-          wal_opts.sync = store::wal_sync::group;
         } else if (v == "none") {
           wal_opts.sync = store::wal_sync::none;
         } else {
-          throw error("--wal-sync must be per_record, group, or none");
+          throw error("--wal-sync must be per_record or none");
         }
       } else if (arg == "--partitions") {
         partitions = parse_u32(next(), 1024);
@@ -261,10 +261,8 @@ int main(int argc, char** argv) {
     if (!standby_dir.empty()) {
       auto stores = fleet_parts.stores();
       for (std::size_t p = 0; p < stores.size(); ++p) {
-        store::follower_config fc;
-        fc.retired_memory = hub_cfg.retired_memory;
         followers.push_back(std::make_unique<store::wal_follower>(
-            standby_dir + "/p" + std::to_string(p), fc));
+            standby_dir + "/p" + std::to_string(p)));
         shippers.push_back(std::make_unique<store::wal_shipper>());
         shippers.back()->add_follower(followers.back().get());
         stores[p]->attach_shipper(shippers.back().get());
