@@ -323,7 +323,7 @@ BENCHMARK(BM_fleet_verify_batch_one_firmware)
     ->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
-void BM_fleet_verify_batch_memoized(benchmark::State& state) {
+void BM_fleet_verify_batch_reused(benchmark::State& state) {
   // Replay reuse's headline case: a fleet of idle devices re-attesting
   // byte-identical inputs. An untimed warm-up round is accepted first;
   // in the timed round the MAC still runs per report, but each device's
@@ -332,7 +332,7 @@ void BM_fleet_verify_batch_memoized(benchmark::State& state) {
   fleet_batch_bench bench(n, /*n_rounds=*/2, /*n_warmup_rounds=*/1);
   bench.run(state);
 }
-BENCHMARK(BM_fleet_verify_batch_memoized)
+BENCHMARK(BM_fleet_verify_batch_reused)
     ->Arg(8)
     ->Arg(64)
     ->Arg(256)

@@ -1,7 +1,9 @@
 // Memory bus of the emulated MCU: a flat 64 KiB space with memory-mapped
 // peripheral devices and per-access observer hooks. The hooks are the
 // "hardware signals" that the VRASED/APEX monitor FSMs in src/rot watch
-// (Daddr, Ren, Wen, DMA-en in the papers' terminology).
+// (Daddr, Ren, Wen, DMA-en in the papers' terminology). The bus is the
+// prover's memory; the verifier's replay runs the same CPU core over a
+// flat memory of its own (see cpu.h).
 #ifndef DIALED_EMU_BUS_H
 #define DIALED_EMU_BUS_H
 
@@ -78,13 +80,9 @@ class bus {
   void poke8(std::uint16_t addr, std::uint8_t value);
   void poke16(std::uint16_t addr, std::uint16_t value);
 
-  /// Zero all backing memory (devices and watchers are untouched) — the
-  /// state a freshly constructed bus starts in. Part of machine::recycle.
-  void clear_memory() { mem_.fill(0); }
-
   /// Device and watcher registration (non-owning). add_device indexes the
   /// device's owns() range into the page table; devices are never removed,
-  /// so the table stays coherent across machine::recycle().
+  /// so the table never needs a rebuild.
   void add_device(mmio_device* dev) {
     devices_.push_back(dev);
     index_device(dev);

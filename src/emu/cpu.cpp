@@ -1,351 +1,7 @@
 #include "emu/cpu.h"
 
-#include "common/bytes.h"
-#include "common/error.h"
-
 namespace dialed::emu {
 
-using isa::addr_mode;
-using isa::opcode;
-
-void cpu::reset() {
-  regs_.fill(0);
-  cycles_ = 0;
-  pending_irq_.reset();
-  regs_[isa::REG_PC] = bus_.peek16(bus_.map().reset_vector);
-  bus_.notify_reset();
-}
-
-std::uint16_t cpu::read_operand(const isa::operand& op, bool byte,
-                                operand_ref* ref) {
-  switch (op.mode) {
-    case addr_mode::reg: {
-      if (ref) *ref = {true, op.base, 0};
-      const std::uint16_t v = regs_[op.base];
-      return byte ? static_cast<std::uint16_t>(v & 0xff) : v;
-    }
-    case addr_mode::immediate:
-      if (ref) *ref = {true, op.base, 0};  // immediates are never written
-      return byte ? static_cast<std::uint16_t>(op.ext & 0xff) : op.ext;
-    case addr_mode::indexed: {
-      const std::uint16_t a =
-          static_cast<std::uint16_t>(regs_[op.base] + op.ext);
-      if (ref) *ref = {false, 0, a};
-      return byte ? bus_.read8(a) : bus_.read16(a);
-    }
-    case addr_mode::symbolic:
-    case addr_mode::absolute: {
-      const std::uint16_t a = op.ext;
-      if (ref) *ref = {false, 0, a};
-      return byte ? bus_.read8(a) : bus_.read16(a);
-    }
-    case addr_mode::indirect: {
-      const std::uint16_t a = regs_[op.base];
-      if (ref) *ref = {false, 0, a};
-      return byte ? bus_.read8(a) : bus_.read16(a);
-    }
-    case addr_mode::indirect_inc: {
-      const std::uint16_t a = regs_[op.base];
-      if (ref) *ref = {false, 0, a};
-      const std::uint16_t v = byte ? bus_.read8(a) : bus_.read16(a);
-      regs_[op.base] = static_cast<std::uint16_t>(a + (byte ? 1 : 2));
-      return v;
-    }
-  }
-  throw error("emu: bad source addressing mode");
-}
-
-std::uint16_t cpu::read_ref(const operand_ref& ref, bool byte) {
-  if (ref.is_reg) {
-    const std::uint16_t v = regs_[ref.reg];
-    return byte ? static_cast<std::uint16_t>(v & 0xff) : v;
-  }
-  return byte ? bus_.read8(ref.addr) : bus_.read16(ref.addr);
-}
-
-void cpu::write_ref(const operand_ref& ref, std::uint16_t value, bool byte) {
-  if (ref.is_reg) {
-    // Byte writes to a register clear the high byte (MSP430 semantics).
-    regs_[ref.reg] = byte ? static_cast<std::uint16_t>(value & 0xff) : value;
-    return;
-  }
-  if (byte) {
-    bus_.write8(ref.addr, static_cast<std::uint8_t>(value & 0xff));
-  } else {
-    bus_.write16(ref.addr, value);
-  }
-}
-
-void cpu::set_nz(std::uint16_t result, bool byte) {
-  const std::uint16_t sign = byte ? 0x80 : 0x8000;
-  set_flag(isa::SR_N, (result & sign) != 0);
-  set_flag(isa::SR_Z, (byte ? (result & 0xff) : result) == 0);
-}
-
-void cpu::push_word(std::uint16_t v) {
-  regs_[isa::REG_SP] = static_cast<std::uint16_t>(regs_[isa::REG_SP] - 2);
-  bus_.write16(regs_[isa::REG_SP], v);
-}
-
-std::uint16_t cpu::pop_word() {
-  const std::uint16_t v = bus_.read16(regs_[isa::REG_SP]);
-  regs_[isa::REG_SP] = static_cast<std::uint16_t>(regs_[isa::REG_SP] + 2);
-  return v;
-}
-
-namespace {
-constexpr std::uint32_t mask_of(bool byte) { return byte ? 0xffu : 0xffffu; }
-constexpr std::uint32_t sign_of(bool byte) { return byte ? 0x80u : 0x8000u; }
-}  // namespace
-
-// Dispatch table in enum order: 12 format-I entries, rrc..call, reti,
-// then the 8 jumps. Kept next to the handlers so a reordering of
-// isa::opcode is caught by the static_asserts below.
-const std::array<cpu::exec_fn, 27> cpu::exec_table_ = {
-    // Format I: mov..and_
-    &cpu::exec_format1, &cpu::exec_format1, &cpu::exec_format1,
-    &cpu::exec_format1, &cpu::exec_format1, &cpu::exec_format1,
-    &cpu::exec_format1, &cpu::exec_format1, &cpu::exec_format1,
-    &cpu::exec_format1, &cpu::exec_format1, &cpu::exec_format1,
-    // Format II: rrc, swpb, rra, sxt, push, call
-    &cpu::exec_format2, &cpu::exec_format2, &cpu::exec_format2,
-    &cpu::exec_format2, &cpu::exec_format2, &cpu::exec_format2,
-    // reti
-    &cpu::exec_reti,
-    // Jumps: jne..jmp
-    &cpu::exec_jump, &cpu::exec_jump, &cpu::exec_jump, &cpu::exec_jump,
-    &cpu::exec_jump, &cpu::exec_jump, &cpu::exec_jump, &cpu::exec_jump,
-};
-static_assert(static_cast<int>(opcode::mov) == 0);
-static_assert(static_cast<int>(opcode::and_) == 11);
-static_assert(static_cast<int>(opcode::reti) == 18);
-static_assert(static_cast<int>(opcode::jmp) == 26);
-
-void cpu::exec_jump(const isa::instruction& ins) {
-  bool taken = false;
-  const bool n = flag(isa::SR_N), z = flag(isa::SR_Z), c = flag(isa::SR_C),
-             v = flag(isa::SR_V);
-  switch (ins.op) {
-    case opcode::jne: taken = !z; break;
-    case opcode::jeq: taken = z; break;
-    case opcode::jnc: taken = !c; break;
-    case opcode::jc: taken = c; break;
-    case opcode::jn: taken = n; break;
-    case opcode::jge: taken = !(n ^ v); break;
-    case opcode::jl: taken = (n ^ v); break;
-    case opcode::jmp: taken = true; break;
-    default: throw error("emu: bad jump");
-  }
-  if (taken) regs_[isa::REG_PC] = ins.target;
-}
-
-void cpu::exec_reti(const isa::instruction&) {
-  regs_[isa::REG_SR] = pop_word();
-  regs_[isa::REG_PC] = pop_word();
-}
-
-void cpu::exec_format2(const isa::instruction& ins) {
-  const bool byte = ins.byte_op;
-  const std::uint32_t mask = mask_of(byte);
-  const std::uint32_t sign = sign_of(byte);
-  {
-    operand_ref ref{};
-    const std::uint16_t v16 = read_operand(ins.dst, byte, &ref);
-    const std::uint32_t v = v16 & mask;
-    switch (ins.op) {
-      case opcode::rra: {
-        const std::uint32_t res =
-            ((v >> 1) | (v & sign)) & mask;  // keep sign bit
-        set_flag(isa::SR_C, (v & 1) != 0);
-        set_nz(static_cast<std::uint16_t>(res), byte);
-        set_flag(isa::SR_V, false);
-        write_ref(ref, static_cast<std::uint16_t>(res), byte);
-        break;
-      }
-      case opcode::rrc: {
-        const bool old_c = flag(isa::SR_C);
-        const std::uint32_t res =
-            ((v >> 1) | (old_c ? sign : 0)) & mask;
-        set_flag(isa::SR_C, (v & 1) != 0);
-        set_nz(static_cast<std::uint16_t>(res), byte);
-        set_flag(isa::SR_V, false);
-        write_ref(ref, static_cast<std::uint16_t>(res), byte);
-        break;
-      }
-      case opcode::swpb: {
-        const std::uint16_t res = static_cast<std::uint16_t>(
-            ((v16 & 0xff) << 8) | ((v16 >> 8) & 0xff));
-        write_ref(ref, res, false);
-        break;
-      }
-      case opcode::sxt: {
-        const std::uint16_t res =
-            (v16 & 0x80) ? static_cast<std::uint16_t>(v16 | 0xff00)
-                         : static_cast<std::uint16_t>(v16 & 0x00ff);
-        set_nz(res, false);
-        set_flag(isa::SR_C, res != 0);
-        set_flag(isa::SR_V, false);
-        write_ref(ref, res, false);
-        break;
-      }
-      case opcode::push:
-        push_word(byte ? static_cast<std::uint16_t>(v) : v16);
-        break;
-      case opcode::call: {
-        push_word(regs_[isa::REG_PC]);
-        regs_[isa::REG_PC] = v16;
-        break;
-      }
-      default:
-        throw error("emu: unhandled format-II opcode");
-    }
-  }
-}
-
-void cpu::exec_format1(const isa::instruction& ins) {
-  const bool byte = ins.byte_op;
-  const std::uint32_t mask = mask_of(byte);
-  const std::uint32_t sign = sign_of(byte);
-  const std::uint16_t src16 = read_operand(ins.src, byte, nullptr);
-  operand_ref dref{};
-  std::uint16_t dst16 = 0;
-  const bool reads_dst = ins.op != opcode::mov;
-  if (reads_dst) {
-    dst16 = read_operand(ins.dst, byte, &dref);
-  } else {
-    // Resolve the destination without reading it.
-    switch (ins.dst.mode) {
-      case addr_mode::reg: dref = {true, ins.dst.base, 0}; break;
-      case addr_mode::indexed:
-        dref = {false, 0,
-                static_cast<std::uint16_t>(regs_[ins.dst.base] + ins.dst.ext)};
-        break;
-      case addr_mode::symbolic:
-      case addr_mode::absolute: dref = {false, 0, ins.dst.ext}; break;
-      default: throw error("emu: illegal destination mode");
-    }
-  }
-
-  const std::uint32_t s = src16 & mask;
-  const std::uint32_t d = dst16 & mask;
-  bool writeback = true;
-  std::uint32_t res = 0;
-
-  switch (ins.op) {
-    case opcode::mov:
-      res = s;
-      break;
-    case opcode::add:
-    case opcode::addc: {
-      const std::uint32_t cin =
-          (ins.op == opcode::addc && flag(isa::SR_C)) ? 1 : 0;
-      const std::uint32_t full = d + s + cin;
-      res = full & mask;
-      set_flag(isa::SR_C, full > mask);
-      set_flag(isa::SR_V, ((d ^ res) & (s ^ res) & sign) != 0);
-      set_nz(static_cast<std::uint16_t>(res), byte);
-      break;
-    }
-    case opcode::sub:
-    case opcode::subc:
-    case opcode::cmp: {
-      const std::uint32_t cin =
-          (ins.op == opcode::subc) ? (flag(isa::SR_C) ? 1 : 0) : 1;
-      const std::uint32_t full = d + ((~s) & mask) + cin;
-      res = full & mask;
-      set_flag(isa::SR_C, full > mask);  // carry = no borrow
-      set_flag(isa::SR_V, ((d ^ s) & (d ^ res) & sign) != 0);
-      set_nz(static_cast<std::uint16_t>(res), byte);
-      writeback = ins.op != opcode::cmp;
-      break;
-    }
-    case opcode::dadd: {
-      std::uint32_t carry = flag(isa::SR_C) ? 1 : 0;
-      std::uint32_t out = 0;
-      const int nibbles = byte ? 2 : 4;
-      for (int i = 0; i < nibbles; ++i) {
-        std::uint32_t t = ((d >> (4 * i)) & 0xf) + ((s >> (4 * i)) & 0xf) +
-                          carry;
-        if (t > 9) {
-          t += 6;
-          carry = 1;
-        } else {
-          carry = 0;
-        }
-        out |= (t & 0xf) << (4 * i);
-      }
-      res = out & mask;
-      set_flag(isa::SR_C, carry != 0);
-      set_nz(static_cast<std::uint16_t>(res), byte);
-      break;
-    }
-    case opcode::bit:
-    case opcode::and_: {
-      res = d & s;
-      set_nz(static_cast<std::uint16_t>(res), byte);
-      set_flag(isa::SR_C, res != 0);
-      set_flag(isa::SR_V, false);
-      writeback = ins.op == opcode::and_;
-      break;
-    }
-    case opcode::bic:
-      res = d & ~s & mask;
-      break;
-    case opcode::bis:
-      res = d | s;
-      break;
-    case opcode::xor_: {
-      res = (d ^ s) & mask;
-      set_nz(static_cast<std::uint16_t>(res), byte);
-      set_flag(isa::SR_C, res != 0);
-      set_flag(isa::SR_V, (d & sign) != 0 && (s & sign) != 0);
-      break;
-    }
-    default:
-      throw error("emu: unhandled format-I opcode");
-  }
-
-  if (writeback) {
-    write_ref(dref, static_cast<std::uint16_t>(res), byte);
-  }
-}
-
-cpu::step_info cpu::step() { return step_impl(nullptr); }
-
-cpu::step_info cpu::step(const isa::decoded& pre) { return step_impl(&pre); }
-
-cpu::step_info cpu::step_impl(const isa::decoded* pre) {
-  // Interrupt servicing (before fetching the next instruction).
-  if (pending_irq_ && flag(isa::SR_GIE)) {
-    const int index = *pending_irq_;
-    pending_irq_.reset();
-    const std::uint16_t vector_addr =
-        static_cast<std::uint16_t>(bus_.map().ivt_start + 2 * index);
-    const std::uint16_t isr = bus_.peek16(vector_addr);
-    push_word(regs_[isa::REG_PC]);
-    push_word(regs_[isa::REG_SR]);
-    set_flag(isa::SR_GIE, false);
-    regs_[isa::REG_PC] = isr;
-    cycles_ += isa::interrupt_cycles;
-    bus_.notify_irq(vector_addr);
-    return {isr, {}, isa::interrupt_cycles, true};
-  }
-
-  const std::uint16_t pc = regs_[isa::REG_PC];
-  isa::decoded local;
-  if (pre == nullptr) {
-    std::array<std::uint16_t, 3> words = {
-        bus_.peek16(pc), bus_.peek16(static_cast<std::uint16_t>(pc + 2)),
-        bus_.peek16(static_cast<std::uint16_t>(pc + 4))};
-    local = isa::decode(words, pc);
-    pre = &local;
-  }
-  regs_[isa::REG_PC] = static_cast<std::uint16_t>(pc + 2 * pre->words);
-  bus_.notify_exec(pc, pre->ins);
-  execute(pre->ins);
-  const int cyc = isa::cycles(pre->ins, pre->cg_src);
-  cycles_ += cyc;
-  return {pc, pre->ins, cyc, false};
-}
+template class basic_cpu<bus>;
 
 }  // namespace dialed::emu

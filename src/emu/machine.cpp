@@ -4,24 +4,21 @@
 
 namespace dialed::emu {
 
-machine::machine(const memory_map& map, peripheral_set peripherals)
-    : bus_(map), cpu_(bus_) {
+machine::machine(const memory_map& map) : bus_(map), cpu_(bus_) {
   auto now = [this] { return cpu_.cycles(); };
   halt_ = std::make_unique<halt_device>(
       map, [this](std::uint16_t code) { halt_code_ = code; });
+  gpio_ = std::make_unique<gpio_device>(map, now);
+  net_ = std::make_unique<net_device>(map);
+  adc_ = std::make_unique<adc_device>(map);
+  timer_ = std::make_unique<timer_device>(map, now);
+  mailbox_ = std::make_unique<mailbox_device>(map);
   bus_.add_device(halt_.get());
-  if (peripherals == peripheral_set::full) {
-    gpio_ = std::make_unique<gpio_device>(map, now);
-    net_ = std::make_unique<net_device>(map);
-    adc_ = std::make_unique<adc_device>(map);
-    timer_ = std::make_unique<timer_device>(map, now);
-    mailbox_ = std::make_unique<mailbox_device>(map);
-    bus_.add_device(gpio_.get());
-    bus_.add_device(net_.get());
-    bus_.add_device(adc_.get());
-    bus_.add_device(timer_.get());
-    bus_.add_device(mailbox_.get());
-  }
+  bus_.add_device(gpio_.get());
+  bus_.add_device(net_.get());
+  bus_.add_device(adc_.get());
+  bus_.add_device(timer_.get());
+  bus_.add_device(mailbox_.get());
 }
 
 void machine::load(const masm::image& img) {
@@ -37,15 +34,6 @@ void machine::load(const masm::image& img) {
 void machine::reset() {
   halt_code_.reset();
   cpu_.reset();
-}
-
-void machine::recycle() {
-  // The bus page table needs no rebuild here: it is derived purely from
-  // the registered devices, which recycle never adds or removes — only
-  // backing memory and CPU state return to the constructed state.
-  bus_.clear_memory();
-  halt_code_.reset();
-  cpu_.hard_clear();
 }
 
 machine::run_result machine::run(std::uint64_t max_cycles) {

@@ -1,5 +1,7 @@
-// The assembled device: bus + CPU + peripherals, image loading, the DMA
-// engine used for adversarial experiments, and the run loop.
+// The assembled device: bus + CPU + every peripheral, image loading, the
+// DMA engine used for adversarial experiments, and the run loop. This is
+// the prover side only; the verifier's replay needs no device (see
+// cpu.h).
 #ifndef DIALED_EMU_MACHINE_H
 #define DIALED_EMU_MACHINE_H
 
@@ -19,14 +21,7 @@ namespace dialed::emu {
 
 class machine {
  public:
-  /// `full` installs every peripheral; `halt_only` installs just the halt
-  /// latch — used by the verifier's abstract executor, where peripheral
-  /// reads must fall through to plain memory so they can be fed from the
-  /// attested I-Log instead of live devices.
-  enum class peripheral_set { full, halt_only };
-
-  explicit machine(const memory_map& map = memory_map{},
-                   peripheral_set peripherals = peripheral_set::full);
+  explicit machine(const memory_map& map = memory_map{});
 
   machine(const machine&) = delete;
   machine& operator=(const machine&) = delete;
@@ -40,14 +35,6 @@ class machine {
 
   /// Reset the CPU through the reset vector.
   void reset();
-
-  /// Return the machine to its just-constructed state: memory zeroed, CPU
-  /// registers/cycles cleared, halt latch released. Installed devices and
-  /// ROM handlers survive; bus watchers registered by callers are NOT
-  /// removed (callers own their registration). This is what lets the
-  /// verifier keep one machine per thread and reuse it across replays
-  /// instead of constructing a fresh machine per report.
-  void recycle();
 
   enum class run_result { halted, cycle_limit };
 

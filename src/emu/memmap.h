@@ -82,11 +82,6 @@ struct memory_map {
   /// Symbols injected into every assembly, so sources can reference the
   /// layout by name (OR_MIN, OR_MAX, P3OUT, ...).
   std::map<std::string, std::uint16_t> predefined_symbols() const;
-
-  /// Two maps are equal iff every field matches — used by the verifier's
-  /// per-thread machine cache to decide whether a recycled machine can be
-  /// reused for a different firmware.
-  bool operator==(const memory_map&) const = default;
 };
 
 /// METADATA register offsets from memory_map::meta_base (word-aligned).

@@ -81,10 +81,11 @@
 // registry record carries a shared immutable verifier::firmware_artifact
 // (interned by fleet::firmware_catalog, one per distinct image), and
 // verify runs straight off that artifact with the record's device key.
-// Verifier memory is O(firmwares), not O(devices), and the §III replay
-// executes on a per-thread recycled emu::machine instead of constructing
-// one per report. The hub attaches no app policies; callers that want
-// them wrap the record's artifact in a verifier::op_verifier.
+// Verifier memory is O(firmwares), not O(devices). The §III replay keeps
+// no state between reports either: each one runs the shared MSP430 core
+// over a 64 KiB memory of its own, so workers share only the read-only
+// artifact. The hub attaches no app policies; callers that want them
+// wrap the record's artifact in a verifier::op_verifier.
 //
 // Threading model
 // ---------------

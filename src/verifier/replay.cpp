@@ -1,10 +1,12 @@
 #include "verifier/replay.h"
 
+#include <algorithm>
 #include <bitset>
 #include <optional>
 
 #include "common/bytes.h"
 #include "common/error.h"
+#include "emu/cpu.h"
 #include "verifier/firmware_artifact.h"
 
 namespace dialed::verifier {
@@ -14,7 +16,7 @@ std::uint16_t replay_state::global(const std::string& name) const {
   if (it == prog_.global_addrs.end()) {
     throw error("verifier: unknown global '" + name + "'");
   }
-  return m_.get_bus().peek16(it->second);
+  return word_at(it->second);
 }
 
 namespace {
@@ -32,70 +34,6 @@ constexpr bool is_ret_instruction(const isa::instruction& ins) {
          ins.dst.base == isa::REG_PC;
 }
 
-// ---------------------------------------------------------------------------
-// Per-thread reusable replay machine. Constructing an emu::machine per
-// report (64 KiB bus + peripherals on the heap) was a fixed cost on every
-// verify; instead each thread — including the hub's verify_batch pool
-// workers — keeps ONE machine and recycles it (memory zeroed, CPU/halt
-// cleared: exactly the just-constructed state) between replays. The slot
-// is re-keyed when a firmware with a different memory map comes through,
-// and a busy flag falls back to a throwaway machine on (impossible today)
-// same-thread reentry rather than corrupting a replay in flight.
-// ---------------------------------------------------------------------------
-struct machine_slot {
-  bool busy = false;
-  emu::memory_map map;
-  std::unique_ptr<emu::machine> machine;
-};
-
-machine_slot& thread_machine_slot() {
-  static thread_local machine_slot slot;
-  return slot;
-}
-
-class machine_lease {
- public:
-  explicit machine_lease(const emu::memory_map& map) {
-    machine_slot& slot = thread_machine_slot();
-    if (!slot.busy) {
-      if (slot.machine == nullptr || !(slot.map == map)) {
-        slot.machine = std::make_unique<emu::machine>(
-            map, emu::machine::peripheral_set::halt_only);
-        slot.map = map;
-      } else {
-        slot.machine->recycle();
-      }
-      slot.busy = true;
-      cached_ = true;
-      m_ = slot.machine.get();
-    } else {
-      owned_ = std::make_unique<emu::machine>(
-          map, emu::machine::peripheral_set::halt_only);
-      m_ = owned_.get();
-    }
-  }
-  ~machine_lease() {
-    if (cached_) thread_machine_slot().busy = false;
-  }
-  machine_lease(const machine_lease&) = delete;
-  machine_lease& operator=(const machine_lease&) = delete;
-
-  emu::machine& machine() { return *m_; }
-
- private:
-  emu::machine* m_ = nullptr;
-  std::unique_ptr<emu::machine> owned_;
-  bool cached_ = false;
-};
-
-/// Removes the engine's bus watcher even when a replay throws, so the
-/// recycled machine never keeps a dangling watcher pointer.
-struct watcher_guard {
-  emu::bus& bus;
-  emu::watcher* w;
-  ~watcher_guard() { bus.remove_watcher(w); }
-};
-
 /// Forensic capture, present only when the caller passed a sink: the
 /// output plus the taint bookkeeping behind its provenance bits. A
 /// verdict-only replay never allocates or clears any of it.
@@ -108,48 +46,125 @@ struct forensic_state {
   std::vector<bool> call_taint_stack;
 };
 
-class replay_engine final : public emu::watcher {
+class replay_engine;
+
+/// The replay's memory, which emu::basic_cpu runs over: a flat 64 KiB that
+/// one replay owns, zeroed at construction. Reads, fetches and peeks are
+/// array loads; a write lands, then reaches the engine's write hook
+/// inline. The halt port is the one device, with the device's halt latch
+/// semantics: its bytes are never stored, so reads and peeks see 0, and a
+/// byte store halts with the byte, a word store with the word.
+class replay_memory {
+ public:
+  replay_memory(const emu::memory_map& map, replay_engine& hook)
+      : map_(map), hook_(hook) {}
+
+  const emu::memory_map& map() const { return map_; }
+  const std::array<std::uint8_t, 0x10000>& bytes() const { return mem_; }
+  const std::optional<std::uint16_t>& halt_code() const { return halt_; }
+
+  /// Copy the image's segments in (unobserved).
+  void load(const masm::image& img) {
+    for (const auto& seg : img.segments) {
+      if (seg.base + seg.bytes.size() > mem_.size()) {
+        throw error("emu: image overflows the address space");
+      }
+      std::ranges::copy(seg.bytes, mem_.begin() + seg.base);
+    }
+    mem_[map_.halt_port] = 0;
+    mem_[static_cast<std::uint16_t>(map_.halt_port + 1)] = 0;
+  }
+
+  std::uint8_t read8(std::uint16_t a) const { return mem_[a]; }
+  std::uint16_t read16(std::uint16_t a) const { return peek16(a); }
+  std::uint16_t peek16(std::uint16_t a) const {
+    a &= 0xfffe;
+    return static_cast<std::uint16_t>(mem_[a] | mem_[a + 1] << 8);
+  }
+  void write8(std::uint16_t a, std::uint8_t v);
+  void write16(std::uint16_t a, std::uint16_t v);
+  /// Unobserved stores (setup and I-Log feeding): no hook, never a halt.
+  void poke8(std::uint16_t a, std::uint8_t v) {
+    if (!halt_byte(a)) mem_[a] = v;
+  }
+  void poke16(std::uint16_t a, std::uint16_t v) {
+    a &= 0xfffe;
+    poke8(a, static_cast<std::uint8_t>(v & 0xff));
+    poke8(static_cast<std::uint16_t>(a + 1), static_cast<std::uint8_t>(v >> 8));
+  }
+
+  void notify_exec(std::uint16_t, const isa::instruction&) {}
+  void notify_irq(std::uint16_t) {}
+  void notify_reset() {}
+
+ private:
+  bool halt_byte(std::uint16_t a) const {
+    return static_cast<std::uint16_t>(a - map_.halt_port) < 2;
+  }
+  void store8(std::uint16_t a, std::uint8_t v) {
+    if (!halt_byte(a)) {
+      mem_[a] = v;
+    } else if (a == map_.halt_port) {
+      halt_low_ = v;
+      halt_ = v;
+    } else {
+      halt_ = static_cast<std::uint16_t>(v << 8 | halt_low_);
+    }
+  }
+
+  const emu::memory_map& map_;
+  replay_engine& hook_;
+  std::optional<std::uint16_t> halt_;
+  std::uint8_t halt_low_ = 0;
+  std::array<std::uint8_t, 0x10000> mem_{};
+};
+
+class replay_engine {
  public:
   replay_engine(const firmware_artifact& fw,
                 const report_view& report,
                 const std::vector<std::shared_ptr<policy>>& policies,
-                emu::machine& m, forensics* fx)
+                forensics* fx)
       : fw_(fw),
         prog_(fw.program()),
         report_(report),
         policies_(policies),
-        m_(m),
-        state_(m_, prog_),
+        mem_(prog_.options.map, *this),
+        cpu_(mem_),
+        state_(cpu_.regs(), mem_.bytes(), prog_),
         log_(report.or_min, report.or_max, report.or_bytes) {
     if (fx != nullptr) fx_.emplace(*fx = forensics{});  // reset, then bind
   }
 
+  // mem_ holds this engine's address as its write hook.
+  replay_engine(const replay_engine&) = delete;
+  replay_engine& operator=(const replay_engine&) = delete;
+
   replay_result run();
 
-  // --- emu::watcher ---
-  void on_access(const emu::bus_access& a) override {
-    if (!a.write) return;
-    mark_code_dirty(a.addr, a.byte ? 1 : 2);
-    if (a.addr < prog_.options.map.ram_start) {
+  /// Every replayed CPU write, after it took effect.
+  void on_write(std::uint16_t addr, std::uint16_t value, bool byte) {
+    mark_code_dirty(addr, byte ? 1 : 2);
+    if (addr < prog_.options.map.ram_start) {
       if (fx_) {
         fx_->out.io_trace.push_back(
-            {a.addr, a.value, current_pc_, fx_->write_taint});
+            {addr, value, current_pc_, fx_->write_taint});
       }
       // Peripheral space: a write drives the device (FIFO ack, conversion
       // trigger, output latch) — it does NOT define the value of the next
       // read. Invalidate so subsequent reads are fed from the I-Log, which
       // is exactly where the device logged them.
-      for (int i = 0; i < (a.byte ? 1 : 2); ++i) {
-        known_[static_cast<std::uint16_t>(a.addr + i)] = false;
+      for (int i = 0; i < (byte ? 1 : 2); ++i) {
+        known_[static_cast<std::uint16_t>(addr + i)] = false;
       }
     } else {
-      mark_known(a.addr, a.byte ? 1 : 2);
+      mark_known(addr, byte ? 1 : 2);
     }
-    if (fx_ && a.addr >= report_.or_min && a.addr <= report_.or_max + 1) {
-      annotate_or_write(a);
+    if (fx_ && addr >= report_.or_min && addr <= report_.or_max + 1) {
+      annotate_or_write(addr, value);
     }
     for (const auto& p : policies_) {
-      p->on_write(state_, a.addr, a.value, current_pc_, result_.findings);
+      p->on_write(state_, addr, value, current_pc_, result_.findings);
     }
   }
 
@@ -163,7 +178,7 @@ class replay_engine final : public emu::watcher {
   /// The artifact's decode cache reads the bytes an instruction in
   /// [er_min, er_max] may fetch ([er_min, er_max+5]). Any write landing
   /// there — a code-overwriting attack being replayed — retires the cache
-  /// for the rest of this replay; decoding falls back to the live bus.
+  /// for the rest of this replay; decoding falls back to live decode.
   void mark_code_dirty(std::uint16_t addr, int n) {
     if (code_dirty_) return;
     const std::uint32_t lo = addr;
@@ -177,7 +192,7 @@ class replay_engine final : public emu::watcher {
   /// Unobserved poke used when feeding values into the replayed memory;
   /// still has to honor the decode-cache invalidation rule above.
   void feed_poke(std::uint16_t addr, std::uint8_t value) {
-    m_.get_bus().poke8(addr, value);
+    mem_.poke8(addr, value);
     mark_code_dirty(addr, 1);
   }
 
@@ -188,7 +203,7 @@ class replay_engine final : public emu::watcher {
     }
   }
 
-  std::uint16_t reg(int i) { return m_.get_cpu().regs()[i]; }
+  std::uint16_t reg(int i) { return cpu_.regs()[i]; }
 
   // ---- I-Log feeding ----
   void feed_unknown(std::uint16_t ea, int width, std::uint16_t pc) {
@@ -246,7 +261,7 @@ class replay_engine final : public emu::watcher {
   void feed_for(const isa::instruction& ins, std::uint16_t pc) {
     using isa::addr_mode;
     using isa::opcode;
-    const auto& regs = m_.get_cpu().regs();
+    const auto& regs = cpu_.regs();
     auto ea_of = [&](const isa::operand& o)
         -> std::optional<std::uint16_t> {
       switch (o.mode) {
@@ -283,8 +298,8 @@ class replay_engine final : public emu::watcher {
   }
 
   // ---- OR annotation (forensics) ----
-  void annotate_or_write(const emu::bus_access& a) {
-    const int slot = (report_.or_max - a.addr) / 2;
+  void annotate_or_write(std::uint16_t addr, std::uint16_t value) {
+    const int slot = (report_.or_max - addr) / 2;
     logfmt::entry_kind kind = logfmt::entry_kind::unknown;
     using isa::addr_mode;
     const isa::operand& src = fx_->ins.src;
@@ -316,10 +331,10 @@ class replay_engine final : public emu::watcher {
     // keep the latest classification.
     auto& log = fx_->out.annotated_log;
     if (!log.empty() && log.back().slot == slot) {
-      log.back() = {slot, a.value, kind, current_pc_};
+      log.back() = {slot, value, kind, current_pc_};
       return;
     }
-    log.push_back({slot, a.value, kind, current_pc_});
+    log.push_back({slot, value, kind, current_pc_});
   }
 
   // ---- detectors ----
@@ -353,7 +368,7 @@ class replay_engine final : public emu::watcher {
     for (std::uint32_t a = final_r4 + 2u; a >= report_.or_min && a <= top;
          ++a) {
       const auto addr = static_cast<std::uint16_t>(a);
-      if (report_.or_bytes[a - report_.or_min] != m_.get_bus().peek8(addr)) {
+      if (report_.or_bytes[a - report_.or_min] != mem_.read8(addr)) {
         result_.findings.push_back(
             {attack_kind::replay_divergence,
              "attested OR differs from the replayed OR at " + hex16(addr),
@@ -380,7 +395,7 @@ class replay_engine final : public emu::watcher {
   /// is included, so attacker-chosen indices taint what they select).
   bool operand_taint(const isa::operand& o, int width) {
     using isa::addr_mode;
-    const auto& regs = m_.get_cpu().regs();
+    const auto& regs = cpu_.regs();
     switch (o.mode) {
       case addr_mode::reg: return fx_->reg_taint[o.base];
       case addr_mode::immediate: return false;
@@ -406,7 +421,7 @@ class replay_engine final : public emu::watcher {
     using isa::opcode;
     fx_->ins = ins;
     fx_->write_taint = false;
-    const auto& regs = m_.get_cpu().regs();
+    const auto& regs = cpu_.regs();
     const int width = ins.byte_op ? 1 : 2;
     auto dst_ea = [&](const isa::operand& o) -> std::optional<std::uint16_t> {
       switch (o.mode) {
@@ -450,7 +465,8 @@ class replay_engine final : public emu::watcher {
   const instr::linked_program& prog_;
   report_view report_;
   const std::vector<std::shared_ptr<policy>>& policies_;
-  emu::machine& m_;
+  replay_memory mem_;
+  emu::basic_cpu<replay_memory> cpu_;
   replay_state state_;
   logfmt::log_view log_;
   std::bitset<0x10000> known_;
@@ -464,18 +480,27 @@ class replay_engine final : public emu::watcher {
   replay_result result_;
 };
 
+void replay_memory::write8(std::uint16_t a, std::uint8_t v) {
+  store8(a, v);
+  hook_.on_write(a, v, true);
+}
+
+void replay_memory::write16(std::uint16_t a, std::uint16_t v) {
+  a &= 0xfffe;
+  store8(a, static_cast<std::uint8_t>(v & 0xff));
+  store8(static_cast<std::uint16_t>(a + 1), static_cast<std::uint8_t>(v >> 8));
+  hook_.on_write(a, v, false);
+}
+
 replay_result replay_engine::run() {
   // ---- setup ----
-  m_.load(prog_.image);
+  mem_.load(prog_.image);
   for (const auto& seg : prog_.image.segments) {
     mark_known(seg.base, static_cast<int>(seg.bytes.size()));
   }
-  m_.get_bus().add_watcher(this);
-  watcher_guard guard{m_.get_bus(), this};
 
   saved_sp_ = log_.saved_sp();
-  auto& regs = m_.get_cpu().regs();
-  regs.fill(0);
+  auto& regs = cpu_.regs();
   regs[isa::REG_PC] = report_.er_min;
   regs[isa::REG_SP] = saved_sp_;
   regs[isa::REG_LOGPTR] = report_.or_max;
@@ -486,14 +511,14 @@ replay_result replay_engine::run() {
   // The caller's pushed return address (which the final `ret` consumes and
   // Tiny-CFA logs): the crt0 continuation after `call #__er_start`.
   const std::uint16_t ret_sentinel = prog_.op_return_addr;
-  m_.get_bus().poke16(saved_sp_, ret_sentinel);
+  mem_.poke16(saved_sp_, ret_sentinel);
   mark_code_dirty(saved_sp_, 2);  // adversarial saved SP may alias code
   mark_known(saved_sp_, 2);
 
   // ---- main loop ----
   for (;;) {
-    if (m_.halted()) {
-      if (m_.halt_code() == emu::HALT_ABORT) {
+    if (const auto& halt = mem_.halt_code()) {
+      if (*halt == emu::HALT_ABORT) {
         add_finding(attack_kind::instrumentation_abort,
                     "replayed instrumentation aborted (F5 check or log "
                     "overflow)",
@@ -501,12 +526,12 @@ replay_result replay_engine::run() {
       } else {
         add_finding(attack_kind::replay_divergence,
                     "replay halted unexpectedly with code " +
-                        std::to_string(m_.halt_code()),
+                        std::to_string(*halt),
                     current_pc_);
       }
       break;
     }
-    const std::uint16_t pc = m_.get_cpu().pc();
+    const std::uint16_t pc = cpu_.pc();
     if (pc == ret_sentinel) {
       result_.completed = true;
       result_.final_r15 = reg(15);
@@ -546,9 +571,8 @@ replay_result replay_engine::run() {
           break;
         }
         std::array<std::uint16_t, 3> words = {
-            m_.get_bus().peek16(pc),
-            m_.get_bus().peek16(static_cast<std::uint16_t>(pc + 2)),
-            m_.get_bus().peek16(static_cast<std::uint16_t>(pc + 4))};
+            mem_.peek16(pc), mem_.peek16(static_cast<std::uint16_t>(pc + 2)),
+            mem_.peek16(static_cast<std::uint16_t>(pc + 4))};
         live = isa::decode(words, pc);
         dp = &live;
       }
@@ -561,7 +585,7 @@ replay_result replay_engine::run() {
       const bool is_ret = is_ret_instruction(d.ins);
       if (is_ret) {
         const std::uint16_t sp = reg(isa::REG_SP);
-        const std::uint16_t actual = m_.get_bus().peek16(sp);
+        const std::uint16_t actual = mem_.peek16(sp);
         if (!ra_stack_.empty() && ra_stack_.back().first == sp) {
           if (ra_stack_.back().second != actual) {
             add_finding(attack_kind::control_flow_attack,
@@ -596,14 +620,13 @@ replay_result replay_engine::run() {
       // outside the pristine ER), and the device executed the post-feed
       // bytes. code_dirty_ may have been set by THIS iteration's
       // feed_for, so it is re-checked here, not where dp was chosen.
-      const auto info = (dp == &live || code_dirty_)
-                            ? m_.get_cpu().step()
-                            : m_.get_cpu().step(d);
+      const auto info =
+          (dp == &live || code_dirty_) ? cpu_.step() : cpu_.step(d);
       ++result_.instructions;
 
       if (info.ins.op == isa::opcode::call && !info.serviced_irq) {
         const std::uint16_t sp = reg(isa::REG_SP);
-        ra_stack_.emplace_back(sp, m_.get_bus().peek16(sp));
+        ra_stack_.emplace_back(sp, mem_.peek16(sp));
         if (fx_) {
           bool arg_taint = false;
           for (int r = 8; r <= 15; ++r) {
@@ -629,7 +652,7 @@ replay_result replay_operation(
     const std::vector<std::shared_ptr<policy>>& policies, forensics* fx) {
   replay_result r;
   if (report.or_max == 0xffff || report.er_max > 0xfffa) {
-    // Fail closed before touching a machine: the OR snapshot covers
+    // Fail closed: the OR snapshot covers
     // [or_min, or_max+1] and a fetch reads [pc, pc+5]; these bounds would
     // wrap past 0xffff. Unreachable through verify() — the artifact
     // constructor rejects such layouts and verify() requires the report's
@@ -642,8 +665,7 @@ replay_result replay_operation(
     return r;
   }
   if (!check_or_length(report, r.findings)) return r;
-  machine_lease lease(fw.program().options.map);
-  replay_engine engine(fw, report, policies, lease.machine(), fx);
+  replay_engine engine(fw, report, policies, fx);
   return engine.run();
 }
 

@@ -20,9 +20,10 @@
 #ifndef DIALED_VERIFIER_REPLAY_H
 #define DIALED_VERIFIER_REPLAY_H
 
+#include <array>
 #include <memory>
+#include <span>
 
-#include "emu/machine.h"
 #include "instr/oplink.h"
 #include "logfmt/logfmt.h"
 #include "verifier/report.h"
@@ -31,22 +32,28 @@ namespace dialed::verifier {
 
 class firmware_artifact;  // firmware_artifact.h
 
-/// Read-only view of the replay for policies.
+/// Read-only view of the replay for policies: the replaying core's
+/// register file and the replay's own 64 KiB memory, as they stand when
+/// the policy is called.
 class replay_state {
  public:
-  explicit replay_state(emu::machine& m,
-                        const instr::linked_program& prog)
-      : m_(m), prog_(prog) {}
+  replay_state(const std::array<std::uint16_t, 16>& regs,
+               std::span<const std::uint8_t, 0x10000> mem,
+               const instr::linked_program& prog)
+      : regs_(regs), mem_(mem), prog_(prog) {}
 
-  std::uint16_t reg(int i) const { return m_.get_cpu().regs()[i]; }
+  std::uint16_t reg(int i) const { return regs_[i]; }
+  /// The word at `addr` (low bit ignored, as for a CPU word read).
   std::uint16_t word_at(std::uint16_t addr) const {
-    return m_.get_bus().peek16(addr);
+    const std::size_t a = addr & 0xfffe;
+    return static_cast<std::uint16_t>(mem_[a] | mem_[a + 1] << 8);
   }
   /// Current value of a compiled global variable.
   std::uint16_t global(const std::string& name) const;
 
  private:
-  emu::machine& m_;
+  const std::array<std::uint16_t, 16>& regs_;
+  std::span<const std::uint8_t, 0x10000> mem_;
   const instr::linked_program& prog_;
 };
 
@@ -83,13 +90,14 @@ struct replay_result {
 /// `fx`, when non-null, is overwritten with the replay's forensics; the
 /// result is the same either way, and a null `fx` costs nothing.
 ///
-/// The replay executes on a per-THREAD reusable emu::machine (recycled
-/// between reports, constructed only when a thread first replays — or
-/// replays a firmware with a different memory map), and decodes through
-/// the artifact's predecoded instruction index, falling back to live
-/// decode outside the index or once replayed code has been overwritten
-/// (docs/REPLAY.md, "Live-decode fallback"). Safe to call from many
-/// threads concurrently; each thread has its own machine.
+/// The replay runs the shared MSP430 core (emu::basic_cpu) over a flat
+/// 64 KiB memory of its own, zeroed and loaded with the program's image
+/// for this call alone, so nothing carries from one replay to the next.
+/// It decodes through the artifact's predecoded instruction index,
+/// falling back to live decode outside the index or once replayed code
+/// has been overwritten (docs/REPLAY.md, "Live-decode fallback"). Safe to
+/// call from many threads concurrently: a call shares only the read-only
+/// artifact.
 replay_result replay_operation(
     const firmware_artifact& fw, const report_view& report,
     const std::vector<std::shared_ptr<policy>>& policies,

@@ -105,8 +105,8 @@ TEST(catalog, registries_can_share_a_catalog) {
 }
 
 // ---------------------------------------------------------------------------
-// Verdict equivalence: shared artifact + reused machine vs. fresh
-// per-device op_verifier, across all four apps
+// Verdict equivalence: shared artifact vs. fresh per-device op_verifier,
+// across all four apps
 // ---------------------------------------------------------------------------
 
 std::vector<apps::app_spec> four_apps() {
@@ -126,8 +126,8 @@ TEST(equivalence, shared_artifact_matches_fresh_verifier_all_apps) {
     const auto rep = dev.invoke(chal, app.representative_input);
 
     // Fresh per-device verifier (its own artifact) vs. the catalog's
-    // shared artifact, verified twice in a row so the second run rides
-    // the recycled per-thread machine.
+    // shared artifact, verified twice in a row so the second run follows
+    // a replay of the same artifact on the same thread.
     const verifier::op_verifier fresh(prog, test::test_key());
     const verifier::op_verifier shared(cat.intern(prog), test::test_key());
     const auto v_fresh = fresh.verify(rep, chal);

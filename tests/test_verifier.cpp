@@ -2,6 +2,8 @@
 // class (control-flow, data-only, forgery, tamper, policies).
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "common/error.h"
 #include "helpers.h"
 #include "rot/attest.h"
@@ -374,6 +376,91 @@ TEST(attack, uninitialized_stack_read_flagged) {
   const auto v = rig.vrf->verify(rig.invoke(args(1)));
   EXPECT_FALSE(v.accepted);
   EXPECT_TRUE(v.has(attack_kind::uninitialized_read));
+}
+
+// ---------------------------------------------------------------------------
+// Replay halt latch and isolation between replays
+// ---------------------------------------------------------------------------
+
+TEST(replay, or_overflow_halts_through_the_abort_latch) {
+  // n = 5000 overflows the OR: the replayed instrumentation writes
+  // HALT_ABORT to the halt port, and the replay must stop there, short of
+  // the op's final return, naming the abort.
+  bench_rig rig(
+      "int op(int n) { int s = 0; int i;"
+      "  for (i = 0; i < n; i++) { s = s + 1; } return s; }");
+  const auto r =
+      replay_operation(*rig.vrf->artifact(), rig.invoke(args(5000)), {});
+  EXPECT_FALSE(r.completed);
+  ASSERT_EQ(r.findings.size(), 1u);
+  EXPECT_EQ(r.findings[0].kind, attack_kind::instrumentation_abort);
+  EXPECT_EQ(r.findings[0].detail,
+            "replayed instrumentation aborted (F5 check or log overflow)");
+  // The abort block's first instruction is the halt-port store.
+  EXPECT_EQ(r.findings[0].pc, rig.prog.image.symbol("__er_fail"));
+  EXPECT_EQ(r.findings[0].addr, 0);
+}
+
+TEST(replay, back_to_back_replays_match_fresh_threads) {
+  // One thread replays a self-modifying op, the Fig. 2 attack and a
+  // benign SyringePump round in a row; each verdict must equal the same
+  // verify run alone on a thread that never replayed before, so nothing
+  // of one replay (code bytes, fed memory, halt latch) reaches the next.
+  struct round {
+    std::string label;
+    std::unique_ptr<op_verifier> vrf;
+    attestation_report rep;
+  };
+  std::vector<round> rounds;
+  std::array<std::uint8_t, 16> chal{};
+  chal.fill(0x3c);
+
+  // The op stores `mov #2, r15` over its own `mov #1, r15`; re-MACed with
+  // EXEC=1 so verify replays it instead of stopping at the MAC.
+  const auto smc = build_op(
+      "int op(int a, int b) { __mmio_w16(a, b); return 1; }", "op",
+      instr::instrumentation::dialed);
+  auto smc_vrf = std::make_unique<op_verifier>(smc, test_key());
+  const auto& img = smc_vrf->artifact()->flat_image();
+  std::vector<std::uint16_t> mov1_at;
+  for (std::uint32_t pc = smc.er_min; pc <= smc.er_max; pc += 2) {
+    if ((img[pc] | img[pc + 1] << 8) == 0x431f) {
+      mov1_at.push_back(static_cast<std::uint16_t>(pc));
+    }
+  }
+  ASSERT_EQ(mov1_at.size(), 1u);
+  auto smc_rep = proto::prover_device(smc, test_key())
+                     .invoke(chal, args(mov1_at[0], 0x432f));
+  ASSERT_EQ(smc_rep.claimed_result, 2);
+  resign(smc_rep, smc, test_key());
+  rounds.push_back({"self-modifying", std::move(smc_vrf), smc_rep});
+
+  const auto fig2 =
+      apps::build_app(apps::fig2_app(), instr::instrumentation::dialed);
+  rounds.push_back({"fig2 attack",
+                    std::make_unique<op_verifier>(fig2, test_key()),
+                    proto::prover_device(fig2, test_key())
+                        .invoke(chal, apps::fig2_attack())});
+
+  const auto pump = apps::evaluation_apps().front();
+  ASSERT_EQ(pump.name, "SyringePump");
+  const auto pump_prog = apps::build_app(pump, instr::instrumentation::dialed);
+  rounds.push_back({"SyringePump",
+                    std::make_unique<op_verifier>(pump_prog, test_key()),
+                    proto::prover_device(pump_prog, test_key())
+                        .invoke(chal, pump.representative_input)});
+
+  std::vector<verdict> in_a_row;
+  for (const auto& r : rounds) in_a_row.push_back(r.vrf->verify(r.rep, chal));
+  EXPECT_EQ(in_a_row[0].replayed_result, 2);
+  EXPECT_TRUE(in_a_row[1].has(attack_kind::data_only_attack));
+  EXPECT_TRUE(in_a_row[2].accepted);
+  for (std::size_t i = 0; i < rounds.size(); ++i) {
+    verdict alone;
+    std::thread([&] { alone = rounds[i].vrf->verify(rounds[i].rep, chal); })
+        .join();
+    test::expect_same_verdict(in_a_row[i], alone, rounds[i].label);
+  }
 }
 
 // ---------------------------------------------------------------------------
