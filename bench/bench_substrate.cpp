@@ -199,7 +199,6 @@ struct fleet_batch_bench {
       : rounds(n_rounds), warmup_rounds(n_warmup_rounds) {
     cfg.seed = 0xfee1f1ee7ull;
     cfg.max_outstanding = static_cast<std::uint32_t>(rounds);
-    cfg.sequential_batch = true;  // callers override for parallel runs
 
     dialed::instr::link_options lo;
     lo.entry = "op";
@@ -232,7 +231,7 @@ struct fleet_batch_bench {
   }
 
   std::vector<dialed::fleet::challenge_grant> issue_all(
-      dialed::fleet::verifier_hub& hub) const {
+      dialed::fleet::hub_like& hub) const {
     std::vector<dialed::fleet::challenge_grant> grants;
     for (int r = 0; r < rounds; ++r) {
       for (const auto id : ids) grants.push_back(hub.challenge(id));
@@ -391,27 +390,27 @@ BENCHMARK(BM_fleet_obs_overhead)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-void BM_fleet_verify_batch_parallel(benchmark::State& state) {
-  // Thread-scaling sweep over the same workload: 32 devices x 4 rounds
-  // (128 frames/batch), `range(0)` = total verify threads. 1 means the
-  // strictly sequential inline path (the baseline the speedup is measured
-  // against); w > 1 means a pool of w-1 workers plus the calling thread.
-  const auto total_threads = static_cast<std::uint32_t>(state.range(0));
-  fleet_batch_bench bench(32);
-  if (total_threads > 1) {
-    bench.cfg.sequential_batch = false;
-    bench.cfg.workers = total_threads - 1;
+// The timed part of the loopback benches: serve `hub`, already armed
+// with `bench`'s nonces, from a fresh attest_server, pipeline every frame
+// through one TCP connection and read every result back. Entered and left
+// with timing paused; false when a report was rejected.
+bool serve_loopback_once(benchmark::State& state,
+                         const fleet_batch_bench& bench,
+                         dialed::fleet::hub_like& hub,
+                         const dialed::net::server_config& scfg) {
+  dialed::net::attest_server server(hub, scfg);
+  server.start();
+  dialed::net::attest_client client("127.0.0.1", server.tcp_port());
+  state.ResumeTiming();
+  for (const auto& f : bench.frames) client.send_report(f);
+  std::size_t ok = 0;
+  for (std::size_t i = 0; i < bench.frames.size(); ++i) {
+    if (client.recv_result().accepted) ++ok;
   }
-  bench.run(state);
-  state.counters["threads"] = total_threads;
+  state.PauseTiming();
+  server.stop();
+  return ok == bench.frames.size();
 }
-BENCHMARK(BM_fleet_verify_batch_parallel)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 void BM_net_ingest_loopback(benchmark::State& state) {
   // The attestation service end to end over a loopback socket: 8 devices
@@ -427,27 +426,17 @@ void BM_net_ingest_loopback(benchmark::State& state) {
   scfg.batching.batch_latency_ms = 1;
   for (auto _ : state) {
     state.PauseTiming();
+    bool ok = false;
     {
       dialed::fleet::verifier_hub hub(bench.reg, bench.cfg);
       bench.issue_all(hub);  // identical seed + order -> identical nonces
-      dialed::net::attest_server server(hub, scfg);
-      server.start();
-      dialed::net::attest_client client("127.0.0.1", server.tcp_port());
-      state.ResumeTiming();
-      for (const auto& f : bench.frames) client.send_report(f);
-      std::size_t ok = 0;
-      for (std::size_t i = 0; i < bench.frames.size(); ++i) {
-        if (client.recv_result().accepted) ++ok;
-      }
-      state.PauseTiming();
-      if (ok != bench.frames.size()) {
-        state.SkipWithError("report rejected over loopback");
-        state.ResumeTiming();
-        break;
-      }
-      server.stop();
+      ok = serve_loopback_once(state, bench, hub, scfg);
     }
     state.ResumeTiming();
+    if (!ok) {
+      state.SkipWithError("report rejected over loopback");
+      break;
+    }
   }
   state.counters["reports_per_s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) *
@@ -458,6 +447,50 @@ BENCHMARK(BM_net_ingest_loopback)
     ->Arg(1)
     ->Arg(8)
     ->Arg(32)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void BM_net_ingest_partitions(benchmark::State& state) {
+  // The service's one verify parallelism: `range(0)` partitions behind
+  // the router, each verifying its own frames on its own thread. Same
+  // loopback harness as BM_net_ingest_loopback (batch_max 8), over 32
+  // devices x 4 rounds so every partition has work. A hub's nonce depends
+  // only on (seed, device, seq), so issuing the challenges in the bench's
+  // order re-arms its pre-built frames on whichever partition owns each
+  // device.
+  const auto parts = static_cast<std::size_t>(state.range(0));
+  fleet_batch_bench bench(32, 4);
+  const auto& prog = *bench.reg.find(bench.ids[0])->program;
+  dialed::net::server_config scfg;
+  scfg.bind_addr = "127.0.0.1";
+  scfg.batching.batch_max = 8;
+  scfg.batching.batch_latency_ms = 1;
+  for (auto _ : state) {
+    state.PauseTiming();
+    bool ok = false;
+    {
+      auto fleet = dialed::fleet::partitioned_fleet::create(
+          parts, bench_key(), bench.cfg);
+      for (const auto id : bench.ids) fleet.provision(id, prog);
+      bench.issue_all(fleet.router());
+      ok = serve_loopback_once(state, bench, fleet.router(), scfg);
+    }
+    state.ResumeTiming();
+    if (!ok) {
+      state.SkipWithError("report rejected over loopback");
+      break;
+    }
+  }
+  state.counters["partitions"] = static_cast<double>(parts);
+  state.counters["reports_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) *
+          static_cast<double>(bench.frames.size()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_net_ingest_partitions)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -584,7 +617,6 @@ void BM_fleet_delta_submit(benchmark::State& state) {
   const auto id = reg.provision(prog);
   dialed::fleet::hub_config cfg;
   cfg.seed = 0xfee1f1ee7ull;
-  cfg.sequential_batch = true;
   cfg.max_outstanding = 2;
 
   dialed::proto::prover_device dev(prog, reg.derive_key(id));
@@ -647,7 +679,6 @@ void BM_fleet_store_wal_append(benchmark::State& state) {
     fs::remove_all(dir);
     dialed::store::fleet_store::options opts;
     opts.master_key = bench_key();
-    opts.hub.sequential_batch = true;
     opts.wal.sync = static_cast<dialed::store::wal_sync>(state.range(0));
     shared = std::make_unique<dialed::store::fleet_state>(
         dialed::store::fleet_store::open(dir.string(), opts));
@@ -705,7 +736,6 @@ void BM_fleet_store_reopen(benchmark::State& state) {
   fs::remove_all(dir);
   dialed::store::fleet_store::options opts;
   opts.master_key = bench_key();
-  opts.hub.sequential_batch = true;
   const auto n = static_cast<std::uint32_t>(state.range(0));
   {
     auto st = dialed::store::fleet_store::open(dir.string(), opts);
@@ -801,7 +831,6 @@ void BM_wal_ship_apply(benchmark::State& state) {
   fs::remove_all(dir);
   dialed::store::fleet_store::options opts;
   opts.master_key = bench_key();
-  opts.hub.sequential_batch = true;
   capture_sink cap;
   {
     auto st = dialed::store::fleet_store::open((dir / "p").string(), opts);

@@ -48,17 +48,10 @@ void actuation_trace(emu::machine& m) {
 /// One provisioned pump: its registry entry, the hub that challenges it,
 /// the device itself, and a policy verifier on the shared artifact.
 struct pump {
-  static fleet::hub_config config() {
-    fleet::hub_config cfg;
-    cfg.shards = 1;
-    cfg.sequential_batch = true;  // one pump: no worker pool
-    return cfg;
-  }
-
   pump(const instr::linked_program& prog, bool dose_policy)
       : registry(byte_vec(32, 0x99)),
         id(registry.provision(prog)),
-        hub(registry, config()),
+        hub(registry),
         dev(prog, registry.find(id)->key),
         policy_vrf(registry.find(id)->firmware, registry.find(id)->key),
         check_policy(dose_policy) {

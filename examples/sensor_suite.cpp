@@ -33,11 +33,10 @@ int main() {
   const auto kitchen = registry.provision(fire_prog);
   const auto garage = registry.provision(fire_prog);
   const auto door = registry.provision(ranger_prog);
-  // Default config: the hub shards device state across lock domains and
-  // fans verify_batch out over a worker pool sized to the machine.
+  // One hub verifies a batch on the calling thread, in input order. A
+  // service that wants more cores splits the fleet into partitions
+  // (fleet::partitioned_fleet), one verify thread each.
   fleet::verifier_hub hub(registry);
-  std::printf("hub: verify_batch on %zu worker thread(s) + caller\n",
-              hub.batch_workers());
 
   proto::prover_device dev_kitchen(fire_prog, registry.derive_key(kitchen));
   proto::prover_device dev_garage(fire_prog, registry.derive_key(garage));

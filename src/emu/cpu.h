@@ -67,7 +67,6 @@ class basic_cpu {
   /// serviced before the next instruction if GIE is set, otherwise it stays
   /// pending.
   void request_interrupt(int index) { pending_irq_ = index; }
-  bool irq_pending() const { return pending_irq_.has_value(); }
 
  private:
   using addr_mode = isa::addr_mode;

@@ -58,8 +58,4 @@ void machine::dma_write16(std::uint16_t addr, std::uint16_t value) {
   bus_.write16(addr, value, /*dma=*/true);
 }
 
-std::uint16_t machine::dma_read16(std::uint16_t addr) {
-  return bus_.read16(addr, /*dma=*/true);
-}
-
 }  // namespace dialed::emu

@@ -56,7 +56,6 @@ class machine {
   /// DMA engine: host-triggered transfer that bypasses the CPU but is
   /// visible to the bus monitors (used to probe APEX's anti-DMA property).
   void dma_write16(std::uint16_t addr, std::uint16_t value);
-  std::uint16_t dma_read16(std::uint16_t addr);
 
   /// Register a native handler that runs instead of fetching from `addr`
   /// (models mask-ROM routines such as VRASED's SW-Att). The handler is

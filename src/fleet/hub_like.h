@@ -3,7 +3,7 @@
 // need from "a verifier hub" — issuing challenges, verifying submitted
 // frames, the tick clock, and counters. Two implementations:
 //
-//   * fleet::verifier_hub     one hub, one shard set, one store;
+//   * fleet::verifier_hub     one hub, one device map, one store;
 //   * fleet::partition_router N hubs behind a consistent-hash ring
 //                             (src/fleet/partition.h), each typically
 //                             backed by its own fleet_store.
@@ -11,6 +11,9 @@
 // Callers written against hub_like run unmodified on either — that is
 // the point: `dialed-serve --partitions N` is the same server binary
 // speaking to the same batcher, just handed a router instead of a hub.
+// The one thing the batcher asks about the layout is partition_count()
+// and partition_of(frame): it runs one verify thread per partition and
+// hands each one only its own partition's frames.
 //
 // The value types (challenge_grant, hub_stats, attest_result) live here
 // rather than in verifier_hub.h so the router does not need the concrete
@@ -72,7 +75,7 @@ struct device_counters {
 /// consistent-enough snapshot assembled from relaxed atomics — counts
 /// never go backwards, but a snapshot taken while traffic is in flight
 /// may be mid-update across fields. The per_device breakdown is gathered
-/// under the shard locks (briefly, one shard at a time).
+/// under each hub's mutex (briefly, one hub at a time).
 ///
 /// Every field is process-local: nothing here is journaled, snapshotted
 /// or shipped, so after a restart or a standby promotion all of them
@@ -93,7 +96,7 @@ struct hub_stats {
   /// verify_batch instrumentation — the gauges the service front-end's
   /// adaptive batching is observed (and tuned) through.
   std::uint64_t verify_batches = 0;       ///< verify_batch calls completed
-  std::uint64_t verify_batch_frames = 0;  ///< frames fanned out, total
+  std::uint64_t verify_batch_frames = 0;  ///< frames verified, total
   std::uint64_t last_batch_frames = 0;    ///< size of the newest batch
   std::uint64_t inflight_batches = 0;     ///< gauge: calls running NOW
   /// Replay outcomes of DIALED-mode verdicts that passed the MAC: hits
@@ -149,10 +152,20 @@ class hub_like {
   /// Thread-safe, reentrant.
   virtual attest_result submit(std::span<const std::uint8_t> frame) = 0;
 
-  /// Verify a batch of independent frames in parallel; results come back
-  /// in input order regardless of completion order.
+  /// Verify a batch of independent frames on the calling thread; results
+  /// come back in input order.
   virtual std::vector<attest_result> verify_batch(
       std::span<const byte_vec> frames) = 0;
+
+  /// Partitions behind this hub; the batcher runs one verify thread per
+  /// partition. A bare hub is one partition.
+  virtual std::size_t partition_count() const { return 1; }
+
+  /// The partition, in [0, partition_count()), that verifies `frame`.
+  virtual std::size_t partition_of(
+      std::span<const std::uint8_t> /*frame*/) const {
+    return 0;
+  }
 
   /// Advance the monotonic clock by `n` ticks. Thread-safe.
   virtual void tick(std::uint64_t n) = 0;
@@ -163,8 +176,10 @@ class hub_like {
   /// Outstanding (non-expired) challenges for a device.
   virtual std::size_t outstanding(device_id id) const = 0;
 
-  /// Worker threads backing verify_batch (0 = inline/sequential).
-  virtual std::size_t batch_workers() const = 0;
+  /// Always 0: no implementation keeps a worker pool. Kept only because
+  /// the perf ledger (perfledger/) still overrides it; it goes in the
+  /// same change as that override.
+  virtual std::size_t batch_workers() const { return 0; }
 
   /// Snapshot of the monotonic counters; pass include_per_device = false
   /// for the cheap lock-free hub-level scalars only.

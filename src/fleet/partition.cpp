@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <thread>
 
 #include "common/error.h"
 #include "proto/wire.h"
@@ -62,14 +61,19 @@ challenge_grant partition_router::challenge(device_id id) {
   return at(index_of(id))->challenge(id);
 }
 
-attest_result partition_router::submit(
-    std::span<const std::uint8_t> frame) {
+std::size_t partition_router::partition_of(
+    std::span<const std::uint8_t> frame) const {
   // Route on the sniffed header id; a frame too damaged to sniff goes to
   // partition 0, whose decoder rejects it with the same typed error a
   // bare hub would (a lying-but-sniffable header reaches a partition
   // that does not know the device: unknown_device, again hub-identical).
   const auto id = proto::peek_device_id(frame);
-  return at(id ? index_of(*id) : 0)->submit(frame);
+  return id ? index_of(*id) : 0;
+}
+
+attest_result partition_router::submit(
+    std::span<const std::uint8_t> frame) {
+  return at(partition_of(frame))->submit(frame);
 }
 
 std::vector<attest_result> partition_router::verify_batch(
@@ -77,46 +81,25 @@ std::vector<attest_result> partition_router::verify_batch(
   if (frames.empty()) return {};
 
   std::vector<std::size_t> owner(frames.size());
-  std::vector<std::size_t> load(parts_.size(), 0);
   for (std::size_t i = 0; i < frames.size(); ++i) {
-    const auto id = proto::peek_device_id(frames[i]);
-    owner[i] = id ? index_of(*id) : 0;
-    ++load[owner[i]];
+    owner[i] = partition_of(frames[i]);
   }
 
-  // Single-partition batch (the common case under per-connection
-  // batching): pass the span straight through, zero copies.
+  // Single-partition batch (every batch the service's batcher makes):
+  // pass the span straight through, zero copies.
   const std::size_t first = owner[0];
-  if (load[first] == frames.size()) {
+  if (std::all_of(owner.begin(), owner.end(),
+                  [&](std::size_t p) { return p == first; })) {
     return at(first)->verify_batch(frames);
   }
 
-  // Scatter: each involved partition verifies its slice on its own
-  // worker pool, partitions in parallel with each other; results land
-  // back at their original indices.
-  std::vector<std::vector<byte_vec>> slice(parts_.size());
-  std::vector<std::vector<std::size_t>> positions(parts_.size());
-  for (std::size_t p = 0; p < parts_.size(); ++p) {
-    slice[p].reserve(load[p]);
-    positions[p].reserve(load[p]);
-  }
+  // Mixed batch (library callers only): submit frame by frame on this
+  // thread. Partitions share no state, so input order is as good as any.
+  std::vector<attest_result> out;
+  out.reserve(frames.size());
   for (std::size_t i = 0; i < frames.size(); ++i) {
-    slice[owner[i]].push_back(frames[i]);
-    positions[owner[i]].push_back(i);
+    out.push_back(at(owner[i])->submit(frames[i]));
   }
-
-  std::vector<attest_result> out(frames.size());
-  std::vector<std::thread> workers;
-  for (std::size_t p = 0; p < parts_.size(); ++p) {
-    if (slice[p].empty()) continue;
-    workers.emplace_back([this, p, &slice, &positions, &out] {
-      const auto results = at(p)->verify_batch(slice[p]);
-      for (std::size_t j = 0; j < results.size(); ++j) {
-        out[positions[p][j]] = results[j];
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
   return out;
 }
 
@@ -134,10 +117,6 @@ std::uint64_t partition_router::now() const {
 
 std::size_t partition_router::outstanding(device_id id) const {
   return at(index_of(id))->outstanding(id);
-}
-
-std::size_t partition_router::batch_workers() const {
-  return at(0)->batch_workers();
 }
 
 hub_stats partition_router::stats(bool include_per_device) const {

@@ -14,12 +14,17 @@
 // function of (seed, vnodes, N): every process that agrees on those
 // three agrees on the placement, with no coordination. challenge() and
 // outstanding() route on the id; submit() routes on the device id
-// SNIFFED from the frame header (proto::peek_device_id). A frame too
-// damaged to sniff goes to partition 0, whose decoder rejects it with
-// exactly the typed error a bare hub would return — routing never
-// invents new error surfaces. verify_batch() scatters frames to their
-// partitions (single-partition batches pass straight through) and
-// reassembles results in input order.
+// SNIFFED from the frame header (proto::peek_device_id), the same lookup
+// partition_of() gives the batcher. A frame too damaged to sniff goes to
+// partition 0, whose decoder rejects it with exactly the typed error a
+// bare hub would return — routing never invents new error surfaces.
+//
+// Threads
+// -------
+// The router starts none. The service's batcher runs one verify thread
+// per partition and hands each one single-partition batches, which
+// verify_batch() passes straight through. A mixed batch (library callers
+// only) is submitted frame by frame on the calling thread.
 //
 // Because placement decides which partition's store holds a device's
 // registry record, the DURABLE layout pins it: partitioned_fleet::open
@@ -69,7 +74,6 @@ class partition_router final : public hub_like {
 
   /// Owning partition index for a device id. Pure and stable.
   std::size_t index_of(device_id id) const;
-  std::size_t partition_count() const { return parts_.size(); }
   const router_config& config() const { return cfg_; }
 
   /// Swap partition `idx`'s hub (promotion). The old hub is returned;
@@ -82,6 +86,10 @@ class partition_router final : public hub_like {
   attest_result submit(std::span<const std::uint8_t> frame) override;
   std::vector<attest_result> verify_batch(
       std::span<const byte_vec> frames) override;
+  std::size_t partition_count() const override { return parts_.size(); }
+  /// index_of the sniffed header id; partition 0 when unsniffable.
+  std::size_t partition_of(
+      std::span<const std::uint8_t> frame) const override;
   /// Ticks every partition: the fleet shares one logical clock.
   void tick(std::uint64_t n) override;
   using hub_like::tick;
@@ -89,7 +97,6 @@ class partition_router final : public hub_like {
   /// tick is in flight).
   std::uint64_t now() const override;
   std::size_t outstanding(device_id id) const override;
-  std::size_t batch_workers() const override;
   /// Aggregate across partitions: counters sum; per_device maps merge
   /// (disjoint by routing); last_batch_frames takes the max.
   hub_stats stats(bool include_per_device = true) const override;

@@ -19,7 +19,7 @@
 //     is rejected as stale_nonce, and a prover whose challenge was
 //     outstanding asks for a new one. The rule that makes one report per
 //     nonce hold is in-process — the hub consumes the nonce under its
-//     shard lock before verifying — and costs no I/O.
+//     mutex before verifying — and costs no I/O.
 //   * a submission's outcome. The counters in hub_stats are process-local
 //     and start at zero after a restart or a standby promotion.
 //   * the wire v2.1 delta baseline (each device's last accepted OR). A

@@ -22,7 +22,7 @@
 //
 // Threading model: provisioning (`provision`/`enroll`) takes a writer
 // lock; lookups (`find`/`size`/`ids`) take a reader lock and may run
-// concurrently — the verifier hub's sharded hot path does exactly that.
+// concurrently — the verifier hubs' hot paths do exactly that.
 // Records are immutable once provisioned and never erased, and std::map
 // nodes are address-stable, so a `device_record*` returned by `find`
 // stays valid (and safely readable) for the registry's lifetime even

@@ -14,8 +14,6 @@ namespace dialed::fleet {
 
 namespace {
 
-constexpr std::uint32_t default_shards = 16;
-
 /// K_hub: 32 bytes from getrandom(2), or SHA-256(label || LE64(seed)) when
 /// the config pins a seed for reproducibility.
 crypto::hmac_keystate nonce_key(const std::optional<std::uint64_t>& seed) {
@@ -50,28 +48,9 @@ verifier_hub::verifier_hub(const device_registry& registry, hub_config cfg)
       nonce_key_(nonce_key(cfg.seed)),
       obs_(cfg.obs) {
   if (cfg_.max_outstanding == 0) cfg_.max_outstanding = 1;
-  if (cfg_.shards == 0) cfg_.shards = default_shards;
-  shards_.reserve(cfg_.shards);
-  for (std::uint32_t s = 0; s < cfg_.shards; ++s) {
-    shards_.push_back(std::make_unique<shard>());
-  }
-  if (!cfg_.sequential_batch) {
-    const std::size_t workers = cfg_.workers != 0
-                                    ? cfg_.workers
-                                    : thread_pool::hardware_workers();
-    pool_ = std::make_unique<thread_pool>(workers);
-  }
 }
 
 verifier_hub::~verifier_hub() = default;
-
-verifier_hub::shard& verifier_hub::shard_for(device_id id) {
-  return *shards_[mix64(id) % shards_.size()];
-}
-
-const verifier_hub::shard& verifier_hub::shard_for(device_id id) const {
-  return *shards_[mix64(id) % shards_.size()];
-}
 
 void verifier_hub::retire(device_state& st, std::size_t index,
                           nonce_fate fate) {
@@ -127,11 +106,9 @@ hub_stats verifier_hub::stats(bool include_per_device) const {
   s.replay_memo_hits = stats_.replays_reused.load(std::memory_order_relaxed);
   s.replay_memo_misses = stats_.replays_run.load(std::memory_order_relaxed);
   if (include_per_device) {
-    for (const auto& shp : shards_) {
-      std::lock_guard<std::mutex> lk(shp->mu);
-      for (const auto& [id, st] : shp->states) {
-        s.per_device.emplace(id, st.counters.snapshot());
-      }
+    std::lock_guard<std::mutex> lk(mu_);
+    for (const auto& [id, st] : states_) {
+      s.per_device.emplace(id, st.counters.snapshot());
     }
   }
   return s;
@@ -154,9 +131,8 @@ challenge_grant verifier_hub::challenge(device_id id) {
     grant.error = proto_error::unknown_device;
     return grant;
   }
-  shard& sh = shard_for(id);
-  std::lock_guard<std::mutex> lk(sh.mu);
-  device_state& st = sh.states[id];
+  std::lock_guard<std::mutex> lk(mu_);
+  device_state& st = states_[id];
   expire_stale(st, now());
   // Capacity eviction is an explicit, observable event: the grant notes it
   // and a late report for the evicted nonce gets challenge_superseded.
@@ -205,7 +181,7 @@ attest_result verifier_hub::verify_impl(device_id id, std::uint32_t seq,
   r.device = id;
   r.seq = seq;
 
-  // Phase 1 (under the shard lock): nonce bookkeeping. Match the
+  // Phase 1 (under the mutex): nonce bookkeeping. Match the
   // challenge, classify misses, check the sequence number and CONSUME the
   // nonce, capturing the registry record for phase 2. No I/O: challenge
   // state is soft, and a restarted hub never issued this nonce.
@@ -214,15 +190,14 @@ attest_result verifier_hub::verify_impl(device_id id, std::uint32_t seq,
   std::array<std::uint8_t, 16> nonce{};
   std::shared_ptr<const verifier::accepted_round> prior;
   {
-    shard& sh = shard_for(id);
-    std::lock_guard<std::mutex> lk(sh.mu);
+    std::lock_guard<std::mutex> lk(mu_);
     rec = registry_.find(id);
     if (rec == nullptr) {
       r.error = proto_error::unknown_device;
       sp.mark(obs::stage::journal);
       return rejected(r, nullptr);
     }
-    device_state& st = sh.states[id];
+    device_state& st = states_[id];
     expire_stale(st, now());
 
     const auto match =
@@ -270,7 +245,7 @@ attest_result verifier_hub::verify_impl(device_id id, std::uint32_t seq,
     stp = &st;  // map nodes are address-stable; see threading note below
     prior = st.baseline.round;
   }
-  // The journal stage: nonce match and consume under the shard lock.
+  // The journal stage: nonce match and consume under the mutex.
   sp.mark(obs::stage::journal);
 
   // Phase 2 (no locks held): the expensive MAC + abstract-execution
@@ -293,7 +268,7 @@ attest_result verifier_hub::verify_impl(device_id id, std::uint32_t seq,
     // This round is now the proven device state: the delta baseline and
     // the reuse source (accepted verdicts ONLY). A reused verdict matched
     // `prior` byte for byte, so that round stays; otherwise the OR is
-    // copied out of the (possibly borrowed) frame. Re-takes the shard lock.
+    // copied out of the (possibly borrowed) frame. Re-takes the mutex.
     auto round =
         r.verdict.replay == verifier::replay_path::reused
             ? std::move(prior)
@@ -333,18 +308,17 @@ std::optional<attest_result> verifier_hub::reconstruct_delta(
   attest_result r;
   r.device = id;
   r.seq = seq;
-  // The round is referenced under the shard lock (another thread's
+  // The round is referenced under the mutex (another thread's
   // accepted verdict may swap the baseline the instant it is dropped);
   // it is immutable, so the splat happens unlocked.
   std::shared_ptr<const verifier::accepted_round> base;
   {
-    shard& sh = shard_for(id);
-    std::lock_guard<std::mutex> lk(sh.mu);
+    std::lock_guard<std::mutex> lk(mu_);
     if (registry_.find(id) == nullptr) {
       r.error = proto_error::unknown_device;
       return rejected(r, nullptr);
     }
-    device_state& st = sh.states[id];
+    device_state& st = states_[id];
     const or_baseline& b = st.baseline;
     if (b.round == nullptr || b.seq != delta.baseline_seq ||
         b.hash != delta.baseline_hash) {
@@ -370,9 +344,8 @@ std::optional<attest_result> verifier_hub::reconstruct_delta(
 void verifier_hub::adopt_round(
     device_id id, std::uint32_t seq,
     std::shared_ptr<const verifier::accepted_round> round) {
-  shard& sh = shard_for(id);
-  std::lock_guard<std::mutex> lk(sh.mu);
-  device_state& st = sh.states[id];
+  std::lock_guard<std::mutex> lk(mu_);
+  device_state& st = states_[id];
   // Newest accepted round wins; with concurrent accepts for one device
   // the table converges on the max seq no matter the interleaving.
   if (st.baseline.round != nullptr && seq <= st.baseline.seq) return;
@@ -385,8 +358,8 @@ void verifier_hub::adopt_round(
 attest_result verifier_hub::submit(std::span<const std::uint8_t> frame) {
   obs::span_recorder sp(obs_.enabled());
   // Reentrancy: one decode scratch per thread, so concurrent submits
-  // (and verify_batch workers) never share a buffer but batches still
-  // reuse or_bytes capacity across frames.
+  // never share a buffer but batches still reuse or_bytes capacity across
+  // frames.
   static thread_local proto::decoded_frame scratch;
   // Borrow mode: a full frame's OR stays in `frame` (scratch.or_view
   // points into it) and is verified in place; only an ACCEPTED replayed
@@ -429,15 +402,8 @@ std::vector<attest_result> verifier_hub::verify_batch(
   std::vector<attest_result> out(frames.size());
   stats_.inflight_batches.fetch_add(1, std::memory_order_relaxed);
   try {
-    if (pool_ == nullptr) {
-      for (std::size_t i = 0; i < frames.size(); ++i) {
-        out[i] = submit(frames[i]);
-      }
-    } else {
-      // Fan out across the pool; each worker writes only its own slot, so
-      // the results land in input order with no post-hoc reordering.
-      pool_->parallel_for(
-          frames.size(), [&](std::size_t i) { out[i] = submit(frames[i]); });
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      out[i] = submit(frames[i]);
     }
   } catch (...) {
     stats_.inflight_batches.fetch_sub(1, std::memory_order_relaxed);
@@ -452,10 +418,9 @@ std::vector<attest_result> verifier_hub::verify_batch(
 }
 
 std::size_t verifier_hub::outstanding(device_id id) const {
-  const shard& sh = shard_for(id);
-  std::lock_guard<std::mutex> lk(sh.mu);
-  const auto it = sh.states.find(id);
-  if (it == sh.states.end()) return 0;
+  std::lock_guard<std::mutex> lk(mu_);
+  const auto it = states_.find(id);
+  if (it == states_.end()) return 0;
   const auto& entries = it->second.outstanding;
   if (cfg_.challenge_ttl == 0) return entries.size();
   // Count only live entries: expiry is swept lazily on the challenge /

@@ -36,7 +36,7 @@
 // `or_baseline` (sequence-stamped hash + bytes, updated only on an
 // accepted verdict). It lives in memory only: it is soft state, never
 // journaled, snapshotted or shipped (fleet/persist.h). submit() resolves
-// the baseline under the shard lock, reconstructs the full OR OUTSIDE
+// the baseline under the hub's mutex, reconstructs the full OR OUTSIDE
 // it, and then verifies exactly as if a full frame had arrived — the MAC
 // covers the reconstructed OR, so a delta that reconstructs the wrong
 // bytes is rejected like any forgery.
@@ -50,7 +50,7 @@
 // ------------
 // The baseline is also the hub's only replay cache. Next to the bytes it
 // holds the verdict the round was accepted with (one immutable
-// verifier::accepted_round, swapped whole under the shard lock). A report
+// verifier::accepted_round, swapped whole under the hub's mutex). A report
 // — full or delta — whose OR is byte-identical to it reuses that verdict
 // instead of replaying, after its own MAC verified; the claimed result is
 // still checked per report (firmware_artifact::verify). A restarted hub
@@ -72,7 +72,7 @@
 // the tick clock — lives in memory only: a new hub starts every device at
 // seq 1 under a new key, so it cannot regenerate any earlier hub's nonce,
 // and a frame answering one is stale_nonce. The freshness rule that
-// survives is in-process: a nonce is consumed under its shard lock
+// survives is in-process: a nonce is consumed under the hub's mutex
 // before the report is verified (see the threading model).
 //
 // Firmware sharing (the catalog refactor)
@@ -83,30 +83,29 @@
 // verify runs straight off that artifact with the record's device key.
 // Verifier memory is O(firmwares), not O(devices). The §III replay keeps
 // no state between reports either: each one runs the shared MSP430 core
-// over a 64 KiB memory of its own, so workers share only the read-only
-// artifact. The hub attaches no app policies; callers that want them
-// wrap the record's artifact in a verifier::op_verifier.
+// over a 64 KiB memory of its own, so concurrent verifies share only the
+// read-only artifact. The hub attaches no app policies; callers that want
+// them wrap the record's artifact in a verifier::op_verifier.
 //
 // Threading model
 // ---------------
-// The hub is internally sharded: per-device state (challenge table,
-// retired-nonce history, delta baseline) lives in one of
-// `hub_config::shards` shards selected by a hash of the device id, each
-// with its own mutex. All public entry points are safe to call
-// concurrently from any number of threads:
+// All per-device state (challenge table, retired-nonce history, delta
+// baseline) lives in one map behind one mutex. Every public entry point
+// is safe to call concurrently from any number of threads, though the
+// service has at most two per hub: the reactor (challenges, scrapes) and
+// its partition's verify thread (net/batcher.h). Verify parallelism is
+// the partition: N hubs behind a partition_router, one verify thread
+// each (fleet/partition.h).
 //
-//   - `challenge` / `submit` take only the owning shard's lock, so
-//     traffic for different shards never contends.
 //   - Nonce bookkeeping (match, seq check, consume) happens under the
-//     shard lock; the expensive cryptographic/replay verification runs
-//     OUTSIDE it, so one slow report does not stall its shard. The nonce
-//     is consumed before the lock is dropped — the §III one-report-per-
-//     nonce rule holds even when the same frame is submitted twice
-//     concurrently (exactly one submitter sees the nonce; the other gets
-//     replayed_report).
-//   - `verify_batch` fans the frames out over an internal worker pool
-//     (`hub_config::workers` threads; the caller participates too) and
-//     returns results in input order.
+//     mutex; the expensive cryptographic/replay verification runs
+//     OUTSIDE it, so one slow report does not stall the reactor's
+//     challenges. The nonce is consumed before the lock is dropped — the
+//     §III one-report-per-nonce rule holds even when the same frame is
+//     submitted twice concurrently (exactly one submitter sees the
+//     nonce; the other gets replayed_report).
+//   - `verify_batch` submits the frames one after another on the calling
+//     thread and returns results in input order.
 //   - `tick`/`now`/`stats` use atomics and may race freely.
 //
 // The one external requirement: the device_registry must outlive the hub,
@@ -122,7 +121,6 @@
 #include <mutex>
 #include <optional>
 
-#include "common/thread_pool.h"
 #include "crypto/hmac.h"
 #include "fleet/hub_like.h"
 #include "fleet/registry.h"
@@ -151,16 +149,9 @@ struct hub_config {
   /// its boot epoch into the seed it passes on, so each reopen of one
   /// state directory still gets a key of its own.
   std::optional<std::uint64_t> seed;
-  /// Device-state shards (each its own lock). 0 = pick a default.
-  /// 1 reproduces the old fully-serialized hub.
-  std::uint32_t shards = 0;
-  /// Worker threads for verify_batch fan-out; the calling thread always
-  /// participates as one more worker. 0 = hardware concurrency - 1;
-  /// 1 worker thread still means 2-way parallelism. Use
-  /// `sequential_batch = true` for a strictly single-threaded hub.
-  std::uint32_t workers = 0;
-  /// Forces verify_batch to run inline on the calling thread (no pool is
-  /// created).
+  /// No effect: verify_batch always runs on the calling thread. Kept
+  /// only because the perf ledger (perfledger/) still sets it; it goes
+  /// in the same change as that line.
   bool sequential_batch = false;
   /// Pipeline observability (src/obs): per-stage latency histograms and
   /// the slow/rejected flight recorder. `obs.enabled = false` removes
@@ -196,9 +187,8 @@ class verifier_hub : public hub_like {
   /// is not read after submit returns.
   attest_result submit(std::span<const std::uint8_t> frame) override;
 
-  /// Verify a batch of independent frames in parallel on the hub's worker
-  /// pool (per-shard locking; crypto/replay outside the locks). Results
-  /// are returned in input order regardless of completion order.
+  /// Submit each frame in turn on the calling thread; results come back
+  /// in input order.
   std::vector<attest_result> verify_batch(
       std::span<const byte_vec> frames) override;
 
@@ -217,14 +207,9 @@ class verifier_hub : public hub_like {
   /// retired history by a challenge/verify on that device).
   std::size_t outstanding(device_id id) const override;
 
-  /// Worker threads backing verify_batch (0 = inline/sequential).
-  std::size_t batch_workers() const override {
-    return pool_ ? pool_->workers() : 0;
-  }
-
   /// Snapshot of the hub's monotonic, process-local counters.
   /// Thread-safe; the hub-level fields are lock-free, the per-device
-  /// breakdown briefly takes each shard lock in turn. Pass
+  /// breakdown briefly takes the hub's mutex. Pass
   /// include_per_device = false for the cheap lock-free hub-level scalars
   /// only.
   hub_stats stats(bool include_per_device = true) const override;
@@ -255,7 +240,7 @@ class verifier_hub : public hub_like {
   };
 
   /// Per-device counters, written with relaxed atomics: the accept/reject
-  /// bumps happen AFTER the shard lock is dropped (phase 2 of
+  /// bumps happen AFTER the hub's mutex is dropped (phase 2 of
   /// verify_impl), racing only with stats() readers.
   struct atomic_device_counters {
     std::atomic<std::uint64_t> accepted{0};
@@ -276,8 +261,8 @@ class verifier_hub : public hub_like {
   };
 
   /// The device's last accepted round: wire v2.1 delta baseline and
-  /// replay-reuse source in one, in memory only. Guarded by the owning
-  /// shard's mutex: written only under the lock (accepted verdicts);
+  /// replay-reuse source in one, in memory only. Guarded by the hub's
+  /// mutex: written only under the lock (accepted verdicts);
   /// readers copy the shared_ptr out under it and use the immutable
   /// round unlocked.
   struct or_baseline {
@@ -293,12 +278,6 @@ class verifier_hub : public hub_like {
     or_baseline baseline;
     atomic_device_counters counters;
     std::uint32_t next_seq = 1;
-  };
-
-  /// One lock domain: a slice of the fleet's devices.
-  struct shard {
-    mutable std::mutex mu;
-    std::map<device_id, device_state> states;
   };
 
   /// Relaxed atomics behind stats(); written from any verify/challenge
@@ -321,8 +300,6 @@ class verifier_hub : public hub_like {
     std::atomic<std::uint64_t> inflight_batches{0};
   };
 
-  shard& shard_for(device_id id);
-  const shard& shard_for(device_id id) const;
   void retire(device_state& st, std::size_t index, nonce_fate fate);
   void expire_stale(device_state& st, std::uint64_t now);
   /// Bump the hub histogram and, when `st` is known, the per-device
@@ -341,7 +318,7 @@ class verifier_hub : public hub_like {
   /// through this.
   attest_result observed(const obs::span_recorder& sp, attest_result r);
   /// v2.1 path: check the frame's baseline reference against the device's
-  /// or_baseline (under the shard lock), take a reference to its round,
+  /// or_baseline (under the mutex), take a reference to its round,
   /// and reconstruct the full OR into report.or_bytes (outside the lock).
   /// nullopt on success; the fully-bookkept rejection (unknown_device /
   /// baseline_mismatch) otherwise — in which case NO challenge state was
@@ -350,8 +327,8 @@ class verifier_hub : public hub_like {
       device_id id, std::uint32_t seq, const proto::or_delta& delta,
       verifier::attestation_report& report);
   /// Make `round` the device's baseline for round `seq` if it is newer
-  /// than the current one (accepted verdicts only; takes the shard
-  /// lock). The round is built outside the lock.
+  /// than the current one (accepted verdicts only; takes the mutex). The
+  /// round is built outside the lock.
   void adopt_round(device_id id, std::uint32_t seq,
                    std::shared_ptr<const verifier::accepted_round> round);
 
@@ -360,8 +337,8 @@ class verifier_hub : public hub_like {
   /// K_hub's HMAC key schedule: the nonce PRF key (see file comment).
   crypto::hmac_keystate nonce_key_;
   std::atomic<std::uint64_t> now_{0};
-  std::vector<std::unique_ptr<shard>> shards_;
-  std::unique_ptr<thread_pool> pool_;  ///< null when sequential_batch
+  mutable std::mutex mu_;  ///< guards states_
+  std::map<device_id, device_state> states_;
   mutable counters stats_;
   obs::pipeline_obs obs_;
 };

@@ -3,24 +3,30 @@
 // throughput with two knobs —
 //
 //   batch_max        flush when this many frames have accumulated
-//                    (throughput: amortize batch fan-out overhead)
+//                    (throughput: amortize per-batch overhead)
 //   batch_latency_ms flush when the OLDEST pending frame has waited this
 //                    long (latency bound: no frame waits forever for a
 //                    batch to fill)
 //
 // plus the adaptive rule that makes light load fast WITHOUT burning the
-// latency budget: when the verify dispatcher is idle, pending frames
+// latency budget: when a verify dispatcher is idle, its pending frames
 // flush at the end of the current reactor turn (so frames arriving in
 // one readiness burst still coalesce), and only while a batch is already
 // verifying do new arrivals accumulate toward batch_max/latency. Under
 // load the dispatcher is always busy, so batches grow toward batch_max;
 // idle, a lone frame's latency is one reactor turn.
 //
-// Threading: enqueue/maybe_flush/timeout_ms/drain_completions are
-// reactor-thread-only. One internal dispatcher thread pulls flushed
-// batches and runs hub.verify_batch (which fans out over the hub's own
-// worker pool); finished results come back through drain_completions
-// after the dispatcher wake()s the reactor. The reactor never blocks on
+// Threading: one model, a verify thread per partition. The batcher keeps
+// one lane per partition of the hub (hub_like::partition_count()), each
+// with its own pending buffer, flush state, job queue and long-lived
+// dispatcher thread. A frame joins the lane of the partition that owns
+// it (hub_like::partition_of), so every verify_batch call carries one
+// partition's frames and runs on that partition's thread: partitions
+// verify in parallel, and a slow one holds up only its own frames. With
+// one partition there is one dispatcher and one verify_batch at a time.
+// enqueue/maybe_flush/timeout_ms/drain_completions are reactor-thread-
+// only; finished results come back through drain_completions after a
+// dispatcher wake()s the reactor. The reactor never blocks on
 // verification — that is the point.
 #ifndef DIALED_NET_BATCHER_H
 #define DIALED_NET_BATCHER_H
@@ -30,6 +36,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -55,8 +62,8 @@ struct completion {
 /// (2^(i-1), 2^i]; the last bucket is unbounded.
 constexpr std::size_t batch_hist_buckets = 11;
 
-/// Why a batch left the pending buffer: it filled (size), the oldest
-/// frame hit the latency bound (deadline), or the dispatcher was idle at
+/// Why a batch left a pending buffer: it filled (size), the oldest frame
+/// hit the latency bound (deadline), or its lane's dispatcher was idle at
 /// end of turn (idle — the adaptive fast path under light load).
 enum class flush_cause : std::uint8_t { size, deadline, idle };
 constexpr std::size_t flush_cause_count = 3;
@@ -78,13 +85,15 @@ class batcher {
   void maybe_flush(std::chrono::steady_clock::time_point now);
 
   /// Epoll timeout needed to honor the latency bound: ms until the
-  /// oldest pending frame's deadline, or -1 when nothing is pending.
+  /// earliest deadline of any lane's oldest pending frame, or -1 when
+  /// nothing is pending.
   int timeout_ms(std::chrono::steady_clock::time_point now) const;
 
   std::vector<completion> drain_completions();
 
-  /// Frames accepted but not yet verified (pending + queued + in the
-  /// batch being verified) — the ingest-side backpressure signal.
+  /// Frames accepted but not yet verified, over all lanes (pending +
+  /// queued + in the batches being verified) — the ingest-side
+  /// backpressure signal.
   std::size_t backlog() const {
     return backlog_.load(std::memory_order_relaxed);
   }
@@ -111,24 +120,31 @@ class batcher {
     std::vector<std::uint64_t> enqueued_ns;  ///< obs::now_ns at enqueue
   };
 
-  void flush_pending(flush_cause cause);
-  void dispatcher_loop();
+  /// One partition's verify path.
+  struct lane {
+    // Reactor-thread state.
+    batch pending;
+    std::chrono::steady_clock::time_point oldest;
+
+    // Dispatcher handoff.
+    std::mutex mu;
+    std::condition_variable cv;
+    std::deque<batch> jobs;
+    std::vector<completion> completions;
+    bool stop = false;
+    std::atomic<bool> busy{false};
+
+    std::thread dispatcher;
+  };
+
+  void flush_pending(lane& l, flush_cause cause);
+  void dispatcher_loop(lane& l);
+  /// Stop every lane's dispatcher once its queue drains, and join it.
+  void stop_dispatchers();
 
   fleet::hub_like& hub_;
   batcher_config cfg_;
   reactor& reactor_;
-
-  // Reactor-thread state.
-  batch pending_;
-  std::chrono::steady_clock::time_point oldest_;
-
-  // Dispatcher handoff.
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<batch> jobs_;
-  std::vector<completion> completions_;
-  bool stop_ = false;
-  std::atomic<bool> busy_{false};
 
   std::atomic<std::size_t> backlog_{0};
   std::atomic<std::uint64_t> batches_{0};
@@ -137,7 +153,8 @@ class batcher {
   std::array<std::atomic<std::uint64_t>, flush_cause_count> flushes_{};
   obs::latency_histogram queue_wait_;
 
-  std::thread dispatcher_;
+  /// Last: the dispatchers use everything above.
+  std::vector<std::unique_ptr<lane>> lanes_;  ///< index = partition
 };
 
 }  // namespace dialed::net

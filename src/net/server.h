@@ -6,9 +6,9 @@
 //     /healthz, /debug/traces) — protocol sniffed per connection (see
 //     connection.h). Every report gets a typed answer on its connection;
 //     there is no fire-and-forget ingest;
-//   * the batcher's completion queue (verification happens on the
-//     batcher's dispatcher thread + the hub's worker pool — the reactor
-//     never blocks on crypto).
+//   * the batcher's completion queues (verification happens on the
+//     batcher's verify threads, one per partition — the reactor never
+//     blocks on crypto).
 //
 // Backpressure, two levels:
 //   * per-connection write-queue watermarks (connection.h) — a peer that

@@ -37,7 +37,7 @@ inline std::uint64_t now_ns() {
 
 /// The submit -> verify -> journal pipeline, in execution order.
 ///  - decode: wire frame parse (+ v2.1 delta reconstruction)
-///  - journal: nonce match and consume under the shard lock (no I/O; the
+///  - journal: nonce match and consume under the hub's mutex (no I/O; the
 ///    name is kept for the metrics that carry it)
 ///  - mac: HMAC check over the report (key schedule cached)
 ///  - replay: MSP430 emulator replay of the execution record

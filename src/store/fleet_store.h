@@ -113,7 +113,7 @@ class fleet_store final : public fleet::persist_sink {
     /// must MATCH the persisted one (store_error(master_key_mismatch)
     /// otherwise — silently proceeding would derive wrong device keys).
     byte_vec master_key;
-    /// Configuration for the reopened hub (shards, TTL, workers...). A
+    /// Configuration for the reopened hub (outstanding cap, TTL...). A
     /// pinned seed reaches the hub folded with the boot epoch (see the
     /// file comment).
     fleet::hub_config hub{};

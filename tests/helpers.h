@@ -149,18 +149,10 @@ inline void expect_decode_cache_matches_image(
 
 /// One device behind the hub's front door: `prog` provisioned on a fresh
 /// registry, a prover_device keyed with the registry's derived K_dev, and
-/// rounds run as challenge -> invoke -> v2 frame -> submit. The default
-/// hub is single-threaded (one shard, no batch pool) with a fixed seed.
+/// rounds run as challenge -> invoke -> v2 frame -> submit.
 struct hub_device {
-  static fleet::hub_config default_config() {
-    fleet::hub_config cfg;
-    cfg.shards = 1;
-    cfg.sequential_batch = true;
-    return cfg;
-  }
-
   explicit hub_device(const instr::linked_program& prog,
-                      const fleet::hub_config& cfg = default_config())
+                      const fleet::hub_config& cfg = {})
       : registry(test_key()),
         id(registry.provision(prog)),
         hub(registry, cfg),

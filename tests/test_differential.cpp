@@ -381,8 +381,6 @@ struct lockstep_fleet {
   explicit lockstep_fleet(const instr::linked_program& prog)
       : reg_a(test_key()), reg_b(test_key(), reg_a.catalog()) {
     fleet::hub_config cfg;
-    cfg.sequential_batch = true;
-    cfg.shards = 1;
     cfg.seed = 0x00d1a1ed5eedull;
     id_a = reg_a.provision(prog);
     id_b = reg_b.provision(prog);

@@ -401,12 +401,12 @@ TEST(hub, batch_verification_matches_individual_submits) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency: the sharded hub under multi-threaded traffic
+// Concurrency: one hub under multi-threaded traffic
 // ---------------------------------------------------------------------------
 
 // A cheap, wire-valid frame for hammering the hub's locking: the challenge
 // nonce/device/seq are real, the rest of the report is default garbage, so
-// the nonce bookkeeping (the part under the shard locks) runs in full but
+// the nonce bookkeeping (the part under the hub's mutex) runs in full but
 // verification exits early with bounds_mismatch — error == none either way.
 byte_vec dummy_frame(device_id id, const challenge_grant& grant) {
   verifier::attestation_report rep;
@@ -432,11 +432,10 @@ TEST(hub_concurrency, hammered_challenge_submit_never_loses_or_dupes_nonces) {
   // can retire up to 7 * iterations entries on the same device, so the
   // window must exceed threads * iterations to be schedule-proof.
   cfg.retired_memory = threads * iterations * 2;
-  cfg.workers = 2;
   verifier_hub hub(reg, cfg);
 
   // Every thread hits EVERY device each iteration — maximal overlap on the
-  // shard locks and the per-device tables.
+  // hub's mutex and the per-device tables.
   std::atomic<int> failures{0};
   std::vector<std::vector<std::array<std::uint8_t, 16>>> nonces(threads);
   std::vector<std::thread> pool;
@@ -470,7 +469,7 @@ TEST(hub_concurrency, hammered_challenge_submit_never_loses_or_dupes_nonces) {
   // Every issued nonce was consumed: nothing left outstanding anywhere.
   for (const auto id : ids) EXPECT_EQ(hub.outstanding(id), 0u);
 
-  // No generator collisions across shard RNG streams or threads.
+  // No nonce collisions across devices or threads.
   std::set<std::array<std::uint8_t, 16>> unique;
   std::size_t total = 0;
   for (const auto& per_thread : nonces) {
@@ -490,9 +489,7 @@ TEST(hub, delta_fallback_negotiation_keeps_the_nonce_alive) {
   device_registry reg(master_key());
   const auto prog = adder_prog();
   const auto id = reg.provision(prog);
-  hub_config cfg;
-  cfg.sequential_batch = true;
-  verifier_hub hub(reg, cfg);
+  verifier_hub hub(reg);
   proto::prover_device dev(prog, reg.derive_key(id));
   proto::delta_emitter emitter;
 
@@ -541,9 +538,7 @@ TEST(hub, adopted_baseline_survives_frame_buffer_reuse) {
   device_registry reg(master_key());
   const auto prog = adder_prog();
   const auto id = reg.provision(prog);
-  hub_config cfg;
-  cfg.sequential_batch = true;
-  verifier_hub hub(reg, cfg);
+  verifier_hub hub(reg);
   proto::prover_device dev(prog, reg.derive_key(id));
 
   const auto g1 = hub.challenge(id);
@@ -571,8 +566,8 @@ TEST(hub, adopted_baseline_survives_frame_buffer_reuse) {
 
 TEST(hub_concurrency, delta_submit_hammer_keeps_baselines_untorn) {
   // 8 threads × delta/full/tampered submissions on ONE device (maximal
-  // shard-lock contention on the baseline). Run under TSan in CI. After
-  // the dust settles: the baseline must be EXACTLY the OR of the
+  // contention on the baseline under the hub's mutex). Run under TSan in
+  // CI. After the dust settles: the baseline must be EXACTLY the OR of the
   // newest-seq ACCEPTED round — tampered rounds never steer it, and a
   // torn write (interleaved bytes of two rounds) would match no round.
   device_registry reg(master_key());
@@ -585,7 +580,6 @@ TEST(hub_concurrency, delta_submit_hammer_keeps_baselines_untorn) {
   hub_config cfg;
   cfg.max_outstanding = total_rounds;
   cfg.retired_memory = total_rounds * 2;
-  cfg.workers = 2;
   verifier_hub hub(reg, cfg);
 
   // Pre-phase (single-threaded: the prover device is not): one grant and
@@ -707,11 +701,10 @@ TEST(hub_concurrency, parallel_batch_results_are_order_stable) {
 
   hub_config cfg;
   cfg.max_outstanding = 64;
-  cfg.workers = 4;
   verifier_hub hub(reg, cfg);
 
   // 4 devices x 32 rounds, interleaved round-robin so adjacent batch
-  // entries hit different shards.
+  // entries hit different devices.
   std::vector<byte_vec> frames;
   std::vector<std::pair<device_id, std::uint32_t>> expect;
   for (int round = 0; round < 32; ++round) {
@@ -723,7 +716,27 @@ TEST(hub_concurrency, parallel_batch_results_are_order_stable) {
     }
   }
 
-  const auto results = hub.verify_batch(frames);
+  // Four threads each verify one quarter of the frames as a batch, all
+  // at once: every device is in every quarter, so the threads contend on
+  // the same devices. Each batch comes back in its input order.
+  constexpr std::size_t threads = 4;
+  const auto verify_all = [&] {
+    const std::span<const byte_vec> all(frames);
+    const std::size_t quarter = frames.size() / threads;
+    std::vector<std::vector<attest_result>> parts(threads);
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < threads; ++t) {
+      pool.emplace_back([&, t] {
+        parts[t] = hub.verify_batch(all.subspan(t * quarter, quarter));
+      });
+    }
+    for (auto& th : pool) th.join();
+    std::vector<attest_result> results;
+    for (auto& p : parts) results.insert(results.end(), p.begin(), p.end());
+    return results;
+  };
+
+  const auto results = verify_all();
   ASSERT_EQ(results.size(), frames.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].error, proto_error::none) << "slot " << i;
@@ -731,54 +744,10 @@ TEST(hub_concurrency, parallel_batch_results_are_order_stable) {
     EXPECT_EQ(results[i].seq, expect[i].second) << "slot " << i;
   }
   // Re-submitting the whole batch: every slot is a replay, still in order.
-  const auto replays = hub.verify_batch(frames);
+  const auto replays = verify_all();
   for (std::size_t i = 0; i < replays.size(); ++i) {
     EXPECT_EQ(replays[i].error, proto_error::replayed_report);
     EXPECT_EQ(replays[i].device, expect[i].first);
-  }
-}
-
-TEST(hub_concurrency, parallel_batch_verdicts_match_sequential_hub) {
-  // Real (cryptographically valid) reports through both a sequential and a
-  // parallel hub armed with the same seed: byte-identical accept verdicts,
-  // input order preserved.
-  device_registry reg(master_key());
-  const auto prog = adder_prog();
-  const auto id1 = reg.provision(prog);
-  const auto id2 = reg.provision(prog);
-  hub_config seq_cfg;
-  seq_cfg.sequential_batch = true;
-  seq_cfg.seed = 0x5eed;
-  hub_config par_cfg;
-  par_cfg.workers = 4;
-  par_cfg.seed = seq_cfg.seed;
-  verifier_hub seq_hub(reg, seq_cfg);
-  verifier_hub par_hub(reg, par_cfg);
-  proto::prover_device dev1(prog, reg.derive_key(id1));
-  proto::prover_device dev2(prog, reg.derive_key(id2));
-
-  // Same seed + same issue order => identical grants from both hubs.
-  std::vector<byte_vec> frames;
-  std::vector<std::uint16_t> expect;
-  for (int round = 0; round < 3; ++round) {
-    const auto g1 = seq_hub.challenge(id1);
-    const auto g2 = seq_hub.challenge(id2);
-    ASSERT_EQ(par_hub.challenge(id1).nonce, g1.nonce);
-    ASSERT_EQ(par_hub.challenge(id2).nonce, g2.nonce);
-    const auto a = static_cast<std::uint16_t>(10 * (round + 1));
-    frames.push_back(frame_for(id1, g1, dev1.invoke(g1.nonce, args(a, 1))));
-    frames.push_back(frame_for(id2, g2, dev2.invoke(g2.nonce, args(a, 2))));
-    expect.push_back(static_cast<std::uint16_t>(a + 1));
-    expect.push_back(static_cast<std::uint16_t>(a + 2));
-  }
-  const auto seq_results = seq_hub.verify_batch(frames);
-  const auto par_results = par_hub.verify_batch(frames);
-  ASSERT_EQ(seq_results.size(), par_results.size());
-  for (std::size_t i = 0; i < seq_results.size(); ++i) {
-    EXPECT_TRUE(seq_results[i].accepted()) << "slot " << i;
-    EXPECT_TRUE(par_results[i].accepted()) << "slot " << i;
-    EXPECT_EQ(par_results[i].verdict.replayed_result, expect[i]);
-    EXPECT_EQ(seq_results[i].verdict.replayed_result, expect[i]);
   }
 }
 
@@ -810,8 +779,9 @@ TEST(hub_concurrency, outstanding_count_is_expiry_aware) {
 
 TEST(hub_concurrency, many_devices_one_firmware_verify_in_parallel) {
   // The fleet's dominant shape under the firmware catalog: every device
-  // shares ONE immutable artifact, verified concurrently by the batch
-  // pool (TSan checks the shared-artifact reads + per-thread machines).
+  // shares ONE immutable artifact, verified concurrently by four threads
+  // (TSan checks the shared-artifact reads; each replay runs over a
+  // memory of its own).
   device_registry reg(master_key());
   const auto prog = adder_prog();
   std::vector<device_id> ids;
@@ -824,11 +794,10 @@ TEST(hub_concurrency, many_devices_one_firmware_verify_in_parallel) {
 
   hub_config cfg;
   cfg.max_outstanding = 8;
-  cfg.workers = 4;
   verifier_hub hub(reg, cfg);
 
-  // Real (cryptographically valid) frames: the parallel workers all run
-  // full MAC + replay against the one shared artifact.
+  // Real (cryptographically valid) frames: the threads all run full MAC
+  // + replay against the one shared artifact.
   std::vector<byte_vec> frames;
   std::vector<std::uint16_t> expect;
   for (int round = 0; round < 2; ++round) {
@@ -843,8 +812,16 @@ TEST(hub_concurrency, many_devices_one_firmware_verify_in_parallel) {
     }
   }
 
-  const auto results = hub.verify_batch(frames);
-  ASSERT_EQ(results.size(), frames.size());
+  std::vector<attest_result> results(frames.size());
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < 4; ++t) {
+    pool.emplace_back([&, t] {
+      for (std::size_t i = t; i < frames.size(); i += 4) {
+        results[i] = hub.submit(frames[i]);
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_TRUE(results[i].accepted()) << "frame " << i;
     EXPECT_EQ(results[i].verdict.replayed_result, expect[i]) << i;
@@ -862,7 +839,6 @@ TEST(hub, default_config_draws_a_fresh_nonce_key_per_hub) {
   device_registry reg(master_key());
   const auto id = reg.provision(adder_prog());
   hub_config cfg;
-  cfg.sequential_batch = true;
   verifier_hub a(reg, cfg);
   verifier_hub b(reg, cfg);
   const auto ga = a.challenge(id);
@@ -1008,7 +984,7 @@ TEST(hub, stats_break_down_per_device) {
 
 TEST(front_door, single_outstanding_device_reports_superseded) {
   const auto prog = adder_prog();
-  auto cfg = test::hub_device::default_config();
+  hub_config cfg;
   cfg.max_outstanding = 1;
   test::hub_device d(prog, cfg);
   const auto g1 = d.hub.challenge(d.id);

@@ -5,8 +5,9 @@
 // traffic on one connection, delta desync falling back to a full frame
 // on the same nonce, slow-reader backpressure, global ingest caps,
 // mid-stream disconnects, oversized length prefixes, /metrics–/healthz
-// scrapes, and a server restart from a durable state dir rejecting a
-// pre-crash replay. Run under TSan in CI.
+// scrapes, partitions verifying independently on their own threads, and
+// a server restart from a durable state dir rejecting a pre-crash
+// replay. Run under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -25,6 +26,7 @@
 #include <thread>
 
 #include "apps/apps.h"
+#include "fleet/partition.h"
 #include "helpers.h"
 #include "net/client.h"
 #include "net/framer.h"
@@ -261,6 +263,7 @@ TEST(net_http, incomplete_and_oversized) {
 /// A hub_like that forwards to a real hub but holds every verify_batch
 /// until the test opens the gate: the dispatcher stalls on its first
 /// batch, so ingest backs up behind it no matter how fast verify is.
+/// arrived() counts the verify_batch calls that reached the gate.
 class gated_hub final : public fleet::hub_like {
  public:
   explicit gated_hub(fleet::hub_like& inner) : inner_(inner) {}
@@ -283,18 +286,20 @@ class gated_hub final : public fleet::hub_like {
       std::span<const byte_vec> frames) override {
     {
       std::unique_lock<std::mutex> lk(mu_);
+      ++arrived_;
       cv_.wait(lk, [&] { return open_; });
     }
     return inner_.verify_batch(frames);
+  }
+  std::size_t arrived() {
+    std::lock_guard<std::mutex> lk(mu_);
+    return arrived_;
   }
   using hub_like::tick;
   void tick(std::uint64_t n) override { inner_.tick(n); }
   std::uint64_t now() const override { return inner_.now(); }
   std::size_t outstanding(fleet::device_id id) const override {
     return inner_.outstanding(id);
-  }
-  std::size_t batch_workers() const override {
-    return inner_.batch_workers();
   }
   fleet::hub_stats stats(bool include_per_device) const override {
     return inner_.stats(include_per_device);
@@ -305,16 +310,15 @@ class gated_hub final : public fleet::hub_like {
   std::mutex mu_;
   std::condition_variable cv_;
   bool open_ = false;
+  std::size_t arrived_ = 0;
 };
 
 /// Registry + hub + running attest_server on ephemeral loopback ports.
 /// With `gated`, the server talks to the hub through a closed gated_hub.
 struct harness {
-  explicit harness(server_config cfg = {}, std::uint32_t hub_workers = 1,
-                   bool gated = false)
+  explicit harness(server_config cfg = {}, bool gated = false)
       : registry(master_key()) {
     fleet::hub_config hc;
-    hc.workers = hub_workers;
     hc.max_outstanding = 256;
     hub.emplace(registry, hc);
     if (gated) gate.emplace(*hub);
@@ -581,7 +585,7 @@ TEST(net_serve, global_backlog_cap_pauses_ingest) {
   server_config cfg;
   cfg.max_pending_frames = 4;
   cfg.batching.batch_max = 2;
-  harness h(cfg, 1, /*gated=*/true);
+  harness h(cfg, /*gated=*/true);
   const auto prog = adder_prog();
   const auto id = h.provision(prog);
   proto::prover_device dev(prog, h.key(id));
@@ -613,6 +617,61 @@ TEST(net_serve, global_backlog_cap_pauses_ingest) {
     seen.insert(r.seq);
   }
   EXPECT_EQ(seen.size(), static_cast<std::size_t>(n));
+}
+
+// One verify thread per partition: a stalled partition holds up only its
+// own frames. Partition 0's hub sits behind a closed gate; partition 1's
+// report must still come back accepted, and partition 0's once the gate
+// opens. With a single dispatcher for both, partition 1's frame would
+// queue behind the gate and its client would time out.
+TEST(net_serve, partitions_verify_independently) {
+  auto fleet = fleet::partitioned_fleet::create(2, master_key());
+  gated_hub gate(fleet.hub_of(0));
+  fleet::partition_router router({&gate, &fleet.hub_of(1)});
+  std::vector<fleet::device_id> ids(2, 0);  // one device per partition
+  for (fleet::device_id id = 1; ids[0] == 0 || ids[1] == 0; ++id) {
+    auto& slot = ids[router.index_of(id)];
+    if (slot == 0) slot = id;
+  }
+  const auto prog = adder_prog();
+  std::vector<byte_vec> frames;
+  for (std::size_t p = 0; p < 2; ++p) {
+    fleet.provision(ids[p], prog);
+    const auto grant = router.challenge(ids[p]);
+    ASSERT_TRUE(grant.ok());
+    proto::prover_device dev(prog, fleet.registry_of(p).find(ids[p])->key);
+    frames.push_back(
+        full_frame(ids[p], grant.seq, dev.invoke(grant.nonce, args(20, 22))));
+  }
+
+  server_config cfg;
+  cfg.bind_addr = "127.0.0.1";
+  attest_server server(router, cfg);
+  server.start();
+  struct open_on_exit {
+    gated_hub& g;
+    ~open_on_exit() { g.open(); }  // never strand a dispatcher on stop
+  } guard{gate};
+
+  attest_client held("127.0.0.1", server.tcp_port());
+  held.send_report(frames[0]);
+  ASSERT_TRUE(wait_until([&] { return gate.arrived() == 1; }));
+
+  attest_client other("127.0.0.1", server.tcp_port(), /*timeout_ms=*/2000);
+  try {
+    const auto r1 = other.submit_report(frames[1]);
+    EXPECT_TRUE(r1.accepted);
+    EXPECT_EQ(r1.device_id, ids[1]);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "partition 1 waited behind partition 0's gate: "
+                  << e.what();
+  }
+  EXPECT_EQ(fleet.hub_of(0).stats().reports_submitted(), 0u);
+
+  gate.open();
+  const auto r0 = held.recv_result();
+  EXPECT_TRUE(r0.accepted);
+  EXPECT_EQ(r0.device_id, ids[0]);
 }
 
 TEST(net_serve, mid_stream_disconnect_cleans_up) {
@@ -718,7 +777,6 @@ TEST(net_serve, restart_from_state_dir_rejects_pre_crash_replay) {
   {
     store::fleet_store::options so;
     so.master_key = master_key();
-    so.hub.workers = 1;
     auto state = store::fleet_store::open(dir.string(), so);
     const auto id = state.registry->provision(prog);
     proto::prover_device dev(prog, state.registry->find(id)->key);
@@ -746,7 +804,6 @@ TEST(net_serve, restart_from_state_dir_rejects_pre_crash_replay) {
   {
     store::fleet_store::options so;
     so.master_key = master_key();
-    so.hub.workers = 1;
     auto state = store::fleet_store::open(dir.string(), so);
     server_config cfg;
     cfg.bind_addr = "127.0.0.1";
@@ -1047,7 +1104,6 @@ TEST(net_serve, healthz_standby_depth_and_desync_503) {
 
   store::fleet_store::options so;
   so.master_key = master_key();
-  so.hub.workers = 1;
   auto state = store::fleet_store::open((dir / "primary").string(), so);
   store::wal_follower follower((dir / "standby").string());
   store::wal_shipper shipper;
@@ -1119,7 +1175,7 @@ void expect_prometheus_parses(const std::string& response) {
 // histogram totals never move backwards. This is a TSan target — it
 // pits the reactor's scrape path against the hub's recording path.
 TEST(net_serve, concurrent_scrape_under_traffic) {
-  harness h(server_config{}, /*hub_workers=*/2);
+  harness h;
   const auto prog = adder_prog();
   const auto id = h.provision(prog);
   proto::prover_device dev(prog, h.key(id));

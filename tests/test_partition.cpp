@@ -94,7 +94,6 @@ class partition_test : public ::testing::Test {
   store::fleet_store::options opts() const {
     store::fleet_store::options o;
     o.master_key = master_key();
-    o.hub.sequential_batch = true;  // single-threaded unless hammering
     return o;
   }
 

@@ -41,7 +41,7 @@ TEST(round, replayed_report_rejected) {
 
 TEST(round, old_report_for_new_challenge_rejected) {
   const auto prog = build_op(adder, "op", instr::instrumentation::dialed);
-  auto cfg = test::hub_device::default_config();
+  fleet::hub_config cfg;
   cfg.max_outstanding = 1;
   test::hub_device d(prog, cfg);
   const auto g1 = d.hub.challenge(d.id);
@@ -63,7 +63,7 @@ TEST(round, challenges_are_distinct) {
 
 TEST(round, deterministic_under_seed) {
   const auto prog = build_op(adder, "op", instr::instrumentation::dialed);
-  auto cfg = test::hub_device::default_config();
+  fleet::hub_config cfg;
   cfg.seed = 42;
   test::hub_device a(prog, cfg);
   test::hub_device b(prog, cfg);

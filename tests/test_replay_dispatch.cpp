@@ -15,6 +15,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "apps/apps.h"
 #include "common/error.h"
@@ -131,9 +132,7 @@ TEST(dispatch, hub_over_fuzz_corpus) {
                              "op", instr::instrumentation::dialed);
   const auto id = reg.provision(prog);
 
-  fleet::hub_config cfg;
-  cfg.sequential_batch = true;
-  verifier_hub hub(reg, cfg);
+  verifier_hub hub(reg);
   proto::prover_device dev(prog, reg.derive_key(id));
   {
     const auto grant = hub.challenge(id);
@@ -341,7 +340,7 @@ TEST(reuse, second_device_with_identical_or_replays) {
   const auto prog = adder();
   const auto id_a = reg.provision(prog);
   const auto id_b = reg.provision(prog);
-  verifier_hub hub(reg, test::hub_device::default_config());
+  verifier_hub hub(reg);
   std::vector<attestation_report> reps;
   for (const auto id : {id_a, id_b}) {
     proto::prover_device dev(prog, reg.derive_key(id));
@@ -365,7 +364,6 @@ TEST(reuse, reopened_store_replays_the_first_round_then_reuses) {
   fs::remove_all(dir);
   store::fleet_store::options opts;
   opts.master_key = master_key();
-  opts.hub.sequential_batch = true;
 
   fleet::device_id id = 0;
   byte_vec or_bytes;
@@ -405,14 +403,12 @@ TEST(reuse, reopened_store_replays_the_first_round_then_reuses) {
 }
 
 TEST(reuse, concurrent_rounds_of_one_device) {
-  // Pool workers verify rounds of ONE device at once while accepted
+  // Four threads submit rounds of ONE device at once while accepted
   // rounds swap its baseline (run under TSan in CI). Two input vectors
   // interleave, so reuse hits and replays both race with the swaps. A
   // round whose bytes and verdict came from different rounds would
   // carry the wrong replayed result and fail the claimed-result check.
-  fleet::hub_config cfg = test::hub_device::default_config();
-  cfg.sequential_batch = false;
-  cfg.workers = 4;
+  fleet::hub_config cfg;
   cfg.max_outstanding = 32;
   test::hub_device dut(adder(), cfg);
   ASSERT_TRUE(round_on(dut, args(20, 22)).second.accepted());
@@ -426,7 +422,16 @@ TEST(reuse, concurrent_rounds_of_one_device) {
     frames.push_back(proto::encode_frame(
         {.device_id = dut.id, .seq = grant.seq}, reps.back()));
   }
-  const auto results = dut.hub.verify_batch(frames);
+  std::vector<fleet::attest_result> results(frames.size());
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = t; i < frames.size(); i += 4) {
+        results[i] = dut.hub.submit(frames[i]);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_TRUE(results[i].accepted()) << i;
     EXPECT_EQ(results[i].verdict.replayed_result, i % 3 == 2 ? 3 : 42)

@@ -191,7 +191,6 @@ class store_test : public ::testing::Test {
   fleet_store::options opts() const {
     fleet_store::options o;
     o.master_key = master_key();
-    o.hub.sequential_batch = true;  // single-threaded tests
     return o;
   }
 
@@ -465,7 +464,6 @@ TEST_F(store_test, v2_store_with_persisted_baselines_loads_and_rewrites_v5) {
   ASSERT_EQ(load_le32(*read_file(snapshot()), 4), snapshot_version_v2);
   const fleet::device_id id = 1;
   auto o = opts();
-  o.hub.shards = 1;
   o.compact_on_open = false;
   std::vector<byte_vec> pre_crash;
   {
@@ -519,7 +517,6 @@ TEST_F(store_test, v3_store_with_persisted_counters_loads_and_rewrites_v5) {
   ASSERT_EQ(load_le32(*read_file(snapshot()), 4), snapshot_version_v3);
   const fleet::device_id id = 1;
   auto o = opts();
-  o.hub.shards = 1;
   o.compact_on_open = false;
   std::vector<byte_vec> pre_crash;
   {
@@ -576,7 +573,6 @@ TEST_F(store_test, v4_store_with_persisted_challenges_loads_and_rewrites_v5) {
   }
   const fleet::device_id id = 1;
   auto o = opts();
-  o.hub.shards = 1;
   o.hub.seed = 22;  // the writer's seed: the epoch must still separate
   o.compact_on_open = false;
   std::vector<byte_vec> pre_crash;
@@ -1093,8 +1089,6 @@ TEST_F(store_test, concurrent_traffic_journals_consistently) {
   // so the log does not move; the reopened hub rejects every pre-crash
   // frame and every device still attests.
   auto o = opts();
-  o.hub.sequential_batch = false;
-  o.hub.workers = 2;
   o.hub.max_outstanding = 64;
   constexpr int kthreads = 4;
   constexpr int kiters = 6;

@@ -504,8 +504,6 @@ TEST(wire_fuzz, hub_never_accepts_a_frame_with_a_wrong_or) {
   fleet::device_registry reg(byte_vec(32, 0x42));
   const auto id = reg.provision(prog);
   fleet::hub_config cfg;
-  cfg.sequential_batch = true;
-  cfg.shards = 1;
   cfg.max_outstanding = 4;
   fleet::verifier_hub hub(reg, cfg);
   proto::prover_device dev(prog, reg.derive_key(id));
@@ -694,8 +692,6 @@ TEST(wire_fuzz, mutated_store_dirs_load_exactly_or_fail_closed) {
   {
     store::fleet_store::options o;
     o.master_key = byte_vec(32, 0x42);
-    o.hub.sequential_batch = true;
-    o.hub.shards = 1;
     o.compact_on_open = false;
     auto st = store::fleet_store::open(pristine.string(), o);
     const auto prog = build_op("int op(int a, int b) { return a + b; }",
@@ -781,8 +777,6 @@ TEST(wire_fuzz, mutated_store_dirs_load_exactly_or_fail_closed) {
 
     store::fleet_store::options o;
     o.master_key = byte_vec(32, 0x42);
-    o.hub.sequential_batch = true;
-    o.hub.shards = 1;
     o.compact_on_open = false;
     try {
       auto st = store::fleet_store::open(work.string(), o);

@@ -6,15 +6,15 @@
 //
 //   dialed-attest <source.c> [--entry op] [--device-id N] [--args a,b,...]
 //                 [--net b,b,...] [--adc s,s,...] [--repeat K]
-//                 [--workers N] [--delta] [--state-dir DIR]
+//                 [--delta] [--state-dir DIR]
 //                 [--stats-json PATH] [--hex-frame] [--trace]
 //                 [--connect HOST:PORT [--timeout-ms MS] [--scrape]]
 //
 // --repeat K runs K attested invocations (K challenges outstanding at
-// once, K wire frames) and verifies them as one batch; --workers N fans
-// the batch out over N hub worker threads (default 0 = strictly
-// sequential) — the shared-firmware-artifact batch path, exercisable from
-// the command line.
+// once, K wire frames) and verifies them as one batch on this thread —
+// the shared-firmware-artifact batch path, exercisable from the command
+// line. Verify parallelism lives in the service: dialed-serve
+// --partitions N runs one verify thread per partition.
 //
 // --delta switches the transport to the wire v2.1 polling loop: rounds
 // run strictly sequentially through a proto::delta_emitter, so every
@@ -104,7 +104,7 @@ void usage() {
   std::fprintf(stderr,
                "usage: dialed-attest <source.c> [--entry NAME] "
                "[--device-id N] [--args a,b,...] [--net b,b,...] "
-               "[--adc s,s,...] [--repeat K] [--workers N] [--delta] "
+               "[--adc s,s,...] [--repeat K] [--delta] "
                "[--state-dir DIR] [--stats-json PATH] "
                "[--connect HOST:PORT] [--timeout-ms MS] [--scrape] "
                "[--hex-frame] [--trace]\n");
@@ -247,7 +247,6 @@ int main(int argc, char** argv) {
   proto::invocation inv;
   fleet::device_id device_id = 1;
   std::uint32_t repeat = 1;
-  std::uint32_t workers = 0;
   std::uint32_t timeout_ms = 5000;
   bool delta = false, hex_frame = false, trace = false, scrape = false;
 
@@ -281,12 +280,6 @@ int main(int argc, char** argv) {
           throw error("--repeat needs one nonzero count");
         }
         repeat = vals[0];
-      } else if (arg == "--workers" && i + 1 < argc) {
-        const auto vals = parse_list(argv[++i], 1024);
-        if (vals.size() != 1) {
-          throw error("--workers needs one value");
-        }
-        workers = vals[0];
       } else if (arg == "--delta") {
         delta = true;
       } else if (arg == "--state-dir" && i + 1 < argc) {
@@ -321,17 +314,10 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
-  if (delta && workers != 0) {
-    std::fprintf(stderr,
-                 "dialed-attest: --delta is a sequential polling loop "
-                 "(each round's baseline is the previous accepted "
-                 "round); drop --workers\n");
-    return 2;
-  }
   if (!connect.empty() &&
-      (!state_dir.empty() || !stats_json.empty() || workers != 0)) {
+      (!state_dir.empty() || !stats_json.empty())) {
     std::fprintf(stderr,
-                 "dialed-attest: --state-dir/--stats-json/--workers are "
+                 "dialed-attest: --state-dir/--stats-json are "
                  "server-side in --connect mode (run dialed-serve with "
                  "them)\n");
     return 2;
@@ -372,14 +358,6 @@ int main(int argc, char** argv) {
 
     fleet::hub_config hub_cfg;
     hub_cfg.max_outstanding = repeat;  // all K challenges live at once
-    if (workers == 0) {
-      // Strictly sequential: no point spinning up the hub's batch worker
-      // pool for a plain CLI invocation.
-      hub_cfg.shards = 1;
-      hub_cfg.sequential_batch = true;
-    } else {
-      hub_cfg.workers = workers;
-    }
 
     // Fleet-side provisioning: the hub holds only the master key; the
     // device is burned with the derived K_dev. The registry interns the
@@ -577,9 +555,9 @@ int main(int argc, char** argv) {
         }
       }
       const auto stats = hub.stats();
-      std::printf("batch:    %zu/%zu reports accepted (%zu worker "
-                  "thread(s) + caller, firmware %.16s...)\n",
-                  accepted, results.size(), hub.batch_workers(),
+      std::printf("batch:    %zu/%zu reports accepted (firmware "
+                  "%.16s...)\n",
+                  accepted, results.size(),
                   registry.find(device_id)->firmware->id_hex().c_str());
       if (verify_seconds > 0.0) {
         std::printf("rate:     %.0f reports/s (%zu reports in %.3fs, "

@@ -5,7 +5,7 @@
 // metrics on the same port:
 //
 //   dialed-serve <source.c> [--entry NAME] [--devices N] [--bind ADDR]
-//                [--port P] [--batch-max N] [--batch-latency-ms MS] [--workers N]
+//                [--port P] [--batch-max N] [--batch-latency-ms MS]
 //                [--max-outstanding N] [--max-pending N]
 //                [--idle-timeout-ms MS] [--state-dir DIR]
 //                [--standby-dir DIR]
@@ -32,8 +32,12 @@
 // partition, /metrics grows per-partition dialed_partition_* families,
 // and with --state-dir each partition journals to its own store under
 // DIR/p0..p<N-1> (the placement manifest refuses a restart with a
-// different N). The wire protocol is unchanged — clients cannot tell a
-// partitioned service from a single hub.
+// different N). It is also the one parallelism option: each partition
+// verifies on one long-lived thread of its own, so the process runs the
+// main (reactor) thread plus N verify threads. The default, 1, verifies
+// every report on one thread however many cores the host has. The wire
+// protocol is unchanged — clients cannot tell a partitioned service from
+// a single hub.
 //
 // Prints "listening: tcp=PORT" once serving (PORT resolves
 // --port 0 to the kernel's pick, for scripts and tests). SIGINT/SIGTERM
@@ -92,7 +96,7 @@ void usage() {
       stderr,
       "usage: dialed-serve <source.c> [--entry NAME] [--devices N] "
       "[--bind ADDR] [--port P] "
-      "[--batch-max N] [--batch-latency-ms MS] [--workers N] "
+      "[--batch-max N] [--batch-latency-ms MS] "
       "[--max-outstanding N] [--max-pending N] [--idle-timeout-ms MS] "
       "[--state-dir DIR] [--standby-dir DIR] [--partitions N] "
       "[--wal-sync per_record|none] "
@@ -109,7 +113,6 @@ int main(int argc, char** argv) {
   std::string standby_dir;
   std::uint32_t devices = 4;
   std::uint32_t partitions = 1;
-  std::uint32_t workers = 0;
   std::uint32_t max_outstanding = 64;
   store::wal_options wal_opts;
   net::server_config cfg;
@@ -137,8 +140,6 @@ int main(int argc, char** argv) {
         }
       } else if (arg == "--batch-latency-ms") {
         cfg.batching.batch_latency_ms = parse_u32(next(), 60000);
-      } else if (arg == "--workers") {
-        workers = parse_u32(next(), 1024);
       } else if (arg == "--max-outstanding") {
         max_outstanding = parse_u32(next(), 100000);
         if (max_outstanding == 0) {
@@ -214,7 +215,6 @@ int main(int argc, char** argv) {
 
     fleet::hub_config hub_cfg;
     hub_cfg.max_outstanding = max_outstanding;
-    hub_cfg.workers = workers;
 
     const byte_vec demo_master_key(32, 0xAB);
     fleet::partitioned_fleet fleet_parts =
@@ -306,9 +306,9 @@ int main(int argc, char** argv) {
                   state_dir.c_str(), gen_max, wal_total,
                   store::to_string(wal_opts.sync));
     }
-    std::printf("batching: max=%zu latency=%ums workers=%zu\n",
+    std::printf("batching: max=%zu latency=%ums verify-threads=%zu\n",
                 cfg.batching.batch_max, cfg.batching.batch_latency_ms,
-                hub.batch_workers());
+                hub.partition_count());
     std::printf("listening: tcp=%u\n",
                 static_cast<unsigned>(server.tcp_port()));
     std::fflush(stdout);
