@@ -415,15 +415,13 @@ bool serve_loopback_once(benchmark::State& state,
 void BM_net_ingest_loopback(benchmark::State& state) {
   // The attestation service end to end over a loopback socket: 8 devices
   // x 8 pre-built rounds pipelined through one TCP connection into the
-  // epoll reactor, batched into verify_batch at `range(0)` = batch_max,
-  // results matched back by (device, seq). What it adds over
+  // epoll reactor, verified in whatever batches the verify thread finds
+  // queued, results matched back by (device, seq). What it adds over
   // BM_fleet_verify_batch is the whole service path: stream framing,
-  // reactor wakeups, the dispatcher handoff, and response writes.
+  // reactor wakeups, the verify-thread handoff, and response writes.
   fleet_batch_bench bench(8, 8);
   dialed::net::server_config scfg;
   scfg.bind_addr = "127.0.0.1";
-  scfg.batching.batch_max = static_cast<std::size_t>(state.range(0));
-  scfg.batching.batch_latency_ms = 1;
   for (auto _ : state) {
     state.PauseTiming();
     bool ok = false;
@@ -444,27 +442,21 @@ void BM_net_ingest_loopback(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_net_ingest_loopback)
-    ->Arg(1)
-    ->Arg(8)
-    ->Arg(32)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
 void BM_net_ingest_partitions(benchmark::State& state) {
   // The service's one verify parallelism: `range(0)` partitions behind
   // the router, each verifying its own frames on its own thread. Same
-  // loopback harness as BM_net_ingest_loopback (batch_max 8), over 32
-  // devices x 4 rounds so every partition has work. A hub's nonce depends
-  // only on (seed, device, seq), so issuing the challenges in the bench's
-  // order re-arms its pre-built frames on whichever partition owns each
-  // device.
+  // loopback harness as BM_net_ingest_loopback, over 32 devices x 4
+  // rounds so every partition has work. A hub's nonce depends only on
+  // (seed, device, seq), so issuing the challenges in the bench's order
+  // re-arms its pre-built frames on whichever partition owns each device.
   const auto parts = static_cast<std::size_t>(state.range(0));
   fleet_batch_bench bench(32, 4);
   const auto& prog = *bench.reg.find(bench.ids[0])->program;
   dialed::net::server_config scfg;
   scfg.bind_addr = "127.0.0.1";
-  scfg.batching.batch_max = 8;
-  scfg.batching.batch_latency_ms = 1;
   for (auto _ : state) {
     state.PauseTiming();
     bool ok = false;

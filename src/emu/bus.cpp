@@ -73,23 +73,23 @@ void bus::notify(const bus_access& a) {
   for (watcher* w : watchers_) w->on_access(a);
 }
 
-std::uint8_t bus::read8(std::uint16_t addr, bool dma) {
+std::uint8_t bus::read8(std::uint16_t addr) {
   const std::uint8_t v = raw_read8(addr);
-  if (!watchers_.empty()) notify({addr, v, true, false, dma});
+  if (!watchers_.empty()) notify({addr, v, true, false});
   return v;
 }
 
-std::uint16_t bus::read16(std::uint16_t addr, bool dma) {
+std::uint16_t bus::read16(std::uint16_t addr) {
   const std::uint16_t a = addr & 0xfffe;
   const std::uint16_t v = static_cast<std::uint16_t>(
       raw_read8(a) | (raw_read8(static_cast<std::uint16_t>(a + 1)) << 8));
-  if (!watchers_.empty()) notify({a, v, false, false, dma});
+  if (!watchers_.empty()) notify({a, v, false, false});
   return v;
 }
 
-void bus::write8(std::uint16_t addr, std::uint8_t value, bool dma) {
+void bus::write8(std::uint16_t addr, std::uint8_t value) {
   raw_write8(addr, value);
-  if (!watchers_.empty()) notify({addr, value, true, true, dma});
+  if (!watchers_.empty()) notify({addr, value, true, true});
 }
 
 void bus::write16(std::uint16_t addr, std::uint16_t value, bool dma) {

@@ -66,11 +66,12 @@ class bus {
 
   const memory_map& map() const { return map_; }
 
-  /// Observed accesses (CPU or DMA). Word accesses are little-endian; the
-  /// low bit of the address is ignored for word ops (MSP430 alignment).
-  std::uint8_t read8(std::uint16_t addr, bool dma = false);
-  std::uint16_t read16(std::uint16_t addr, bool dma = false);
-  void write8(std::uint16_t addr, std::uint8_t value, bool dma = false);
+  /// Observed accesses. Word accesses are little-endian; the low bit of
+  /// the address is ignored for word ops (MSP430 alignment). Only a word
+  /// write can come from the DMA engine (machine::dma_write16).
+  std::uint8_t read8(std::uint16_t addr);
+  std::uint16_t read16(std::uint16_t addr);
+  void write8(std::uint16_t addr, std::uint8_t value);
   void write16(std::uint16_t addr, std::uint16_t value, bool dma = false);
 
   /// Unobserved accesses for the host/loader and for instruction fetch

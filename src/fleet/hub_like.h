@@ -93,12 +93,6 @@ struct hub_stats {
   /// proto_error (transport damage, unknown device, nonce bookkeeping).
   /// Index 0 (proto_error::none) is always 0.
   std::array<std::uint64_t, proto::proto_error_count> rejected_by_error{};
-  /// verify_batch instrumentation — the gauges the service front-end's
-  /// adaptive batching is observed (and tuned) through.
-  std::uint64_t verify_batches = 0;       ///< verify_batch calls completed
-  std::uint64_t verify_batch_frames = 0;  ///< frames verified, total
-  std::uint64_t last_batch_frames = 0;    ///< size of the newest batch
-  std::uint64_t inflight_batches = 0;     ///< gauge: calls running NOW
   /// Replay outcomes of DIALED-mode verdicts that passed the MAC: hits
   /// reused the device's last accepted round (byte-identical OR), misses
   /// ran the replay. The names predate the per-device reuse and are kept
@@ -110,13 +104,6 @@ struct hub_stats {
   /// NOT attributed (an attacker spraying bogus ids must not grow this
   /// map).
   std::map<device_id, device_counters> per_device;
-
-  /// Mean verify_batch size since boot (0 before the first batch).
-  double mean_batch_frames() const {
-    return verify_batches == 0 ? 0.0
-                               : static_cast<double>(verify_batch_frames) /
-                                     static_cast<double>(verify_batches);
-  }
 
   std::uint64_t reports_rejected_protocol() const {
     std::uint64_t n = 0;

@@ -131,11 +131,6 @@ hub_stats partition_router::stats(bool include_per_device) const {
     for (std::size_t i = 0; i < s.rejected_by_error.size(); ++i) {
       total.rejected_by_error[i] += s.rejected_by_error[i];
     }
-    total.verify_batches += s.verify_batches;
-    total.verify_batch_frames += s.verify_batch_frames;
-    total.last_batch_frames =
-        std::max(total.last_batch_frames, s.last_batch_frames);
-    total.inflight_batches += s.inflight_batches;
     total.replay_memo_hits += s.replay_memo_hits;
     total.replay_memo_misses += s.replay_memo_misses;
     // Disjoint by routing, so merge is insertion.

@@ -98,7 +98,7 @@ class partition_router final : public hub_like {
   std::uint64_t now() const override;
   std::size_t outstanding(device_id id) const override;
   /// Aggregate across partitions: counters sum; per_device maps merge
-  /// (disjoint by routing); last_batch_frames takes the max.
+  /// (disjoint by routing).
   hub_stats stats(bool include_per_device = true) const override;
   std::vector<hub_stats> partition_stats() const override;
   /// Stage histograms summed across partitions.

@@ -58,10 +58,6 @@ std::string render_stats_json(const hub_stats& s) {
   out << "  \"reports_accepted\": " << s.reports_accepted << ",\n";
   out << "  \"reports_rejected_verdict\": " << s.reports_rejected_verdict
       << ",\n";
-  out << "  \"verify_batches\": " << s.verify_batches << ",\n";
-  out << "  \"verify_batch_frames\": " << s.verify_batch_frames << ",\n";
-  out << "  \"last_batch_frames\": " << s.last_batch_frames << ",\n";
-  out << "  \"inflight_batches\": " << s.inflight_batches << ",\n";
   out << "  \"replay_memo_hits\": " << s.replay_memo_hits << ",\n";
   out << "  \"replay_memo_misses\": " << s.replay_memo_misses << ",\n";
   out << "  \"rejected_by_error\": {";
@@ -112,19 +108,6 @@ void render_stats_prometheus(const hub_stats& s, std::string& out) {
            "{reason=\"" + escape_label_value(proto::to_string(e)) +
                "\"}");
   }
-  family(out, "dialed_hub_verify_batches_total", "counter",
-         "verify_batch calls completed.");
-  sample(out, "dialed_hub_verify_batches_total", s.verify_batches);
-  family(out, "dialed_hub_verify_batch_frames_total", "counter",
-         "Frames fanned out through verify_batch.");
-  sample(out, "dialed_hub_verify_batch_frames_total",
-         s.verify_batch_frames);
-  family(out, "dialed_hub_last_batch_frames", "gauge",
-         "Size of the most recent verify_batch call.");
-  sample(out, "dialed_hub_last_batch_frames", s.last_batch_frames);
-  family(out, "dialed_hub_inflight_batches", "gauge",
-         "verify_batch calls running right now.");
-  sample(out, "dialed_hub_inflight_batches", s.inflight_batches);
   family(out, "dialed_replay_memo_hits_total", "counter",
          "Verdicts reused from the device's last accepted round.");
   sample(out, "dialed_replay_memo_hits_total", s.replay_memo_hits);

@@ -15,8 +15,8 @@
 
 namespace dialed::fleet {
 
-/// Hub counters (incl. the per-device breakdown and verify_batch gauges)
-/// as a pretty-printed JSON document.
+/// Hub counters (incl. the per-device breakdown) as a pretty-printed JSON
+/// document.
 std::string render_stats_json(const hub_stats& s);
 
 /// Escape a Prometheus label VALUE per the text exposition format:

@@ -96,13 +96,6 @@ hub_stats verifier_hub::stats(bool include_per_device) const {
     s.rejected_by_error[i] =
         stats_.rejected_by_error[i].load(std::memory_order_relaxed);
   }
-  s.verify_batches = stats_.verify_batches.load(std::memory_order_relaxed);
-  s.verify_batch_frames =
-      stats_.verify_batch_frames.load(std::memory_order_relaxed);
-  s.last_batch_frames =
-      stats_.last_batch_frames.load(std::memory_order_relaxed);
-  s.inflight_batches =
-      stats_.inflight_batches.load(std::memory_order_relaxed);
   s.replay_memo_hits = stats_.replays_reused.load(std::memory_order_relaxed);
   s.replay_memo_misses = stats_.replays_run.load(std::memory_order_relaxed);
   if (include_per_device) {
@@ -400,20 +393,9 @@ attest_result verifier_hub::submit(std::span<const std::uint8_t> frame) {
 std::vector<attest_result> verifier_hub::verify_batch(
     std::span<const byte_vec> frames) {
   std::vector<attest_result> out(frames.size());
-  stats_.inflight_batches.fetch_add(1, std::memory_order_relaxed);
-  try {
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      out[i] = submit(frames[i]);
-    }
-  } catch (...) {
-    stats_.inflight_batches.fetch_sub(1, std::memory_order_relaxed);
-    throw;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    out[i] = submit(frames[i]);
   }
-  stats_.inflight_batches.fetch_sub(1, std::memory_order_relaxed);
-  stats_.verify_batches.fetch_add(1, std::memory_order_relaxed);
-  stats_.verify_batch_frames.fetch_add(frames.size(),
-                                       std::memory_order_relaxed);
-  stats_.last_batch_frames.store(frames.size(), std::memory_order_relaxed);
   return out;
 }
 

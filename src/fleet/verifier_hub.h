@@ -293,11 +293,6 @@ class verifier_hub : public hub_like {
     // Replay outcomes of DIALED-mode verdicts.
     std::atomic<std::uint64_t> replays_reused{0};
     std::atomic<std::uint64_t> replays_run{0};
-    // verify_batch gauges.
-    std::atomic<std::uint64_t> verify_batches{0};
-    std::atomic<std::uint64_t> verify_batch_frames{0};
-    std::atomic<std::uint64_t> last_batch_frames{0};
-    std::atomic<std::uint64_t> inflight_batches{0};
   };
 
   void retire(device_state& st, std::size_t index, nonce_fate fate);

@@ -7,8 +7,9 @@
 //   * request/response: get_challenge() / submit_report() each send one
 //     message and block for its reply — the simple sequential loop;
 //   * pipelined: send_report() many frames, then recv_result() for each.
-//     The server's adaptive batching may complete them out of order;
-//     responses carry device/seq for matching (attest_resp in framer.h).
+//     A partitioned server verifies partitions in parallel and may
+//     complete them out of order; responses carry device/seq for
+//     matching (attest_resp in framer.h).
 //
 // Errors are thrown as dialed::error (socket failure, peer close,
 // protocol violation) — a client with a broken stream cannot limp on.

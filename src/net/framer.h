@@ -29,8 +29,8 @@
 //
 // All integers little-endian, like the wire format they ride beside.
 // attest_resp carries the frame's device/seq so a pipelining client can
-// match responses to submissions even when the server's adaptive batching
-// completes them out of order.
+// match responses to submissions even when the server's partitions,
+// verifying in parallel, complete them out of order.
 #ifndef DIALED_NET_FRAMER_H
 #define DIALED_NET_FRAMER_H
 

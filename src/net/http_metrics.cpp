@@ -136,14 +136,14 @@ std::string render_metrics_body(
          "Frames accepted but not yet verified.");
   sample(out, "dialed_net_ingest_backlog", net.batching.backlog);
   family(out, "dialed_net_batches_total", "counter",
-         "Batches flushed to verify_batch.");
+         "verify_batch calls, one per batch a verify thread took.");
   sample(out, "dialed_net_batches_total", net.batching.batches);
   family(out, "dialed_net_batch_frames_total", "counter",
-         "Frames flushed to verify_batch.");
+         "Frames passed to verify_batch.");
   sample(out, "dialed_net_batch_frames_total", net.batching.batch_frames);
   // Batch-size histogram in Prometheus cumulative-bucket form.
   family(out, "dialed_net_batch_size", "histogram",
-         "verify_batch sizes (frames per flushed batch).");
+         "verify_batch sizes (frames per batch, at most 64).");
   std::uint64_t cum = 0;
   std::size_t bound = 1;
   for (std::size_t i = 0; i < batch_hist_buckets; ++i) {
@@ -156,14 +156,7 @@ std::string render_metrics_body(
   }
   sample(out, "dialed_net_batch_size_sum", net.batching.batch_frames);
   sample(out, "dialed_net_batch_size_count", net.batching.batches);
-  family(out, "dialed_net_batch_flush_total", "counter",
-         "Batch flushes by trigger (size cap, deadline, queue idle).");
-  for (std::size_t i = 0; i < flush_cause_count; ++i) {
-    sample(out, "dialed_net_batch_flush_total", net.batching.flush_by_cause[i],
-           std::string("{cause=\"") +
-               to_string(static_cast<flush_cause>(i)) + "\"}");
-  }
-  // Queue wait: enqueue on the reactor to verify start on the dispatcher
+  // Queue wait: enqueue on the reactor to verify start on a verify thread
   // — the latency the batcher itself adds in front of the pipeline.
   family(out, "dialed_net_queue_wait_seconds", "histogram",
          "Frame wait from ingest enqueue to verify start.");
@@ -181,26 +174,11 @@ std::string render_metrics_body(
     family(out, "dialed_store_wal_bytes", "gauge",
            "WAL bytes since the last snapshot (all partitions).");
     sample(out, "dialed_store_wal_bytes", store.wal_bytes);
-    // Records made durable per fsync. per_record fsyncs each
-    // provisioning record alone, so every batch lands in the first
-    // bucket; `none` never fsyncs.
-    family(out, "dialed_store_group_commit_batch", "histogram",
-           "Records made durable per WAL fsync.");
-    std::uint64_t gcum = 0;
-    std::size_t gbound = 1;
-    const auto& gh = store.group_commit.batch_hist;
-    for (std::size_t i = 0; i < gh.size(); ++i) {
-      gcum += gh[i];
-      const std::string le =
-          i + 1 == gh.size() ? "+Inf" : std::to_string(gbound);
-      sample(out, "dialed_store_group_commit_batch_bucket", gcum,
-             "{le=\"" + le + "\"}");
-      gbound <<= 1;
-    }
-    sample(out, "dialed_store_group_commit_batch_sum",
-           store.group_commit.records);
-    sample(out, "dialed_store_group_commit_batch_count",
-           store.group_commit.syncs);
+    // per_record fsyncs each provisioning record alone; `none` never
+    // fsyncs.
+    family(out, "dialed_store_wal_fsyncs_total", "counter",
+           "WAL fsyncs issued (all partitions).");
+    sample(out, "dialed_store_wal_fsyncs_total", store.wal_fsyncs);
   }
   if (!ship.empty()) {
     const auto each = [&](const char* name, const char* type,

@@ -26,19 +26,18 @@
 #include "net/batcher.h"
 #include "obs/obs.h"
 #include "store/ship.h"
-#include "store/wal.h"
 
 namespace dialed::net {
 
 /// Snapshot of the backing store(s) for /metrics; `present == false`
 /// renders no dialed_store_* families (serving without --state-dir).
-/// With partitioned stores the fields aggregate (sums; histograms add).
+/// With partitioned stores the counts are sums.
 struct store_metrics {
   bool present = false;
   const char* sync_policy = "none";  ///< store::to_string(wal_sync)
   std::uint64_t wal_records = 0;
   std::uint64_t wal_bytes = 0;
-  store::group_commit_stats group_commit;
+  std::uint64_t wal_fsyncs = 0;  ///< group_commit_stats::syncs
 };
 
 /// Net-side counters, snapshotted by attest_server::stats(). Everything

@@ -7,7 +7,7 @@
 // re-notified instead of wedging, which is the property the per-
 // connection backpressure design leans on.
 //
-// Cross-thread wakeups (the verify dispatcher finishing a batch, a signal
+// Cross-thread wakeups (a verify thread finishing a batch, a signal
 // handler requesting shutdown) go through wake(): an eventfd registered
 // internally; write(2) to it is async-signal-safe, so wake() may be
 // called from anywhere, including signal context.

@@ -33,7 +33,7 @@ attest_server::attest_server(fleet::hub_like& hub, server_config cfg,
       cfg_(cfg),
       stores_(std::move(stores)),
       shippers_(std::move(shippers)),
-      batcher_(hub, cfg.batching, loop_) {
+      batcher_(hub, loop_) {
   listen_fd_ = listen_tcp(cfg_.bind_addr, cfg_.tcp_port);
   tcp_port_ = local_port(listen_fd_);
   accept_handler_.srv = this;
@@ -57,20 +57,18 @@ void attest_server::run() {
                    {"max_connections", cfg_.max_connections}});
   running_.store(true, std::memory_order_release);
 
+  // The epoll timeout serves only the sweep: the batcher needs no timer,
+  // since every turn ends by handing new frames to the verify threads.
+  const int timeout =
+      sweeps_enabled_ ? static_cast<int>(cfg_.sweep_interval_ms) : -1;
   while (!stop_flag_.load(std::memory_order_acquire)) {
-    auto now = std::chrono::steady_clock::now();
-    int timeout = batcher_.timeout_ms(now);
-    if (sweeps_enabled_) {
-      const int sweep_ms = static_cast<int>(cfg_.sweep_interval_ms);
-      if (timeout < 0 || timeout > sweep_ms) timeout = sweep_ms;
-    }
     loop_.poll(timeout);
     (void)loop_.take_wake();  // cross-thread work runs every turn anyway
 
     deliver_completions();
-    now = std::chrono::steady_clock::now();
-    batcher_.maybe_flush(now);
+    batcher_.hand_off();
     check_backpressure();
+    const auto now = std::chrono::steady_clock::now();
     if (now - last_sweep_ >=
         std::chrono::milliseconds(cfg_.sweep_interval_ms)) {
       sweep(now);
@@ -167,8 +165,8 @@ std::string attest_server::handle_http(const http_request& req) {
     // Fold live traffic first so a scrape sees current bytes.
     for (auto& [fd, c] : conns_) fold_traffic(*c);
     const auto parts = hub_.partition_stats();
-    // Store families aggregate across partitioned stores (sums;
-    // histogram buckets add — all partitions share one sync policy).
+    // Store families aggregate across partitioned stores (sums; all
+    // partitions share one sync policy).
     store_metrics sm;
     for (const auto* st : stores_) {
       if (st == nullptr) continue;
@@ -176,12 +174,7 @@ std::string attest_server::handle_http(const http_request& req) {
       sm.sync_policy = store::to_string(st->wal_sync_policy());
       sm.wal_records += st->wal_records();
       sm.wal_bytes += st->wal_bytes();
-      const auto gc = st->group_commit();
-      sm.group_commit.syncs += gc.syncs;
-      sm.group_commit.records += gc.records;
-      for (std::size_t i = 0; i < gc.batch_hist.size(); ++i) {
-        sm.group_commit.batch_hist[i] += gc.batch_hist[i];
-      }
+      sm.wal_fsyncs += st->group_commit().syncs;
     }
     // A partitioned hub labels each partition; a bare hub is one
     // pipeline labeled partition="0".

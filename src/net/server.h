@@ -10,6 +10,11 @@
 //     batcher's verify threads, one per partition — the reactor never
 //     blocks on crypto).
 //
+// Batching needs no timer: each reactor turn ends by handing the frames
+// read in it to their partition's verify thread, which takes up to
+// max_batch_frames (64) of whatever is queued whenever it is free (see
+// batcher.h). So the epoll timeout serves only the sweep.
+//
 // Backpressure, two levels:
 //   * per-connection write-queue watermarks (connection.h) — a peer that
 //     won't drain responses stops being read;
@@ -46,7 +51,6 @@ namespace dialed::net {
 struct server_config {
   std::string bind_addr = "127.0.0.1";
   std::uint16_t tcp_port = 0;  ///< 0 = ephemeral
-  batcher_config batching;
   connection_limits limits;
   /// Global ingest cap: frames accepted but not yet verified before all
   /// reads pause. Resumes at half.
@@ -125,7 +129,7 @@ class attest_server final : public connection_host {
   std::uint16_t tcp_port_ = 0;
 
   reactor loop_;
-  batcher batcher_;  ///< after loop_: its dispatcher wakes the reactor
+  batcher batcher_;  ///< after loop_: its verify threads wake the reactor
   member_handler accept_handler_;
 
   // Reactor-thread-only state.

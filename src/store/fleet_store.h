@@ -154,7 +154,7 @@ class fleet_store final : public fleet::persist_sink {
   /// Observability: current WAL size (records/bytes since the snapshot).
   std::uint64_t wal_records() const { return wal_->records(); }
   std::uint64_t wal_bytes() const { return wal_->bytes(); }
-  /// Fsync counters (the /metrics group-commit histogram).
+  /// Fsync counters (the /metrics dialed_store_wal_fsyncs_total counter).
   group_commit_stats group_commit() const { return wal_->sync_stats(); }
   wal_sync wal_sync_policy() const { return opts_.wal.sync; }
   std::uint64_t generation() const {

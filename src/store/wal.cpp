@@ -105,7 +105,6 @@ void wal_writer::append(std::span<const std::uint8_t> payload) {
     if (::fsync(fileno(f_)) != 0) fail_locked("fsync");
     ++sync_stats_.syncs;
     ++sync_stats_.records;
-    ++sync_stats_.batch_hist[0];
   }
   bytes_ += header.size() + payload.size();
   ++records_;

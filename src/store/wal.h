@@ -61,7 +61,6 @@
 #ifndef DIALED_STORE_WAL_H
 #define DIALED_STORE_WAL_H
 
-#include <array>
 #include <cstdio>
 #include <mutex>
 #include <string>
@@ -90,14 +89,12 @@ struct wal_options {
   wal_sync sync = wal_sync::none;
 };
 
-/// Fsync counters (the /metrics group-commit histogram). per_record
-/// fsyncs every append, so every batch has size 1; `none` never fsyncs
-/// and everything stays 0. batch_hist[i] counts fsyncs whose batch size
-/// fell in (2^(i-1), 2^i]: buckets 1, 2, 4, 8, 16, 32, 64, 128+.
+/// Fsync counters (the /metrics dialed_store_wal_fsyncs_total counter).
+/// per_record fsyncs every append alone, so `records == syncs`; `none`
+/// never fsyncs and both stay 0.
 struct group_commit_stats {
   std::uint64_t syncs = 0;    ///< fsyncs issued
   std::uint64_t records = 0;  ///< records those fsyncs made durable
-  std::array<std::uint64_t, 8> batch_hist{};
 };
 
 /// One decoded WAL record: the payload with the framing stripped.

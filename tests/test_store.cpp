@@ -1182,7 +1182,6 @@ TEST_F(wal_sync_test, per_record_is_durable_at_append_return) {
   const auto s = w.sync_stats();
   EXPECT_EQ(s.syncs, 5u);
   EXPECT_EQ(s.records, 5u);
-  EXPECT_EQ(s.batch_hist[0], 5u);  // all batches of exactly 1
 }
 
 TEST_F(wal_sync_test, none_never_fsyncs_but_reports_covered) {

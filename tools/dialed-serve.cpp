@@ -1,12 +1,10 @@
 // dialed-serve: the DIALED attestation service. Builds the operation from
 // mini-C source, provisions a fleet of devices for it, and serves the
 // challenge/report protocol over TCP (length-prefixed frames) from one
-// epoll reactor thread, with adaptive verify batching and live Prometheus
-// metrics on the same port:
+// epoll reactor thread, with live Prometheus metrics on the same port:
 //
 //   dialed-serve <source.c> [--entry NAME] [--devices N] [--bind ADDR]
-//                [--port P] [--batch-max N] [--batch-latency-ms MS]
-//                [--max-outstanding N] [--max-pending N]
+//                [--port P] [--max-outstanding N] [--max-pending N]
 //                [--idle-timeout-ms MS] [--state-dir DIR]
 //                [--standby-dir DIR]
 //                [--partitions N] [--wal-sync per_record|none]
@@ -35,9 +33,11 @@
 // different N). It is also the one parallelism option: each partition
 // verifies on one long-lived thread of its own, so the process runs the
 // main (reactor) thread plus N verify threads. The default, 1, verifies
-// every report on one thread however many cores the host has. The wire
-// protocol is unchanged — clients cannot tell a partitioned service from
-// a single hub.
+// every report on one thread however many cores the host has. Each
+// verify thread takes up to 64 of whatever frames are queued for it
+// whenever it is free (src/net/batcher.h). The wire protocol is
+// unchanged — clients cannot tell a partitioned service from a single
+// hub.
 //
 // Prints "listening: tcp=PORT" once serving (PORT resolves
 // --port 0 to the kernel's pick, for scripts and tests). SIGINT/SIGTERM
@@ -96,7 +96,6 @@ void usage() {
       stderr,
       "usage: dialed-serve <source.c> [--entry NAME] [--devices N] "
       "[--bind ADDR] [--port P] "
-      "[--batch-max N] [--batch-latency-ms MS] "
       "[--max-outstanding N] [--max-pending N] [--idle-timeout-ms MS] "
       "[--state-dir DIR] [--standby-dir DIR] [--partitions N] "
       "[--wal-sync per_record|none] "
@@ -133,13 +132,6 @@ int main(int argc, char** argv) {
         cfg.bind_addr = next();
       } else if (arg == "--port") {
         cfg.tcp_port = static_cast<std::uint16_t>(parse_u32(next(), 0xffff));
-      } else if (arg == "--batch-max") {
-        cfg.batching.batch_max = parse_u32(next(), 100000);
-        if (cfg.batching.batch_max == 0) {
-          throw error("--batch-max needs a nonzero count");
-        }
-      } else if (arg == "--batch-latency-ms") {
-        cfg.batching.batch_latency_ms = parse_u32(next(), 60000);
       } else if (arg == "--max-outstanding") {
         max_outstanding = parse_u32(next(), 100000);
         if (max_outstanding == 0) {
@@ -177,8 +169,7 @@ int main(int argc, char** argv) {
           throw error("--partitions needs a nonzero count");
         }
       } else if (!arg.empty() && arg[0] == '-') {
-        usage();
-        return 2;
+        throw error("unknown option " + arg);
       } else {
         path = arg;
       }
@@ -306,9 +297,7 @@ int main(int argc, char** argv) {
                   state_dir.c_str(), gen_max, wal_total,
                   store::to_string(wal_opts.sync));
     }
-    std::printf("batching: max=%zu latency=%ums verify-threads=%zu\n",
-                cfg.batching.batch_max, cfg.batching.batch_latency_ms,
-                hub.partition_count());
+    std::printf("verify-threads=%zu\n", hub.partition_count());
     std::printf("listening: tcp=%u\n",
                 static_cast<unsigned>(server.tcp_port()));
     std::fflush(stdout);
@@ -322,6 +311,7 @@ int main(int argc, char** argv) {
 
     const auto net = server.stats();
     const auto hs = hub.stats();
+    const auto& b = net.batching;
     std::printf("served:   %llu conns, %llu frames, "
                 "%llu accepted, %llu rejected, %llu batches "
                 "(mean %.1f frames)\n",
@@ -330,8 +320,10 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(hs.reports_accepted),
                 static_cast<unsigned long long>(hs.reports_submitted() -
                                                 hs.reports_accepted),
-                static_cast<unsigned long long>(hs.verify_batches),
-                hs.mean_batch_frames());
+                static_cast<unsigned long long>(b.batches),
+                b.batches == 0 ? 0.0
+                               : static_cast<double>(b.batch_frames) /
+                                     static_cast<double>(b.batches));
     return 0;
   } catch (const error& e) {
     std::fprintf(stderr, "dialed-serve: %s\n", e.what());
