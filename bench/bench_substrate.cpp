@@ -752,7 +752,7 @@ BENCHMARK(BM_fleet_store_reopen)
 void BM_partition_router_overhead(benchmark::State& state) {
   // Routing tax on the sequential submit path: the same pre-built frames
   // pushed through a bare hub (Arg 0) or a partition_router over N hubs
-  // (Arg N) — peek + ring lookup + virtual dispatch is all the router
+  // (Arg N) — peek + mix64(id) % N + virtual dispatch is all the router
   // adds. Frames are replays, the CHEAPEST submit the hub resolves, so
   // the measured overhead is the worst-case ratio; accepted rounds
   // (emulated replay verification) bury it entirely.
@@ -765,11 +765,9 @@ void BM_partition_router_overhead(benchmark::State& state) {
 
   std::vector<byte_vec> frames;
   for (dialed::fleet::device_id id = 1; frames.size() < 8; ++id) {
-    const auto p = fleet.index_of(id);
     fleet.provision(id, prog);
-    dialed::proto::prover_device dev(
-        *fleet.registry_of(p).find(id)->program,
-        fleet.registry_of(p).find(id)->key);
+    const auto* rec = fleet.registry().find(id);
+    dialed::proto::prover_device dev(*rec->program, rec->key);
     const auto g = fleet.router().challenge(id);
     dialed::proto::frame_info info;
     info.device_id = id;

@@ -34,7 +34,7 @@ int main() {
   const auto garage = registry.provision(fire_prog);
   const auto door = registry.provision(ranger_prog);
   // One hub verifies a batch on the calling thread, in input order. A
-  // service that wants more cores splits the fleet into partitions
+  // service that wants more cores runs N hubs over this one registry
   // (fleet::partitioned_fleet), one verify thread each.
   fleet::verifier_hub hub(registry);
 

@@ -14,8 +14,6 @@ std::string to_string(store_error_kind k) {
     case store_error_kind::firmware_mismatch: return "firmware_mismatch";
     case store_error_kind::master_key_mismatch:
       return "master_key_mismatch";
-    case store_error_kind::partition_mismatch:
-      return "partition_mismatch";
     case store_error_kind::ship_desync: return "ship_desync";
   }
   return "unknown";

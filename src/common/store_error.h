@@ -30,7 +30,6 @@ enum class store_error_kind : std::uint8_t {
   unknown_firmware,   ///< device references a firmware id never persisted
   firmware_mismatch,  ///< persisted program re-hashes to a different id
   master_key_mismatch,  ///< caller's master key differs from the stored one
-  partition_mismatch,  ///< fleet dir partitioned with a different layout
   ship_desync,  ///< shipped WAL stream violated the snapshot/gen protocol
 };
 

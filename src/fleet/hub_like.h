@@ -3,10 +3,9 @@
 // need from "a verifier hub" — issuing challenges, verifying submitted
 // frames, the tick clock, and counters. Two implementations:
 //
-//   * fleet::verifier_hub     one hub, one device map, one store;
-//   * fleet::partition_router N hubs behind a consistent-hash ring
-//                             (src/fleet/partition.h), each typically
-//                             backed by its own fleet_store.
+//   * fleet::verifier_hub     one hub over a device registry;
+//   * fleet::partition_router N hubs over one registry, device id placed
+//                             by mix64(id) % N (src/fleet/partition.h).
 //
 // Callers written against hub_like run unmodified on either — that is
 // the point: `dialed-serve --partitions N` is the same server binary

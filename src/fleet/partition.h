@@ -1,23 +1,28 @@
-// Partitioned fleet: N verifier hubs behind one consistent-hash router.
+// Partitioned fleet: N verifier hubs over one registry, behind a router.
 //
-// DIALED's verifier is logically one party, but one hub / one store /
-// one box caps the fleet. The partition_router consistent-hashes device
-// ids across N hub_like partitions and exposes the SAME hub_like surface
-// itself, so net/server, the batcher, and the tools run unmodified on
-// top — `dialed-serve --partitions N` is the same binary handed a router
-// instead of a hub.
+// DIALED's verifier is logically one party: one device key per device,
+// one known binary per image (the registry and the catalog), and a fresh
+// challenge per report. Only the last is per hub, and it is soft state
+// (fleet/persist.h). So a partitioned fleet is one {catalog, registry,
+// store} with N verifier_hubs sharing the registry, and the
+// partition_router exposes the SAME hub_like surface itself: net/server,
+// the batcher and the tools run unmodified on top — `dialed-serve
+// --partitions N` is the same binary handed a router instead of a hub.
 //
 // Routing
 // -------
-// A deterministic hash ring (cfg.vnodes points per partition, splitmix64
-// mixing, seeded) maps device_id -> partition. The ring is a pure
-// function of (seed, vnodes, N): every process that agrees on those
-// three agrees on the placement, with no coordination. challenge() and
-// outstanding() route on the id; submit() routes on the device id
-// SNIFFED from the frame header (proto::peek_device_id), the same lookup
-// partition_of() gives the batcher. A frame too damaged to sniff goes to
-// partition 0, whose decoder rejects it with exactly the typed error a
-// bare hub would return — routing never invents new error surfaces.
+// Placement is the pure function mix64(id) % N (common/bytes.h): no
+// ring, no seed, nothing persisted. challenge() and outstanding() route
+// on the id; submit() routes on the device id SNIFFED from the frame
+// header (proto::peek_device_id), the same lookup partition_of() gives
+// the batcher. A frame too damaged to sniff goes to partition 0, whose
+// decoder rejects it with exactly the typed error a bare hub would
+// return — routing never invents new error surfaces.
+//
+// Because every hub judges against the one registry, placement protects
+// nothing durable: a restart may change N freely (every pre-restart
+// frame is stale_nonce on every hub anyway), ids auto-assign fleet-wide,
+// and one firmware image is one artifact across all partitions.
 //
 // Threads
 // -------
@@ -26,27 +31,17 @@
 // verify_batch() passes straight through. A mixed batch (library callers
 // only) is submitted frame by frame on the calling thread.
 //
-// Because placement decides which partition's store holds a device's
-// registry record, the DURABLE layout pins it: partitioned_fleet::open
-// persists a manifest (partitions.meta) and refuses to reopen under a
-// different partition count, vnode count, or seed with
-// store_error(partition_mismatch) — re-partitioning would route devices
-// to partitions whose registry never provisioned them.
-//
 // Promotion
 // ---------
-// Partitions are held through std::atomic pointers; replace(i, hub)
-// swaps a crashed partition's hub for its promoted standby (store/ship)
-// without touching the others. The router never owns the hubs —
-// partitioned_fleet (or the test) does.
+// Whole-store: a promoted standby (store/ship) is a fleet_state like any
+// reopened store, and partitioned_fleet::over(state, N) builds the N hubs
+// on it exactly as open() and create() do.
 #ifndef DIALED_FLEET_PARTITION_H
 #define DIALED_FLEET_PARTITION_H
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "fleet/hub_like.h"
@@ -56,30 +51,14 @@
 
 namespace dialed::fleet {
 
-struct router_config {
-  /// Ring points per partition. More points = smoother balance at
-  /// slightly larger ring-build cost; 64 keeps the max/mean partition
-  /// load within a few percent for any realistic N.
-  std::uint32_t vnodes = 64;
-  /// Ring seed. Placement is a pure function of (seed, vnodes, N).
-  std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
-};
-
 class partition_router final : public hub_like {
  public:
   /// Router over existing hubs (not owned; must outlive the router).
   /// Throws dialed::error on an empty partition set.
-  partition_router(std::vector<hub_like*> partitions,
-                   router_config cfg = router_config{});
+  explicit partition_router(std::vector<hub_like*> partitions);
 
-  /// Owning partition index for a device id. Pure and stable.
+  /// Owning partition index for a device id: mix64(id) % N.
   std::size_t index_of(device_id id) const;
-  const router_config& config() const { return cfg_; }
-
-  /// Swap partition `idx`'s hub (promotion). The old hub is returned;
-  /// callers sequence this against traffic TO THAT PARTITION (traffic on
-  /// other partitions may continue freely).
-  hub_like* replace(std::size_t idx, hub_like* hub);
 
   // ---- hub_like ------------------------------------------------------
   challenge_grant challenge(device_id id) override;
@@ -110,75 +89,63 @@ class partition_router final : public hub_like {
   obs::trace_dump traces() const override;
 
  private:
-  hub_like* at(std::size_t idx) const {
-    return parts_[idx].load(std::memory_order_acquire);
-  }
-
-  router_config cfg_;
-  std::vector<std::atomic<hub_like*>> parts_;
-  /// Sorted ring of (hash point, partition index).
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> ring_;
+  std::vector<hub_like*> parts_;
 };
 
-/// Everything `dialed-serve --partitions N` needs in one object: N
-/// {catalog, registry, hub(, store)} partitions plus the router over
-/// them. Two modes — create() builds in-memory partitions (no
-/// persistence), open() builds fleet_store-backed partitions under
-/// dir/p0..p<N-1> with the placement manifest.
+/// Everything `dialed-serve --partitions N` needs in one object: one
+/// {catalog, registry(, store)} state, N hubs over its registry and the
+/// router over them. create() builds the state in memory, open() from a
+/// fleet_store directory, and over() takes one already built (a promoted
+/// standby); all three then build the hubs the same way.
 class partitioned_fleet {
  public:
-  static constexpr const char* manifest_file = "partitions.meta";
+  /// N hubs over `st`. Hub 0 is st.hub as built; hubs 1..N-1 get its
+  /// configuration, so a store's epoch-folded seed reaches every hub.
+  /// Hubs on one pinned seed issue one device the same nonces, but
+  /// placement sends each device to one hub only.
+  static partitioned_fleet over(store::fleet_state st, std::size_t n);
 
-  /// In-memory fleet: N hubs over N registries sharing one master key.
-  /// Device keys derive from (master key, id), so placement does not
-  /// change any device's credentials.
+  /// In-memory fleet: one registry under `master_key`, N hubs.
   static partitioned_fleet create(std::size_t n, byte_vec master_key,
-                                  hub_config hub_cfg = {},
-                                  router_config rcfg = router_config{});
+                                  hub_config hub_cfg = {});
 
-  /// Durable fleet: open (or initialize) dir/p<i> via fleet_store::open
-  /// and persist the placement manifest. Reopening with a different
-  /// partition count / vnodes / seed throws
-  /// store_error(partition_mismatch).
+  /// Durable fleet: fleet_store::open(dir) with N hubs. Any N reopens
+  /// any directory; one written in the retired per-partition layout is
+  /// refused with store_error(bad_version).
   static partitioned_fleet open(const std::string& dir, std::size_t n,
-                                store::fleet_store::options opts,
-                                router_config rcfg = router_config{});
+                                store::fleet_store::options opts);
 
   partition_router& router() { return *router_; }
-  std::size_t partition_count() const { return router_->partition_count(); }
+  std::size_t partition_count() const { return hubs_.size(); }
   std::size_t index_of(device_id id) const { return router_->index_of(id); }
 
-  device_registry& registry_of(std::size_t i) {
-    return *partitions_[i].registry;
-  }
-  verifier_hub& hub_of(std::size_t i) { return *partitions_[i].hub; }
-  store::fleet_store* store_of(std::size_t i) {
-    return partitions_[i].store.get();
-  }
-  /// Store pointers in partition order (all nullptr for an in-memory
-  /// fleet) — what attest_server's health endpoint takes.
-  std::vector<store::fleet_store*> stores();
+  device_registry& registry() { return *registry_; }
+  verifier_hub& hub_of(std::size_t i) { return *hubs_[i]; }
+  /// The fleet's store; nullptr for an in-memory fleet.
+  store::fleet_store* store() { return store_.get(); }
 
-  /// Provision a device on its owning partition; returns the partition
-  /// index. The id must be chosen by the caller (ids are global, the
-  /// per-partition registries' auto-assign cursors are not).
+  /// Kept only for the perf ledger (perfledger/), which still calls them:
+  /// the one registry for any partition index, and store() as a
+  /// one-element vector.
+  device_registry& registry_of(std::size_t /*partition*/) {
+    return *registry_;
+  }
+  std::vector<store::fleet_store*> stores() { return {store_.get()}; }
+
+  /// Provision a device under a caller-chosen id; returns the index of
+  /// the partition that serves it.
   std::size_t provision(device_id id, instr::linked_program prog);
-
-  /// Crash simulation: tear the partition's live objects out of the
-  /// fleet and hand them to the caller (usually to be dropped on the
-  /// floor). The router still points at the dying hub — callers must not
-  /// route traffic to partition `i` until replace() installs a
-  /// successor.
-  store::fleet_state release_partition(std::size_t i);
-
-  /// Reinstall a partition (promotion): adopts the state and swaps the
-  /// router over to its hub.
-  void install_partition(std::size_t i, store::fleet_state st);
 
  private:
   partitioned_fleet() = default;
 
-  std::vector<store::fleet_state> partitions_;
+  // Declaration order is the destruction contract (reverse): the router
+  // before the hubs it points at, the hubs before the registry they
+  // read, the registry before the store it journals to.
+  std::shared_ptr<firmware_catalog> catalog_;
+  std::unique_ptr<store::fleet_store> store_;
+  std::unique_ptr<device_registry> registry_;
+  std::vector<std::unique_ptr<verifier_hub>> hubs_;
   std::unique_ptr<partition_router> router_;
 };
 

@@ -94,8 +94,8 @@
 // is safe to call concurrently from any number of threads, though the
 // service has at most two per hub: the reactor (challenges, scrapes) and
 // its partition's verify thread (net/batcher.h). Verify parallelism is
-// the partition: N hubs behind a partition_router, one verify thread
-// each (fleet/partition.h).
+// the partition: N hubs over one registry behind a partition_router, one
+// verify thread each (fleet/partition.h).
 //
 //   - Nonce bookkeeping (match, seq check, consume) happens under the
 //     mutex; the expensive cryptographic/replay verification runs
@@ -219,6 +219,10 @@ class verifier_hub : public hub_like {
 
   /// Slowest + rejected span traces (bounded flight-recorder rings).
   obs::trace_dump traces() const override { return obs_.traces(); }
+
+  /// The configuration the hub was built with (a store's epoch-folded
+  /// seed included).
+  const hub_config& config() const { return cfg_; }
 
  private:
   struct challenge_entry {

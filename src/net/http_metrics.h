@@ -31,7 +31,7 @@ namespace dialed::net {
 
 /// Snapshot of the backing store(s) for /metrics; `present == false`
 /// renders no dialed_store_* families (serving without --state-dir).
-/// With partitioned stores the counts are sums.
+/// With several stores the counts are sums.
 struct store_metrics {
   bool present = false;
   const char* sync_policy = "none";  ///< store::to_string(wal_sync)

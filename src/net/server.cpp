@@ -165,8 +165,8 @@ std::string attest_server::handle_http(const http_request& req) {
     // Fold live traffic first so a scrape sees current bytes.
     for (auto& [fd, c] : conns_) fold_traffic(*c);
     const auto parts = hub_.partition_stats();
-    // Store families aggregate across partitioned stores (sums; all
-    // partitions share one sync policy).
+    // Store families sum over the backing stores (a partitioned fleet
+    // has one).
     store_metrics sm;
     for (const auto* st : stores_) {
       if (st == nullptr) continue;

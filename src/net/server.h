@@ -65,9 +65,10 @@ class attest_server final : public connection_host {
  public:
   /// `hub` is any hub_like — a bare verifier_hub or a partition_router
   /// (the server is how `--partitions N` serves unmodified). `stores`
-  /// (optional) powers /healthz depth — one entry per backing store, in
-  /// partition order; the hub(s) must already be wired to them as their
-  /// persist sinks by the caller. `shippers` (optional, same indexing)
+  /// (optional) powers /healthz depth — one entry per backing store
+  /// (a partitioned fleet has one, labeled partition 0); the registry
+  /// must already be wired to it as its persist sink by the caller.
+  /// `shippers` (optional, same indexing)
   /// powers the dialed_ship_* families and the standby half of /healthz
   /// — once any tracked follower latches ship_desync, /healthz answers
   /// 503. All must outlive the server. Binds the listen socket

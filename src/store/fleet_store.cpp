@@ -14,6 +14,10 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// Written at the root of a state directory by builds that kept one
+/// store per partition (under p0, p1, ...).
+constexpr const char* legacy_partition_manifest = "partitions.meta";
+
 byte_vec serialize_program(const instr::linked_program& prog) {
   writer w;
   write_program(w, prog);
@@ -50,6 +54,18 @@ std::string fleet_store::wal_path(std::uint64_t generation) const {
 }
 
 fleet_state fleet_store::open(const std::string& dir, options opts) {
+  // The retired per-partition layout (a manifest beside dir/p<i> stores)
+  // holds its devices below this directory, not in it: opening it as a
+  // fresh store would re-provision them under new keys. Refuse before
+  // anything is written.
+  if (fs::exists(fs::path(dir) / legacy_partition_manifest)) {
+    throw store_error(
+        store_error_kind::bad_version,
+        dir + ": per-partition state layout (" +
+            legacy_partition_manifest +
+            " with one store per p<i> subdirectory) from an older build; "
+            "this build keeps one store in the directory itself");
+  }
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {

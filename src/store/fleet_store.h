@@ -34,7 +34,9 @@
 // of v2-v4 snapshots, the counter sections of v2 and v3, the baseline
 // section of v2, and type-3 challenge, type-4 retire, type-5 verdict,
 // type-6 tick and type-7 baseline records in the WAL are checked and
-// dropped.
+// dropped. A directory in the retired per-partition layout (a
+// partitions.meta manifest beside one store per p<i> subdirectory) is
+// refused with store_error(bad_version), and nothing in it is written.
 //
 // Files in the state directory
 // ----------------------------
@@ -50,6 +52,7 @@
 //                  nothing is lost). Only the newest log in the chain may
 //                  end in a torn record; a torn or missing log mid-chain
 //                  is corruption and fails closed.
+// Any other entry (a standby directory placed inside, say) is ignored.
 //
 // Lifecycle
 // ---------

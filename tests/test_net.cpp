@@ -693,7 +693,7 @@ TEST(net_serve, partitions_verify_independently) {
     fleet.provision(ids[p], prog);
     const auto grant = router.challenge(ids[p]);
     ASSERT_TRUE(grant.ok());
-    proto::prover_device dev(prog, fleet.registry_of(p).find(ids[p])->key);
+    proto::prover_device dev(prog, fleet.registry().find(ids[p])->key);
     frames.push_back(
         full_frame(ids[p], grant.seq, dev.invoke(grant.nonce, args(20, 22))));
   }

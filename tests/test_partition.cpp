@@ -1,12 +1,16 @@
-// Partitioned fleet: consistent-hash routing parity with a bare hub,
-// WAL shipping to warm standbys, promotion after a simulated partition
-// crash (pre-crash replays rejected, other partitions undisturbed), the
-// placement manifest, and online compaction under concurrent traffic.
+// Partitioned fleet: N hubs over one registry. mix64(id) % N placement,
+// routing parity with a bare hub, reopening one store under any
+// partition count, fleet-wide id assignment and artifact sharing, the
+// refusal of the retired per-partition layout, WAL shipping to a warm
+// standby, whole-store promotion (pre-crash replays rejected on every
+// partition), and online compaction under concurrent traffic.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <filesystem>
-#include <fstream>
+#include <map>
+#include <set>
 #include <thread>
 
 #include "common/store_error.h"
@@ -14,6 +18,7 @@
 #include "fleet/verifier_hub.h"
 #include "helpers.h"
 #include "proto/wire.h"
+#include "store/codec.h"
 #include "store/fleet_store.h"
 #include "store/ship.h"
 #include "store/state_image.h"
@@ -106,40 +111,34 @@ class partition_test : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------------
-// The ring
+// Placement
 // ---------------------------------------------------------------------------
 
-TEST(partition_ring, placement_is_deterministic_and_seed_sensitive) {
+TEST(partition_placement, placement_is_mix64_mod_n_pure_and_balanced) {
   auto a = partitioned_fleet::create(4, master_key());
   auto b = partitioned_fleet::create(4, master_key());
-  router_config other;
-  other.seed ^= 0x1234567;
-  auto c = partitioned_fleet::create(4, master_key(), {}, other);
-
-  std::size_t moved = 0;
-  for (device_id id = 1; id <= 2000; ++id) {
-    // Same (seed, vnodes, N) -> same placement, no coordination.
-    EXPECT_EQ(a.index_of(id), b.index_of(id));
-    if (a.index_of(id) != c.index_of(id)) ++moved;
-  }
-  // A different seed is a different ring — most ids move.
-  EXPECT_GT(moved, 1000u);
-}
-
-TEST(partition_ring, load_is_balanced_across_partitions) {
-  auto fleet = partitioned_fleet::create(4, master_key());
   std::array<std::size_t, 4> load{};
   const std::size_t ids = 20000;
-  for (device_id id = 1; id <= ids; ++id) ++load[fleet.index_of(id)];
-  for (std::size_t p = 0; p < 4; ++p) {
-    // 64 vnodes/partition keeps every partition within ~2x of fair
-    // share even on adversarially small fleets; this bound is loose.
-    EXPECT_GT(load[p], ids / 8) << "partition " << p;
-    EXPECT_LT(load[p], ids / 2) << "partition " << p;
+  for (device_id id = 1; id <= ids; ++id) {
+    // A pure function of (id, N): no seed, no ring, no coordination.
+    EXPECT_EQ(a.index_of(id), mix64(id) % 4);
+    EXPECT_EQ(a.index_of(id), b.index_of(id));
+    ++load[a.index_of(id)];
   }
+  for (std::size_t p = 0; p < 4; ++p) {
+    // mix64 is a bijection with good avalanche, so sequential ids spread
+    // within a few percent of fair share.
+    EXPECT_GT(load[p], ids / 4 * 9 / 10) << "partition " << p;
+    EXPECT_LT(load[p], ids / 4 * 11 / 10) << "partition " << p;
+  }
+  // The service smokes attest ids 1..8 and expect every partition of
+  // four to see traffic.
+  std::set<std::size_t> reached;
+  for (device_id id = 1; id <= 8; ++id) reached.insert(a.index_of(id));
+  EXPECT_EQ(reached.size(), 4u);
 }
 
-TEST(partition_ring, single_partition_routes_everything_to_zero) {
+TEST(partition_placement, single_partition_routes_everything_to_zero) {
   auto fleet = partitioned_fleet::create(1, master_key());
   for (device_id id = 1; id <= 64; ++id) {
     EXPECT_EQ(fleet.index_of(id), 0u);
@@ -159,7 +158,7 @@ TEST(partition_router, routes_rounds_to_owners_and_aggregates_stats) {
   byte_vec first_frame;
   for (std::size_t p = 0; p < ids.size(); ++p) {
     const auto frame =
-        run_round(fleet.router(), fleet.registry_of(p), ids[p],
+        run_round(fleet.router(), fleet.registry(), ids[p],
                   static_cast<std::uint16_t>(10 + p), 5);
     if (p == 0) first_frame = frame;
     // The round landed on the owning partition and nowhere else.
@@ -236,8 +235,7 @@ TEST(partition_router, retired_v1_frames_are_bad_version_and_burn_nothing) {
       static_cast<std::size_t>(proto::proto_error::bad_version);
 
   hub_like* doors[] = {&bare.hub_of(0), &fleet.router()};
-  device_registry* regs[] = {&bare.registry_of(0),
-                             &fleet.registry_of(fleet.router().index_of(id))};
+  device_registry* regs[] = {&bare.registry(), &fleet.registry()};
   for (std::size_t k = 0; k < 2; ++k) {
     hub_like& hub = *doors[k];
     const auto* rec = regs[k]->find(id);
@@ -273,7 +271,7 @@ TEST(partition_router, batch_scatter_preserves_input_order) {
   std::vector<std::uint16_t> expect_sum;
   for (std::uint16_t round = 0; round < 3; ++round) {
     for (std::size_t p = 0; p < ids.size(); ++p) {
-      const auto* rec = fleet.registry_of(p).find(ids[p]);
+      const auto* rec = fleet.registry().find(ids[p]);
       proto::prover_device dev(*rec->program, rec->key);
       const auto g = fleet.router().challenge(ids[p]);
       ASSERT_TRUE(g.ok());
@@ -316,74 +314,128 @@ TEST(partition_router, tick_fans_out_one_logical_clock) {
 }
 
 // ---------------------------------------------------------------------------
-// Durable layout: the placement manifest
+// One registry, one store, any partition count
 // ---------------------------------------------------------------------------
 
-TEST_F(partition_test, manifest_pins_the_partition_layout) {
-  { auto fleet = partitioned_fleet::open(dir(), 2, opts()); }
-  // Same layout reopens fine.
-  { auto fleet = partitioned_fleet::open(dir(), 2, opts()); }
-
-  // A different partition count / vnode count / seed would re-hash
-  // devices onto partitions that never saw their consumed nonces:
-  // refused with the typed mismatch, never a silent re-shard.
-  try {
-    auto fleet = partitioned_fleet::open(dir(), 3, opts());
-    FAIL() << "re-partitioned 2x -> 3x";
-  } catch (const store_error& e) {
-    EXPECT_EQ(e.kind(), store_error_kind::partition_mismatch);
-  }
-  router_config rcfg;
-  rcfg.vnodes = 32;
-  try {
-    auto fleet = partitioned_fleet::open(dir(), 2, opts(), rcfg);
-    FAIL() << "reopened with different vnodes";
-  } catch (const store_error& e) {
-    EXPECT_EQ(e.kind(), store_error_kind::partition_mismatch);
-  }
-
-  // A corrupted manifest fails closed on its CRC.
-  const fs::path manifest =
-      fs::path(dir()) / partitioned_fleet::manifest_file;
-  auto bytes = *store::read_file(manifest);
-  bytes[6] ^= 0xff;
+TEST_F(partition_test, reopen_under_any_partition_count_serves_every_device) {
+  constexpr device_id devices = 8;
+  std::vector<byte_vec> earlier;  // every frame any earlier boot accepted
   {
-    std::ofstream out(manifest, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
+    auto fleet = partitioned_fleet::open(dir(), 4, opts());
+    const auto prog = prog_for(adder);
+    std::set<std::size_t> reached;
+    for (device_id id = 1; id <= devices; ++id) {
+      reached.insert(fleet.provision(id, prog));
+      earlier.push_back(
+          run_round(fleet.router(), fleet.registry(), id, 1, 2));
+    }
+    ASSERT_EQ(reached.size(), 4u);
   }
-  try {
-    auto fleet = partitioned_fleet::open(dir(), 2, opts());
-    FAIL() << "corrupt manifest loaded";
-  } catch (const store_error& e) {
-    EXPECT_EQ(e.kind(), store_error_kind::crc_mismatch);
+  // Placement is not persisted: the same directory reopens under 4, 2
+  // and then 1 partitions. Each time the registry is rebuilt from the
+  // store and every hub starts with no challenge state, so every earlier
+  // frame is stale and every device's first fresh round verifies.
+  for (const std::size_t n : {4u, 2u, 1u}) {
+    auto fleet = partitioned_fleet::open(dir(), n, opts());
+    ASSERT_EQ(fleet.partition_count(), n);
+    EXPECT_EQ(fleet.registry().size(), devices);
+    for (const auto& frame : earlier) {
+      EXPECT_EQ(fleet.router().submit(frame).error,
+                proto::proto_error::stale_nonce)
+          << n << " partitions";
+    }
+    for (device_id id = 1; id <= devices; ++id) {
+      earlier.push_back(run_round(fleet.router(), fleet.registry(), id,
+                                  static_cast<std::uint16_t>(n), 3));
+    }
   }
 }
 
-TEST_F(partition_test, durable_partitions_recover_replay_state) {
-  std::vector<device_id> ids;
-  std::vector<byte_vec> frames;
-  {
-    auto fleet = partitioned_fleet::open(dir(), 2, opts());
-    ids = one_id_per_partition(fleet.router());
-    const auto prog = prog_for(adder);
-    for (const auto id : ids) fleet.provision(id, prog);
-    for (std::size_t p = 0; p < ids.size(); ++p) {
-      frames.push_back(run_round(fleet.router(), fleet.registry_of(p),
-                                 ids[p], 20, 22));
-    }
-  }  // "crash": drop every partition's in-memory objects
+TEST(partition_fleet, auto_assigned_ids_verify_through_the_router) {
+  auto fleet = partitioned_fleet::create(4, master_key());
+  const auto prog = prog_for(adder);
+  // One registry assigns ids fleet-wide: no two partitions hand out the
+  // same id, and each lands wherever mix64 places it.
+  std::set<device_id> ids;
+  for (int k = 0; k < 8; ++k) ids.insert(fleet.registry().provision(prog));
+  ASSERT_EQ(ids.size(), 8u);
+  std::map<std::size_t, std::uint64_t> expected;
+  for (const auto id : ids) {
+    run_round(fleet.router(), fleet.registry(), id, 4, 5);
+    ++expected[fleet.index_of(id)];
+  }
+  EXPECT_GT(expected.size(), 1u);
+  for (std::size_t p = 0; p < 4; ++p) {
+    EXPECT_EQ(fleet.hub_of(p).stats().reports_accepted, expected[p])
+        << "partition " << p;
+  }
+}
 
+TEST_F(partition_test, one_image_is_one_artifact_across_partitions) {
+  const auto prog = prog_for(adder);
+  {
+    auto fleet = partitioned_fleet::open(dir(), 4, opts());
+    const auto ids = one_id_per_partition(fleet.router());
+    for (const auto id : ids) fleet.provision(id, prog);
+    const auto* first = fleet.registry().find(ids[0])->firmware.get();
+    for (const auto id : ids) {
+      EXPECT_EQ(fleet.registry().find(id)->firmware.get(), first);
+    }
+    EXPECT_EQ(fleet.registry().catalog()->size(), 1u);
+  }
+  // A reopen re-interns the image once, under any partition count.
   auto fleet = partitioned_fleet::open(dir(), 2, opts());
-  // Every partition rebuilt its registry from its own store and starts
-  // with no challenge state: every pre-crash frame is stale.
-  for (const auto& frame : frames) {
-    EXPECT_EQ(fleet.router().submit(frame).error,
-              proto::proto_error::stale_nonce);
+  const auto ids = fleet.registry().ids();
+  ASSERT_EQ(ids.size(), 4u);
+  EXPECT_NE(fleet.index_of(ids[0]), fleet.index_of(ids[1]));
+  for (const auto id : ids) {
+    EXPECT_EQ(fleet.registry().find(id)->firmware.get(),
+              fleet.registry().find(ids[0])->firmware.get());
   }
-  for (std::size_t p = 0; p < ids.size(); ++p) {
-    run_round(fleet.router(), fleet.registry_of(p), ids[p], 6, 7);
+  EXPECT_EQ(fleet.registry().catalog()->size(), 1u);
+}
+
+/// Every regular file under `root`, relative path -> contents.
+std::map<std::string, byte_vec> tree_of(const fs::path& root) {
+  std::map<std::string, byte_vec> out;
+  for (const auto& e : fs::recursive_directory_iterator(root)) {
+    if (!e.is_regular_file()) continue;
+    out[fs::relative(e.path(), root).string()] = *store::read_file(e.path());
   }
+  return out;
+}
+
+TEST_F(partition_test, old_layout_directory_is_refused_untouched) {
+  // The layout older builds wrote: one store per partition under p<i>,
+  // pinned by a CRC-guarded manifest ("DLPM", version 1, N, vnodes, seed).
+  for (const char* p : {"p0", "p1"}) {
+    auto st = store::fleet_store::open((dir_ / p).string(), opts());
+    (void)st.registry->provision(prog_for(adder));
+  }
+  store::writer w;
+  w.raw(std::array<std::uint8_t, 4>{'D', 'L', 'P', 'M'});
+  w.u32(1);
+  w.u32(2);
+  w.u32(64);
+  w.u64(0x9e3779b97f4a7c15ULL);
+  w.u32(store::crc32(w.data()));
+  store::write_file_atomic(dir_ / "partitions.meta", w.data());
+  const auto before = tree_of(dir_);
+
+  // Opening it as a fresh one-store fleet would re-provision its devices
+  // under new keys: refused, typed, naming the layout, for any N.
+  for (const std::size_t n : {2u, 1u}) {
+    try {
+      auto fleet = partitioned_fleet::open(dir(), n, opts());
+      FAIL() << "old layout opened as " << n << " partitions";
+    } catch (const store_error& e) {
+      EXPECT_EQ(e.kind(), store_error_kind::bad_version);
+      EXPECT_NE(std::string(e.what()).find("partitions.meta"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(tree_of(dir_), before);
 }
 
 // ---------------------------------------------------------------------------
@@ -444,8 +496,7 @@ TEST(partition_obs, router_merges_and_labels_pipelines) {
   // ids[0] to seed its rejected ring.
   byte_vec replay;
   for (const auto id : ids) {
-    replay = run_round(fleet.router(), fleet.registry_of(
-                           fleet.index_of(id)), id, 2, 2);
+    replay = run_round(fleet.router(), fleet.registry(), id, 2, 2);
   }
   EXPECT_EQ(fleet.router().submit(replay).error,
             proto::proto_error::replayed_report);
@@ -550,71 +601,56 @@ TEST_F(partition_test, shipping_protocol_violations_latch_desync) {
 }
 
 TEST_F(partition_test, promotion_mid_campaign_rejects_pre_crash_replays) {
-  auto fleet = partitioned_fleet::open(sub("fleet"), 3, opts());
-  const auto ids = one_id_per_partition(fleet.router());
-  const auto prog = prog_for(adder);
-
-  // Partition 1 gets a warm standby, attached before provisioning so the
-  // victim's device reaches it as shipped records.
-  const std::size_t victim = 1;
+  constexpr std::size_t n = 3;
+  // The standby follows the fleet's one store, attached before
+  // provisioning so every device reaches it as shipped records.
   store::wal_shipper shipper;
   store::wal_follower follower(sub("standby"));
   shipper.add_follower(&follower);
-  fleet.store_of(victim)->attach_shipper(&shipper);
-  for (const auto id : ids) fleet.provision(id, prog);
-
-  // Mid-campaign: K accepted rounds on the victim partition (none of
-  // them shipped), plus live traffic everywhere else.
+  std::vector<device_id> ids;
   std::vector<byte_vec> pre_crash;
-  for (std::uint16_t k = 0; k < 3; ++k) {
-    pre_crash.push_back(run_round(fleet.router(),
-                                  fleet.registry_of(victim), ids[victim],
-                                  static_cast<std::uint16_t>(k + 1), 2));
-    for (std::size_t p = 0; p < ids.size(); ++p) {
-      if (p == victim) continue;
-      run_round(fleet.router(), fleet.registry_of(p), ids[p],
-                static_cast<std::uint16_t>(k), 9);
+  {
+    auto fleet = partitioned_fleet::open(sub("fleet"), n, opts());
+    fleet.store()->attach_shipper(&shipper);
+    ids = one_id_per_partition(fleet.router());
+    const auto prog = prog_for(adder);
+    for (const auto id : ids) fleet.provision(id, prog);
+
+    // Mid-campaign: K accepted rounds on every partition, none shipped.
+    for (std::uint16_t k = 0; k < 3; ++k) {
+      for (const auto id : ids) {
+        pre_crash.push_back(run_round(fleet.router(), fleet.registry(), id,
+                                      static_cast<std::uint16_t>(k + 1),
+                                      2));
+      }
     }
+    ASSERT_GT(shipper.records_shipped(), 0u);
+    ASSERT_TRUE(follower.synced());
+    fleet.store()->attach_shipper(nullptr);
+  }  // the primary dies: its store, registry and every hub
+
+  // Promotion is whole-store: the N-hub fleet is built over the
+  // promoted standby exactly as open() builds one over a directory.
+  auto fleet = partitioned_fleet::over(follower.promote(opts()), n);
+  ASSERT_EQ(fleet.partition_count(), n);
+  EXPECT_EQ(fleet.registry().size(), ids.size());
+  for (std::size_t p = 0; p < n; ++p) {
+    // Counters and challenge state are process-local: zero.
+    EXPECT_EQ(fleet.hub_of(p).stats().reports_submitted(), 0u);
+    EXPECT_EQ(fleet.hub_of(p).stats().challenges_issued, 0u);
+    EXPECT_EQ(fleet.router().outstanding(ids[p]), 0u);
   }
-  ASSERT_GT(shipper.records_shipped(), 0u);
-  ASSERT_TRUE(follower.synced());
 
-  std::vector<hub_stats> before;
-  for (std::size_t p = 0; p < ids.size(); ++p) {
-    before.push_back(fleet.hub_of(p).stats());
-  }
-
-  // Kill partition 1 (drop its hub, registry, catalog and store on the
-  // floor) and promote the standby into its slot.
-  { auto dead = fleet.release_partition(victim); }
-  fleet.install_partition(victim, follower.promote(opts()));
-
-  // The successor's counters start at zero: they are process-local and
-  // never shipped. So does its challenge state.
-  EXPECT_EQ(fleet.hub_of(victim).stats().reports_submitted(), 0u);
-  EXPECT_EQ(fleet.hub_of(victim).stats().challenges_issued, 0u);
-  EXPECT_EQ(fleet.router().outstanding(ids[victim]), 0u);
-
-  // THE property, across the router: every report the dead partition
-  // accepted is rejected at its successor, which never issued its nonce.
+  // THE property, across the router: every report the dead primary
+  // accepted, on every partition, is rejected by the successor, which
+  // never issued its nonce.
   for (const auto& frame : pre_crash) {
     EXPECT_EQ(fleet.router().submit(frame).error,
               proto::proto_error::stale_nonce);
   }
-  // And the promoted partition serves fresh rounds.
-  run_round(fleet.router(), fleet.registry_of(victim), ids[victim], 20,
-            22);
-
-  // The OTHER partitions never noticed: no counter moved during the
-  // promotion, and their devices keep attesting.
-  for (std::size_t p = 0; p < ids.size(); ++p) {
-    if (p == victim) continue;
-    const auto after = fleet.hub_of(p).stats();
-    EXPECT_EQ(after.challenges_issued, before[p].challenges_issued);
-    EXPECT_EQ(after.reports_accepted, before[p].reports_accepted);
-    EXPECT_EQ(after.reports_rejected_protocol(),
-              before[p].reports_rejected_protocol());
-    run_round(fleet.router(), fleet.registry_of(p), ids[p], 3, 4);
+  // And every partition serves fresh rounds.
+  for (const auto id : ids) {
+    run_round(fleet.router(), fleet.registry(), id, 20, 22);
   }
 }
 

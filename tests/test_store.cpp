@@ -362,7 +362,7 @@ TEST_F(store_test, accepted_report_is_replay_after_reopen) {
   EXPECT_EQ(replayed.error, proto::proto_error::stale_nonce);
 
   // And the restarted hub still serves fresh rounds on both firmwares.
-  for (const auto [id, a, b, want] :
+  for (const auto& [id, a, b, want] :
        {std::tuple{id_a, 20, 22, 42}, std::tuple{id_b, 6, 7, 42}}) {
     proto::prover_device dev(*st.registry->find(id)->program,
                              st.registry->find(id)->key);
@@ -721,6 +721,7 @@ TEST_F(store_test, zero_filled_wal_tail_reads_as_torn) {
   }
   auto st = fleet_store::open(dir(), o);
   EXPECT_EQ(st.registry->size(), 1u);
+  EXPECT_NE(st.registry->find(id), nullptr);
   // But zeros with REAL data after them are corruption, not a tear.
   byte_vec bad(16, 0);
   bad[12] = 0xab;
@@ -1229,7 +1230,9 @@ TEST_F(store_test, pre_crash_frames_are_stale_after_reopen) {
           grants.push_back(st.hub->challenge(id));
           pre_crash.push_back(frame_for(
               id, grants.back(), dev.invoke(grants.back().nonce, args(1, 2))));
-          if (i == 0) ASSERT_TRUE(st.hub->submit(pre_crash[0]).accepted());
+          if (i == 0) {
+            ASSERT_TRUE(st.hub->submit(pre_crash[0]).accepted());
+          }
         }
         // seq 1 consumed, seq 2 superseded by seq 4, seq 3 and 4
         // outstanding.

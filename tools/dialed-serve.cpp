@@ -25,19 +25,21 @@
 // Challenge nonces are keyed by a per-process random key, so two runs
 // never hand a device the same nonce, not even on a fresh state dir.
 //
-// --partitions N shards the fleet across N hubs behind a consistent-hash
-// router (src/fleet/partition.h): each device id lives on exactly one
-// partition, /metrics grows per-partition dialed_partition_* families,
-// and with --state-dir each partition journals to its own store under
-// DIR/p0..p<N-1> (the placement manifest refuses a restart with a
-// different N). It is also the one parallelism option: each partition
-// verifies on one long-lived thread of its own, so the process runs the
-// main (reactor) thread plus N verify threads. The default, 1, verifies
-// every report on one thread however many cores the host has. Each
-// verify thread takes up to 64 of whatever frames are queued for it
-// whenever it is free (src/net/batcher.h). The wire protocol is
-// unchanged — clients cannot tell a partitioned service from a single
-// hub.
+// --partitions N serves the fleet from N hubs over one registry
+// (src/fleet/partition.h): device id `id` is verified by partition
+// mix64(id) % N, and /metrics grows per-partition dialed_partition_*
+// families. Placement is not persisted, so a restart may change N
+// freely. --state-dir DIR holds the one fleet store (DIR/snapshot.dls,
+// DIR/wal-<G>.log) whatever N is; a DIR written by an older build in
+// the per-partition layout (DIR/partitions.meta, DIR/p<i>) is refused
+// and left untouched. --partitions is also the one parallelism option:
+// each partition verifies on one long-lived thread of its own, so the
+// process runs the main (reactor) thread plus N verify threads. The
+// default, 1, verifies every report on one thread however many cores
+// the host has. Each verify thread takes up to 64 of whatever frames
+// are queued for it whenever it is free (src/net/batcher.h). The wire
+// protocol is unchanged — clients cannot tell a partitioned service from
+// a single hub.
 //
 // Prints "listening: tcp=PORT" once serving (PORT resolves
 // --port 0 to the kernel's pick, for scripts and tests). SIGINT/SIGTERM
@@ -49,10 +51,9 @@
 // per-partition store/standby health JSON; 503 once a standby desyncs),
 // GET /debug/traces (flight-recorder dump). --log-level turns on the
 // structured event log to stderr (logfmt, or JSON with --log-json).
-// --standby-dir DIR keeps a warm standby of each partition's store under
-// DIR/p<i> by WAL shipping; its lag and desync state surface on both
-// endpoints.
-#include <algorithm>
+// --standby-dir DIR keeps a warm standby of the store in DIR by WAL
+// shipping; its lag and desync state surface on both endpoints (as
+// partition="0").
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -224,8 +225,7 @@ int main(int argc, char** argv) {
     const auto fw_id = verifier::firmware_artifact::fingerprint(prog);
     std::uint32_t provisioned = 0, resumed = 0;
     for (std::uint32_t id = 1; id <= devices; ++id) {
-      const auto p = fleet_parts.index_of(id);
-      if (const auto* rec = fleet_parts.registry_of(p).find(id)) {
+      if (const auto* rec = fleet_parts.registry().find(id)) {
         if (rec->firmware->id() != fw_id) {
           std::fprintf(stderr,
                        "dialed-serve: device %u is provisioned with a "
@@ -243,32 +243,24 @@ int main(int argc, char** argv) {
 
     fleet::hub_like& hub = fleet_parts.router();
 
-    // Warm standbys: one follower + shipper per partition store, wired
-    // before the server exists and destroyed after it stops (the server
-    // reads shipper stats on every scrape).
-    std::vector<std::unique_ptr<store::wal_follower>> followers;
-    std::vector<std::unique_ptr<store::wal_shipper>> shippers;
+    // Warm standby: one follower + shipper for the store, wired before
+    // the server exists and destroyed after it stops (the server reads
+    // shipper stats on every scrape).
+    std::optional<store::wal_follower> follower;
+    store::wal_shipper shipper;
     std::vector<const store::wal_shipper*> shipper_ptrs;
     if (!standby_dir.empty()) {
-      auto stores = fleet_parts.stores();
-      for (std::size_t p = 0; p < stores.size(); ++p) {
-        followers.push_back(std::make_unique<store::wal_follower>(
-            standby_dir + "/p" + std::to_string(p)));
-        shippers.push_back(std::make_unique<store::wal_shipper>());
-        shippers.back()->add_follower(followers.back().get());
-        stores[p]->attach_shipper(shippers.back().get());
-        shipper_ptrs.push_back(shippers.back().get());
-      }
+      follower.emplace(standby_dir);
+      shipper.add_follower(&*follower);
+      fleet_parts.store()->attach_shipper(&shipper);
+      shipper_ptrs.push_back(&shipper);
       obs::log().emit(obs::log_level::info, "standby_attached",
-                      {{"dir", standby_dir},
-                       {"partitions", stores.size()}});
+                      {{"dir", standby_dir}});
     }
 
-    net::attest_server server(hub, cfg,
-                              state_dir.empty()
-                                  ? std::vector<store::fleet_store*>{}
-                                  : fleet_parts.stores(),
-                              shipper_ptrs);
+    std::vector<store::fleet_store*> stores;
+    if (fleet_parts.store() != nullptr) stores.push_back(fleet_parts.store());
+    net::attest_server server(hub, cfg, stores, shipper_ptrs);
     g_server = &server;
     std::signal(SIGINT, handle_signal);
     std::signal(SIGTERM, handle_signal);
@@ -276,25 +268,16 @@ int main(int argc, char** argv) {
     std::printf("fleet:    %u device(s) (%u provisioned, %u resumed), "
                 "firmware %.16s...\n",
                 devices, provisioned, resumed,
-                fleet_parts.registry_of(fleet_parts.index_of(1))
-                    .find(1)
-                    ->firmware->id_hex()
-                    .c_str());
+                fleet_parts.registry().find(1)->firmware->id_hex().c_str());
     if (partitions > 1) {
-      std::printf("partitions: %u hubs behind the consistent-hash "
-                  "router\n",
-                  partitions);
+      std::printf("partitions: %u hubs over one registry\n", partitions);
     }
-    if (!state_dir.empty()) {
-      unsigned long long wal_total = 0;
-      unsigned long long gen_max = 0;
-      for (auto* st : fleet_parts.stores()) {
-        wal_total += st->wal_records();
-        gen_max = std::max<unsigned long long>(gen_max, st->generation());
-      }
+    if (const auto* st = fleet_parts.store()) {
       std::printf("state:    %s (generation %llu, %llu WAL records, "
                   "wal-sync=%s)\n",
-                  state_dir.c_str(), gen_max, wal_total,
+                  state_dir.c_str(),
+                  static_cast<unsigned long long>(st->generation()),
+                  static_cast<unsigned long long>(st->wal_records()),
                   store::to_string(wal_opts.sync));
     }
     std::printf("verify-threads=%zu\n", hub.partition_count());
@@ -304,10 +287,8 @@ int main(int argc, char** argv) {
 
     server.run();
     g_server = nullptr;
-    // Detach shippers before they (and the followers) are destroyed.
-    if (!standby_dir.empty()) {
-      for (auto* st : fleet_parts.stores()) st->attach_shipper(nullptr);
-    }
+    // Detach the shipper before it (and the follower) is destroyed.
+    if (follower) fleet_parts.store()->attach_shipper(nullptr);
 
     const auto net = server.stats();
     const auto hs = hub.stats();
