@@ -749,6 +749,54 @@ BENCHMARK(BM_fleet_store_reopen)
     ->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
+void BM_fleet_provision(benchmark::State& state) {
+  // Cold-start cost per device: provision `range(0)` devices into a fresh
+  // registry onto one firmware the shared catalog already interned, so a
+  // device costs its fingerprint lookup and key derivation only.
+  const auto prog = dialed::apps::build_app(
+      dialed::apps::evaluation_apps()[0],
+      dialed::instr::instrumentation::dialed);
+  const auto catalog = std::make_shared<dialed::fleet::firmware_catalog>();
+  (void)catalog->intern(prog);
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  for (auto _ : state) {
+    dialed::fleet::device_registry reg(bench_key(), catalog);
+    for (std::uint32_t i = 0; i < n; ++i) (void)reg.provision(prog);
+    benchmark::DoNotOptimize(reg.size());
+  }
+  state.counters["devices_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * n,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_fleet_provision)
+    ->Arg(64)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_firmware_artifact_build(benchmark::State& state) {
+  // What a catalog miss costs: copy the program into a new artifact,
+  // flatten its image and predecode every ER slot. One arg per
+  // evaluation app.
+  const auto app =
+      dialed::apps::evaluation_apps()[static_cast<std::size_t>(
+          state.range(0))];
+  const auto prog =
+      dialed::apps::build_app(app, dialed::instr::instrumentation::dialed);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        dialed::verifier::firmware_artifact::build(prog));
+  }
+  state.counters["er_slots"] =
+      static_cast<double>(prog.er_max - prog.er_min) / 2 + 1;
+  state.SetLabel(app.name);
+}
+BENCHMARK(BM_firmware_artifact_build)
+    ->ArgName("app")
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_partition_router_overhead(benchmark::State& state) {
   // Routing tax on the sequential submit path: the same pre-built frames
   // pushed through a bare hub (Arg 0) or a partition_router over N hubs

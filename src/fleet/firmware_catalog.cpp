@@ -5,7 +5,7 @@
 namespace dialed::fleet {
 
 firmware_catalog::artifact_ptr firmware_catalog::intern(
-    instr::linked_program prog) {
+    const instr::linked_program& prog) {
   const verifier::firmware_id id =
       verifier::firmware_artifact::fingerprint(prog);
   {
@@ -13,10 +13,10 @@ firmware_catalog::artifact_ptr firmware_catalog::intern(
     const auto it = artifacts_.find(id);
     if (it != artifacts_.end()) return it->second;
   }
-  // Build outside the lock — artifact construction (predecode, flatten)
-  // is the expensive part and must not serialize lookups. The fingerprint
-  // above is reused, not recomputed.
-  auto built = verifier::firmware_artifact::build(std::move(prog), &id);
+  // Build outside the lock — artifact construction (the program copy,
+  // predecode, flatten) is the expensive part and must not serialize
+  // lookups. The fingerprint above is reused, not recomputed.
+  auto built = verifier::firmware_artifact::build(prog, &id);
   std::unique_lock<std::shared_mutex> lk(mu_);
   const auto it = artifacts_.emplace(id, std::move(built)).first;
   return it->second;  // racing interns of the same image: first wins

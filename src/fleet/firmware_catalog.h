@@ -8,7 +8,9 @@
 //
 //   * provisioning a million devices on the same image builds ONE
 //     artifact — the registry/hub hold shared_ptr copies, turning
-//     O(devices) verifier memory into O(firmwares);
+//     O(devices) verifier memory into O(firmwares). intern takes the
+//     program by const reference and copies it only on a miss, into the
+//     new artifact: a hit costs one fingerprint hash and no copy;
 //   * two independently built but byte/metadata-identical programs intern
 //     to the same artifact (content addressing, not pointer identity);
 //   * artifacts are immutable, so handing the same shared_ptr to any
@@ -36,8 +38,9 @@ class firmware_catalog {
   using artifact_ptr = std::shared_ptr<const verifier::firmware_artifact>;
 
   /// Intern `prog`: return the existing artifact for its content id, or
-  /// build, register and return a new one.
-  artifact_ptr intern(instr::linked_program prog);
+  /// build, register and return a new one. `prog` is copied only when its
+  /// image is new (into the artifact); a hit costs one fingerprint hash.
+  artifact_ptr intern(const instr::linked_program& prog);
 
   /// nullptr when no artifact with that id was interned.
   artifact_ptr find(const verifier::firmware_id& id) const;

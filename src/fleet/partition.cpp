@@ -213,9 +213,9 @@ partitioned_fleet partitioned_fleet::open(const std::string& dir,
   return over(store::fleet_store::open(dir, std::move(opts)), n);
 }
 
-std::size_t partitioned_fleet::provision(device_id id,
-                                         instr::linked_program prog) {
-  registry_->provision(id, std::move(prog));
+std::size_t partitioned_fleet::provision(
+    device_id id, const instr::linked_program& prog) {
+  registry_->provision(id, prog);
   return index_of(id);
 }
 

@@ -134,7 +134,7 @@ class partitioned_fleet {
 
   /// Provision a device under a caller-chosen id; returns the index of
   /// the partition that serves it.
-  std::size_t provision(device_id id, instr::linked_program prog);
+  std::size_t provision(device_id id, const instr::linked_program& prog);
 
  private:
   partitioned_fleet() = default;

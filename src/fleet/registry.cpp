@@ -55,10 +55,10 @@ device_record device_registry::make_record(
   return rec;
 }
 
-device_id device_registry::provision(instr::linked_program prog) {
+device_id device_registry::provision(const instr::linked_program& prog) {
   // Intern before taking the registry lock: a first-seen image builds its
   // artifact, and that must not stall concurrent find() readers.
-  auto fw = catalog_->intern(std::move(prog));
+  auto fw = catalog_->intern(prog);
   std::unique_lock<std::shared_mutex> lk(mu_);
   const device_id id = reserve_free_id_locked();
   device_record rec = make_record(id, derive_key(id), std::move(fw));
@@ -71,7 +71,7 @@ device_id device_registry::provision(instr::linked_program prog) {
 }
 
 device_id device_registry::provision(device_id id,
-                                     instr::linked_program prog) {
+                                     const instr::linked_program& prog) {
   if (id == 0) {
     throw registry_error(registry_error_kind::reserved_id,
                          "fleet: device id 0 is reserved");
@@ -90,7 +90,7 @@ device_id device_registry::provision(device_id id,
   }
   firmware_catalog::artifact_ptr fw;
   try {
-    fw = catalog_->intern(std::move(prog));
+    fw = catalog_->intern(prog);
   } catch (...) {
     std::unique_lock<std::shared_mutex> lk(mu_);
     reserved_.erase(id);
@@ -104,13 +104,13 @@ device_id device_registry::provision(device_id id,
   return id;
 }
 
-device_id device_registry::enroll(instr::linked_program prog,
+device_id device_registry::enroll(const instr::linked_program& prog,
                                   byte_vec device_key) {
   if (device_key.empty()) {
     throw registry_error(registry_error_kind::empty_key,
                          "fleet: enroll requires a non-empty device key");
   }
-  auto fw = catalog_->intern(std::move(prog));
+  auto fw = catalog_->intern(prog);
   std::unique_lock<std::shared_mutex> lk(mu_);
   const device_id id = reserve_free_id_locked();
   device_record rec =

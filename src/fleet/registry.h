@@ -15,7 +15,10 @@
 // registries can share one), and the record carries the resulting
 // shared immutable verifier::firmware_artifact. A fleet of N devices on
 // F firmware images costs O(F) verifier memory — record.program is an
-// alias into the shared artifact, not a per-device copy.
+// alias into the shared artifact, not a per-device copy. Provisioning is
+// O(F) in copies too: the program is taken by const reference and copied
+// only when its image is new to the catalog, so every further device on
+// that image costs one fingerprint hash and one key derivation.
 //
 // Misuse is rejected with a typed `registry_error` (duplicate or reserved
 // device ids, empty keys) rather than silently overwriting or accepting.
@@ -94,18 +97,19 @@ class device_registry {
                                nullptr);
 
   /// Provision a new device running `prog`: assigns the next free id and
-  /// derives its key from the master key.
-  device_id provision(instr::linked_program prog);
+  /// derives its key from the master key. Like every provisioning call,
+  /// copies `prog` only when its image is new to the catalog.
+  device_id provision(const instr::linked_program& prog);
 
   /// Provision with an explicit id (device ids often come from an external
   /// inventory). Throws registry_error(reserved_id) for id 0 and
   /// registry_error(duplicate_id) when the id is already provisioned.
-  device_id provision(device_id id, instr::linked_program prog);
+  device_id provision(device_id id, const instr::linked_program& prog);
 
   /// Enroll a device that already owns a key (no KDF), e.g. a factory
   /// pre-shared key. Auto-assigns the id. Throws
   /// registry_error(empty_key) on an empty device key.
-  device_id enroll(instr::linked_program prog, byte_vec device_key);
+  device_id enroll(const instr::linked_program& prog, byte_vec device_key);
 
   /// nullptr when the id was never provisioned. Safe for concurrent
   /// readers; the returned pointer never dangles (see file comment).

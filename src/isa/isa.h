@@ -174,8 +174,24 @@ struct decoded {
   bool cg_src = false;
 };
 
-/// Decode the instruction starting at `code[0]`, located at byte address
-/// `address`. Throws dialed::error on illegal encodings.
+/// Why a word sequence does not decode.
+enum class decode_error : std::uint8_t {
+  none,
+  truncated,       ///< the stream ends inside the instruction
+  illegal_opcode,  ///< the first word is no MSP430 opcode
+  bad_format2,     ///< format-II opcode bits 7 (unassigned)
+};
+
+/// The decode rule, without exceptions: decode the instruction starting
+/// at `code[0]`, located at byte address `address`, into `out` and return
+/// decode_error::none, or return why it does not decode (`out` is then
+/// unspecified). Bulk scans over arbitrary words (the verifier's
+/// predecode) use this; about a fifth of their slots are extension words.
+decode_error try_decode(std::span<const std::uint16_t> code,
+                        std::uint16_t address, decoded& out);
+
+/// try_decode, throwing dialed::error on illegal encodings. The message
+/// names the failure (replay findings quote it).
 decoded decode(std::span<const std::uint16_t> code, std::uint16_t address);
 
 /// Render an instruction as assembly text (for listings / forensics).

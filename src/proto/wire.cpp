@@ -84,25 +84,42 @@ std::string to_string(proto_error e) {
 }
 
 std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data) {
-  // Table-driven (one lookup per byte, ~8x the bitwise loop): the frame
-  // CRC runs over every report on the hot verify path, where the bitwise
-  // version was the single biggest decode cost.
-  static const auto table = [] {
-    std::array<std::uint16_t, 256> t{};
+  // Slice-by-8: the frame CRC runs over every report on the hot verify
+  // path, where it was the whole decode stage. t[k][b] is the CRC
+  // register after byte b followed by k zero bytes (from a zero
+  // register), so eight bytes fold into one XOR of eight lookups; the
+  // register itself is folded into the first two bytes, which is exact
+  // for an MSB-first CRC. The tail runs bytewise through t[0].
+  static const auto t = [] {
+    std::array<std::array<std::uint16_t, 256>, 8> tab{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint16_t c = static_cast<std::uint16_t>(i << 8);
       for (int k = 0; k < 8; ++k) {
         c = (c & 0x8000) ? static_cast<std::uint16_t>((c << 1) ^ 0x1021)
                          : static_cast<std::uint16_t>(c << 1);
       }
-      t[i] = c;
+      tab[0][i] = c;
     }
-    return t;
+    for (std::size_t k = 1; k < tab.size(); ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        const std::uint16_t prev = tab[k - 1][i];
+        tab[k][i] =
+            static_cast<std::uint16_t>((prev << 8) ^ tab[0][prev >> 8]);
+      }
+    }
+    return tab;
   }();
   std::uint16_t crc = 0xffff;
-  for (const std::uint8_t b : data) {
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
     crc = static_cast<std::uint16_t>(
-        (crc << 8) ^ table[((crc >> 8) ^ b) & 0xffu]);
+        t[7][p[0] ^ (crc >> 8)] ^ t[6][p[1] ^ (crc & 0xffu)] ^ t[5][p[2]] ^
+        t[4][p[3]] ^ t[3][p[4]] ^ t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]]);
+  }
+  for (; n > 0; ++p, --n) {
+    crc = static_cast<std::uint16_t>(
+        (crc << 8) ^ t[0][((crc >> 8) ^ *p) & 0xffu]);
   }
   return crc;
 }

@@ -140,18 +140,17 @@ fleet_state fleet_store::open(const std::string& dir, options opts) {
   // ids) and registry — then wire the store in as the registry's sink.
   // The image is COPIED into live objects, not consumed: it becomes the
   // store's mirror, kept in lockstep with the journal from here on.
+  // Interning hashes each image once; the artifact's id is that hash.
   fleet_state st;
   st.catalog = std::make_shared<fleet::firmware_catalog>();
   for (const auto& [id, blob] : img.firmwares) {
     reader pr(blob, "firmware image");
-    auto prog = read_program(pr);
-    if (verifier::firmware_artifact::fingerprint(prog) != id) {
+    if (st.catalog->intern(read_program(pr))->id() != id) {
       throw store_error(
           store_error_kind::firmware_mismatch,
           "firmware image re-hashes to a different content id — "
           "snapshot/WAL corrupt or built by an incompatible version");
     }
-    st.catalog->intern(std::move(prog));
   }
 
   st.registry = std::make_unique<fleet::device_registry>(img.master_key,

@@ -17,32 +17,34 @@ namespace {
 
 /// Canonical serializer feeding the fingerprint hash: every multi-byte
 /// value little-endian, every string/byte-run length-prefixed, so field
-/// boundaries are unambiguous and the id is stable across builds.
+/// boundaries are unambiguous and the id is stable across builds. The
+/// stream is buffered and hashed in one pass at finish() — per-field
+/// sha256::update calls dominated a provisioning's cost.
 class fingerprint_hasher {
  public:
-  void u8(std::uint8_t v) { h_.update({&v, 1}); }
+  void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v) {
-    std::array<std::uint8_t, 2> b{};
-    store_le16(b, 0, v);
-    h_.update(b);
+    buf_.push_back(static_cast<std::uint8_t>(v));
+    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
   }
   void u32(std::uint32_t v) {
-    std::array<std::uint8_t, 4> b{};
-    store_le32(b, 0, v);
-    h_.update(b);
+    u16(static_cast<std::uint16_t>(v));
+    u16(static_cast<std::uint16_t>(v >> 16));
   }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void bytes(std::span<const std::uint8_t> b) {
     u32(static_cast<std::uint32_t>(b.size()));
-    h_.update(b);
+    buf_.insert(buf_.end(), b.begin(), b.end());
   }
   void str(const std::string& s) {
     bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
   }
-  crypto::sha256::digest finish() { return h_.finish(); }
+  crypto::sha256::digest finish() const {
+    return crypto::sha256::hash(buf_);
+  }
 
  private:
-  crypto::sha256 h_;
+  byte_vec buf_;
 };
 
 /// Rough per-entry overhead of a node-based container (map/set node plus
@@ -195,12 +197,12 @@ firmware_artifact::firmware_artifact(instr::linked_program prog,
       const std::array<std::uint16_t, 3> words = {
           word_at(pc), word_at(static_cast<std::uint16_t>(pc + 2)),
           word_at(static_cast<std::uint16_t>(pc + 4))};
-      try {
-        decoded_[i] = isa::decode(words, pc);
+      // Not every even address is an instruction boundary (about a fifth
+      // are extension words); callers that land on one decode live and
+      // get the identical error.
+      if (isa::try_decode(words, pc, decoded_[i]) ==
+          isa::decode_error::none) {
         decoded_valid_[i] = 1;
-      } catch (const error&) {
-        // Not every even address is an instruction boundary; callers that
-        // land here decode live and get the identical error.
       }
     }
   }

@@ -9,6 +9,7 @@
 #include "fleet/verifier_hub.h"
 #include "helpers.h"
 #include "proto/wire.h"
+#include "store/codec.h"
 #include "verifier/cfa_check.h"
 #include "verifier/firmware_artifact.h"
 
@@ -49,6 +50,21 @@ TEST(firmware_id, distinguishes_source_mode_and_entry) {
   EXPECT_NE(base, other_src);
   EXPECT_NE(base, other_mode);
   EXPECT_NE(other_src, other_mode);
+}
+
+TEST(firmware_id, golden_ids_are_stable) {
+  // The store persists firmware ids and re-checks them on open, so the
+  // canonical fingerprint must never drift: these hex ids were computed
+  // by the original one-update-per-field hasher.
+  EXPECT_EQ(to_hex(firmware_artifact::fingerprint(adder_prog())),
+            "1b2280df4a14c6e0ddfe68019f2d9c50f62f2f83bd43e3867387c36af39586cb");
+  EXPECT_EQ(to_hex(firmware_artifact::fingerprint(apps::build_app(
+                apps::evaluation_apps().front(),
+                instr::instrumentation::dialed))),
+            "55266c57c7733e2478b3617ace0294460bd95d24d6e1fb0986e53d91cfc8fd6b");
+  EXPECT_EQ(to_hex(firmware_artifact::fingerprint(apps::build_app(
+                apps::fig2_app(), instr::instrumentation::tinycfa))),
+            "e1f6a47c872fae7b6dfa16e5a35b6a7082ea480c3505c794051ee3889cc14283");
 }
 
 // ---------------------------------------------------------------------------
@@ -92,6 +108,24 @@ TEST(catalog, registry_shares_one_artifact_across_devices) {
     // ...and record.program aliases INTO it (no per-device copy).
     EXPECT_EQ(rec->program.get(), &rec->firmware->program());
   }
+}
+
+TEST(catalog, provisioning_from_a_const_program_leaves_it_intact) {
+  // Provisioning takes the program by const reference: 64 devices on one
+  // image intern it once and leave the caller's program as it was.
+  const auto prog = apps::build_app(apps::evaluation_apps().front(),
+                                    instr::instrumentation::dialed);
+  const auto serialized = [](const instr::linked_program& p) {
+    store::writer w;
+    store::write_program(w, p);
+    return w.take();
+  };
+  const byte_vec before = serialized(prog);
+  device_registry reg(master_key());
+  for (int d = 0; d < 64; ++d) (void)reg.provision(prog);
+  EXPECT_EQ(reg.size(), 64u);
+  EXPECT_EQ(reg.catalog()->size(), 1u);
+  EXPECT_EQ(serialized(prog), before);
 }
 
 TEST(catalog, registries_can_share_a_catalog) {

@@ -306,6 +306,40 @@ TEST(decode, rejects_truncated_stream) {
   EXPECT_THROW(decode(words, 0xc000), error);
 }
 
+std::string decode_message(std::span<const std::uint16_t> words) {
+  try {
+    (void)decode(words, 0xc000);
+  } catch (const error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+decode_error try_decode_error(std::span<const std::uint16_t> words) {
+  decoded out;
+  return try_decode(words, 0xc000, out);
+}
+
+TEST(decode, errors_are_typed_and_messages_name_them) {
+  // try_decode reports the kind; decode throws the text replay findings
+  // quote.
+  EXPECT_EQ(try_decode_error({}), decode_error::truncated);
+  EXPECT_EQ(decode_message({}), "isa: truncated instruction stream");
+  const std::array<std::uint16_t, 1> illegal = {0x0123};
+  EXPECT_EQ(try_decode_error(illegal), decode_error::illegal_opcode);
+  EXPECT_EQ(decode_message(illegal),
+            "isa: illegal opcode word 0x0123 at 0xc000");
+  const std::array<std::uint16_t, 1> format2 = {0x1380};
+  EXPECT_EQ(try_decode_error(format2), decode_error::bad_format2);
+  EXPECT_EQ(decode_message(format2), "isa: bad format-II opcode bits");
+  const std::array<std::uint16_t, 1> needs_ext = {0x4030};  // mov #N, pc
+  EXPECT_EQ(try_decode_error(needs_ext), decode_error::truncated);
+  EXPECT_EQ(decode_message(needs_ext), "isa: truncated instruction stream");
+  const std::array<std::uint16_t, 2> whole = {0x4030, 0xc000};
+  EXPECT_EQ(try_decode_error(whole), decode_error::none);
+  EXPECT_EQ(decode_message(whole), "");
+}
+
 TEST(to_string, renders_readably) {
   instruction ins;
   ins.op = opcode::mov;

@@ -1244,8 +1244,16 @@ TEST(net_serve, concurrent_scrape_under_traffic) {
     }
   });
 
+  // At least 20 scrapes race the traffic. They can all finish before the
+  // first report is verified, so keep scraping until the stage totals
+  // move or a deadline passes.
   std::uint64_t last_total = 0;
-  for (int i = 0; i < 20; ++i) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (int i = 0;
+       i < 20 ||
+       (last_total == 0 && std::chrono::steady_clock::now() < deadline);
+       ++i) {
     const auto metrics = http_get("127.0.0.1", h.port(), "/metrics");
     expect_prometheus_parses(metrics);
     std::uint64_t total = 0;

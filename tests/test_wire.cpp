@@ -79,6 +79,34 @@ TEST(wire, crc16_known_answer) {
   EXPECT_EQ(crc16_ccitt(byte_vec{}), 0xffff);
 }
 
+TEST(wire, crc16_matches_bitwise_reference_at_every_length) {
+  // The sliced CRC against the textbook one-bit-at-a-time definition, at
+  // every length 0..299: all tail lengths, every 8-byte block count up to
+  // 37 and every start alignment of the final block.
+  const auto bitwise = [](std::span<const std::uint8_t> data) {
+    std::uint16_t crc = 0xffff;
+    for (const std::uint8_t b : data) {
+      crc = static_cast<std::uint16_t>(crc ^ (b << 8));
+      for (int k = 0; k < 8; ++k) {
+        crc = (crc & 0x8000)
+                  ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021)
+                  : static_cast<std::uint16_t>(crc << 1);
+      }
+    }
+    return crc;
+  };
+  byte_vec buf(300);
+  std::uint32_t x = 0x12345678u;
+  for (auto& b : buf) {
+    x = x * 1664525u + 1013904223u;  // LCG: fixed, varied bytes
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (std::size_t n = 0; n < buf.size(); ++n) {
+    const std::span<const std::uint8_t> msg(buf.data(), n);
+    ASSERT_EQ(crc16_ccitt(msg), bitwise(msg)) << "length " << n;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Versioned codec: wire v2, typed errors, version confusion
 // ---------------------------------------------------------------------------
